@@ -2,7 +2,8 @@
 
 The package is organized around one generic gossip engine (``pushpull``)
 whose merge / select / neighborhood-adaptation steps are parameterized by a
-utility function.  Three protocol variants are configurations of that engine:
+selection order: a per-peer rank table or freshest first.  Three protocol
+variants are configurations of that engine:
 
 * ``anti-entropy``: global view, freshest-timestamp replication,
 * ``newscast``:     partial view of size k, freshest-timestamp news items,

@@ -4,9 +4,12 @@ A run bootstraps a weakly connected, intentionally unbalanced random overlay,
 then executes protocol cycles: every live peer, in per-cycle shuffled order,
 initiates one push-pull exchange with a uniformly random live member of its
 cache and immediately afterwards has its top-N recommendations computed from
-its (possibly just updated) cache.  Churn is injected once, at the start of a
-configured cycle, by silencing a uniform sample of live peers; their cache
-entries linger in other peers' caches until displaced by selection pressure.
+its (possibly just updated) cache.  A top-N row is a pure function of the
+cache's source set, so a peer's row is recomputed only when an exchange has
+changed that set since the peer last ranked.  Churn is injected once, at the
+start of a configured cycle, by silencing a uniform sample of live peers;
+their cache entries linger in other peers' caches until displaced by
+selection pressure.
 
 Everything is driven by one numpy Generator, so the full snapshot sequence is
 a pure function of the configuration (seed included) and the training data.
@@ -61,6 +64,11 @@ class ChurnSpec:
             )
 
 
+def churn_count(pct: float, n_peers: int) -> int:
+    """Peers a pct% disturbance silences: floor(pct/100 * n) of the configured n."""
+    return int(pct / 100.0 * n_peers)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Parameters of one simulation run (defaults follow the evaluated setup)."""
@@ -96,6 +104,11 @@ class SimConfig:
             )
         if self.churn is not None:
             self.churn.validate(self.cycles)
+            if churn_count(self.churn.pct, self.n_peers) >= self.n_peers:
+                raise InvalidConfig(
+                    f"churn of {self.churn.pct!r}% would silence all "
+                    f"{self.n_peers} peers"
+                )
 
 
 @dataclass
@@ -120,7 +133,12 @@ class CycleSnapshot:
 
 @dataclass
 class SimState:
-    """Mutable state of a running simulation."""
+    """Mutable state of a running simulation.
+
+    The ranking memo is ``rec_items``/``rec_votes``, each peer's latest top-N
+    row, plus ``stale[v]``, set when an exchange changes v's cache sources
+    and cleared when v is ranked again.
+    """
 
     config: SimConfig
     gossip: GossipState
@@ -130,6 +148,9 @@ class SimState:
     protocol: ProtocolSpec
     rng: np.random.Generator
     cycle: int = 0
+    rec_items: np.ndarray | None = None
+    rec_votes: np.ndarray | None = None
+    stale: bytearray | None = None
 
     @property
     def n(self) -> int:
@@ -212,8 +233,7 @@ def bootstrap_topology(
 
 def make_protocol(config: SimConfig, arrays: TrainingArrays, profiles: list[RatingProfile]) -> ProtocolSpec:
     if config.protocol == "swarmix":
-        sim_rows = arrays.similarity.tolist()
-        return similarity_protocol(config.cache_size, sim_rows, profiles)
+        return similarity_protocol(config.cache_size, arrays.similarity, profiles)
     if config.protocol == "newscast":
         return newscast_protocol(config.cache_size)
     return anti_entropy_protocol(config.cache_size)
@@ -260,6 +280,9 @@ def bootstrap(
         arrays=arrays,
         protocol=protocol,
         rng=rng,
+        rec_items=np.full((n, config.top_n), -1, dtype=np.int64),
+        rec_votes=np.zeros((n, config.top_n), dtype=np.int32),
+        stale=bytearray(b"\x01" * n),
     )
 
 
@@ -270,7 +293,7 @@ def inject_churn(state: SimState, spec: ChurnSpec) -> list[int]:
     sampled set depends only on the rng stream, not on the mode, so failure
     and leaving runs with one seed silence identical peers.
     """
-    count = int(spec.pct / 100.0 * state.n)
+    count = churn_count(spec.pct, state.n)
     if count == 0:
         return []
     alive_ids = [p for p in range(state.n) if state.gossip.alive[p]]
@@ -286,9 +309,17 @@ def inject_churn(state: SimState, spec: ChurnSpec) -> list[int]:
     return silenced
 
 
-def _recommend_into(
-    state: SimState, peer: int, rec_items: np.ndarray, rec_votes: np.ndarray
-) -> None:
+def _sources_changed(before: Cache, after: Cache) -> bool:
+    old = [item.src for item in before]
+    new = [item.src for item in after]
+    return old != new and set(old) != set(new)
+
+
+def _rank(state: SimState, peer: int) -> None:
+    """Bring ``peer``'s memoised top-N row up to date with its cache."""
+    if not state.stale[peer]:
+        return
+    state.stale[peer] = 0
     arrays = state.arrays
     srcs = [item.src for item in state.gossip.caches[peer]]
     if srcs:
@@ -298,9 +329,12 @@ def _recommend_into(
     ranked = top_n_from_votes(
         votes, arrays.rated_cols[peer], state.config.top_n, arrays.item_ids
     )
+    items, counts = state.rec_items[peer], state.rec_votes[peer]
+    items.fill(-1)
+    counts.fill(0)
     for j, (item, count) in enumerate(ranked):
-        rec_items[peer, j] = item
-        rec_votes[peer, j] = count
+        items[j] = item
+        counts[j] = count
 
 
 def _take_snapshot(
@@ -339,12 +373,13 @@ def _take_snapshot(
     )
 
 
-def _fresh_rec_buffers(state: SimState) -> tuple[np.ndarray, np.ndarray]:
-    n, top_n = state.n, state.config.top_n
-    return (
-        np.full((n, top_n), -1, dtype=np.int64),
-        np.zeros((n, top_n), dtype=np.int32),
-    )
+def _rec_rows(state: SimState, ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """This cycle's recommendation rows: the memo for ``ranked`` peers, else padding."""
+    rec_items = np.full(state.rec_items.shape, -1, dtype=np.int64)
+    rec_votes = np.zeros(state.rec_votes.shape, dtype=np.int32)
+    rec_items[ranked] = state.rec_items[ranked]
+    rec_votes[ranked] = state.rec_votes[ranked]
+    return rec_items, rec_votes
 
 
 def run_cycle(state: SimState) -> CycleSnapshot:
@@ -352,27 +387,44 @@ def run_cycle(state: SimState) -> CycleSnapshot:
     state.cycle += 1
     n = state.n
     gossip = state.gossip
+    caches = gossip.caches
     alive = gossip.alive
     rng = state.rng
+    stale = state.stale
     global_view = state.protocol.global_view
     receptions = np.zeros(n, dtype=np.int32)
-    rec_items, rec_votes = _fresh_rec_buffers(state)
     skipped = 0
 
     participants = np.flatnonzero(np.asarray(alive, dtype=bool))
+    if global_view:
+        # Nobody joins or leaves mid-cycle, so the live set is fixed.
+        live = participants.tolist()
+        position = {p: j for j, p in enumerate(live)}
     order = rng.permutation(participants).tolist()
     for p in order:
         if global_view:
-            candidates = [w for w in range(n) if alive[w] and w != p]
+            # Every live peer but p: index j skips p's own slot.
+            count = len(live) - 1
+            if count:
+                j = int(rng.integers(count))
+                w = live[j + (j >= position[p])]
         else:
-            candidates = [item.src for item in gossip.caches[p] if alive[item.src]]
-        if candidates:
-            w = candidates[int(rng.integers(len(candidates)))]
+            candidates = [item.src for item in caches[p] if alive[item.src]]
+            count = len(candidates)
+            if count:
+                w = candidates[int(rng.integers(count))]
+        if count:
+            before_p, before_w = caches[p], caches[w]
             run_exchange(gossip, p, w, state.protocol, now=state.cycle)
+            if _sources_changed(before_p, caches[p]):
+                stale[p] = 1
+            if _sources_changed(before_w, caches[w]):
+                stale[w] = 1
             receptions[w] += 1
         else:
             skipped += 1
-        _recommend_into(state, p, rec_items, rec_votes)
+        _rank(state, p)
+    rec_items, rec_votes = _rec_rows(state, participants)
     return _take_snapshot(state, receptions, skipped, rec_items, rec_votes)
 
 
@@ -395,10 +447,10 @@ def run_simulation(
     state = bootstrap(config, arrays, rng, holdout)
 
     receptions = np.zeros(state.n, dtype=np.int32)
-    rec_items, rec_votes = _fresh_rec_buffers(state)
-    for p in range(state.n):
-        if state.gossip.alive[p]:
-            _recommend_into(state, p, rec_items, rec_votes)
+    participants = np.flatnonzero(np.asarray(state.gossip.alive, dtype=bool))
+    for p in participants.tolist():
+        _rank(state, p)
+    rec_items, rec_votes = _rec_rows(state, participants)
     yield _take_snapshot(state, receptions, 0, rec_items, rec_votes)
 
     for cycle in range(1, config.cycles + 1):
@@ -410,3 +462,4 @@ def run_simulation(
 def join_peer(state: SimState, new_peer: int, buddy: int) -> None:
     """Wire a held-out peer into a running simulation via one buddy."""
     join(state.gossip, new_peer, buddy, state.profiles[buddy], now=state.cycle)
+    state.stale[new_peer] = 1

@@ -153,24 +153,42 @@ class _StrictChecker:
 
     def check(self, snap: CycleSnapshot) -> None:
         k = self.config.cache_size
-        counts = np.array([len(ids) for ids in snap.neighbor_ids], dtype=np.int64)
+        counts = np.fromiter(
+            map(len, snap.neighbor_ids), dtype=np.int64, count=len(snap.neighbor_ids)
+        )
         if (counts > k).any():
             raise AssertionError(f"cycle {snap.cycle}: cache over capacity")
         alive_ids = np.flatnonzero(snap.alive)
-        if self.check_identity:
-            for v in alive_ids:
-                ids = snap.neighbor_ids[v]
-                if ids.size != np.unique(ids).size:
-                    raise AssertionError(f"cycle {snap.cycle}: duplicate cache id at peer {v}")
-                if (ids == v).any():
-                    raise AssertionError(f"cycle {snap.cycle}: self in neighborhood of {v}")
-        for v in alive_ids:
-            row = snap.rec_items[v]
-            items = row[row >= 0]
-            if items.size and self.arrays.binary[v, self.col_of_id[items]].any():
+        if self.check_identity and alive_ids.size:
+            owners = np.repeat(alive_ids, counts[alive_ids])
+            ids = np.concatenate([snap.neighbor_ids[v] for v in alive_ids])
+            order = np.lexsort((ids, owners))
+            owners_sorted, ids_sorted = owners[order], ids[order]
+            same = (owners_sorted[1:] == owners_sorted[:-1]) & (
+                ids_sorted[1:] == ids_sorted[:-1]
+            )
+            duplicated = owners_sorted[1:][same]
+            holds_self = owners[ids == owners]
+            # Peers are checked in id order, a peer's duplicates before its self entry.
+            first_dup = duplicated[0] if duplicated.size else None
+            first_self = holds_self[0] if holds_self.size else None
+            if first_dup is not None and (first_self is None or first_dup <= first_self):
                 raise AssertionError(
-                    f"cycle {snap.cycle}: peer {v} was recommended a consumed item"
+                    f"cycle {snap.cycle}: duplicate cache id at peer {first_dup}"
                 )
+            if first_self is not None:
+                raise AssertionError(
+                    f"cycle {snap.cycle}: self in neighborhood of {first_self}"
+                )
+        rows = snap.rec_items[alive_ids]
+        listed = rows >= 0
+        listed_by = np.repeat(alive_ids, listed.sum(axis=1))
+        consumed = self.arrays.binary[listed_by, self.col_of_id[rows[listed]]] != 0
+        if consumed.any():
+            raise AssertionError(
+                f"cycle {snap.cycle}: peer {listed_by[consumed.argmax()]} "
+                "was recommended a consumed item"
+            )
         eligible = snap.alive & (counts > 0)
         if eligible.any():
             m = np.minimum(counts[eligible], self.top_m_means.shape[1]) - 1
@@ -371,18 +389,19 @@ def churn_sweep(
 
     One simulation per percentage serves both accountings: the silenced peer
     set is identical, only the denominator differs.  Structural metrics are
-    skipped, the sweep output does not use them.
+    skipped, the sweep output does not use them.  Every level's config is
+    validated before the first trial runs.
     """
-    for pct in percentages:
-        if not 0.0 <= pct <= 100.0:
-            raise InvalidConfig(f"churn percentage {pct!r} outside [0, 100]")
     if at_cycle is None:
         at_cycle = base_config.churn.at_cycle if base_config.churn is not None else 50
+    configs = [
+        replace(base_config, churn=ChurnSpec(mode="leavings", pct=float(pct), at_cycle=at_cycle))
+        for pct in percentages
+    ]
+    for cfg in configs:
+        cfg.validate()
     rows: list[ChurnRow] = []
-    for pct in percentages:
-        cfg = replace(
-            base_config, churn=ChurnSpec(mode="leavings", pct=float(pct), at_cycle=at_cycle)
-        )
+    for cfg in configs:
         result = run_experiment(cfg, ratings, trials, structural=False)
         for mode, field in (
             ("failures", "hit_rate"),
@@ -392,7 +411,7 @@ def churn_sweep(
             h = float(result.ci_half[field][-1])
             rows.append(
                 ChurnRow(
-                    pct=float(pct), mode=mode, hit_rate_mean=m, ci_low=m - h, ci_high=m + h
+                    pct=cfg.churn.pct, mode=mode, hit_rate_mean=m, ci_low=m - h, ci_high=m + h
                 )
             )
     return rows

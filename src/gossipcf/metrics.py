@@ -99,26 +99,19 @@ def hit_rate(
 
 def _alive_adjacency(snapshot: CycleSnapshot) -> tuple[sp.csr_matrix, np.ndarray]:
     """Symmetrized 0/1 adjacency over live peers, with the live peer ids."""
-    alive_idx = np.flatnonzero(snapshot.alive)
-    n = snapshot.alive.shape[0]
-    compact = np.full(n, -1, dtype=np.int64)
-    compact[alive_idx] = np.arange(alive_idx.size)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    for v in alive_idx:
-        targets = snapshot.neighbor_ids[v]
-        if targets.size == 0:
-            continue
-        live = targets[snapshot.alive[targets]]
-        if live.size == 0:
-            continue
-        rows.append(np.full(live.size, compact[v], dtype=np.int64))
-        cols.append(compact[live])
+    alive = snapshot.alive
+    alive_idx = np.flatnonzero(alive)
     m = alive_idx.size
-    if not rows:
+    compact = np.full(alive.shape[0], -1, dtype=np.int64)
+    compact[alive_idx] = np.arange(m)
+    lists = [snapshot.neighbor_ids[v] for v in alive_idx]
+    counts = np.fromiter(map(len, lists), dtype=np.int64, count=m)
+    targets = np.concatenate(lists) if m else np.zeros(0, dtype=np.int64)
+    live = alive[targets]
+    r = np.repeat(np.arange(m), counts)[live]
+    c = compact[targets[live]]
+    if r.size == 0:
         return sp.csr_matrix((m, m), dtype=np.int32), alive_idx
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
     a = sp.coo_matrix((np.ones(r.size, dtype=np.int32), (r, c)), shape=(m, m))
     a = a.tocsr()
     a = ((a + a.T) > 0).astype(np.int32)

@@ -2,26 +2,31 @@
 
 Every peer keeps a bounded cache of timestamped data items and periodically
 exchanges its cache with one neighbor.  After the push/pull both sides run,
-each with its *own* utility function, the three exchangeable steps:
+each from its *own* perspective, the three exchangeable steps:
 
-    merge      -> one surviving version per item id
-    select     -> keep the k most useful items
-    neighbors  -> adapt the neighborhood from the selected cache
+    merge      -> one surviving version per item id: the freshest
+    select     -> keep the k best items by the protocol's order
+    neighbors  -> the sources named in the selected cache (unless global view)
 
 Variants (anti-entropy replication, news dissemination, similarity-driven
 neighborhood formation) differ only in the :class:`ProtocolSpec` they plug
-into :func:`run_exchange`.
+into :func:`run_exchange`.  Selection orders either by a per-owner rank
+table (similarity: ``rank[owner][src]``, smaller is better) or, without one,
+freshest first.
 
 All tie-breaks are deterministic so that seeded runs reproduce exactly:
-merge ties fall back to larger timestamp and then to the merging peer's own
-copy; selection ties fall back to smaller source peer id, then smaller item
-id.
+merge ties keep the merging peer's own copy; freshest-first selection ties
+fall back to smaller source peer id, then smaller item id.
+
+The reference operations ``merge_freshest``, ``merge_by_utility``,
+``select_top_k`` and ``adapt_neighbors`` spell out each step on its own; the
+test suite pins :func:`_retain` to their composition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, NamedTuple, Sequence
 
 PeerId = int
 Timestamp = int
@@ -42,7 +47,7 @@ class DataItem(NamedTuple):
 
 
 # A cache is an ordered, immutable collection of items.  Capacity is a
-# protocol parameter enforced by select_top_k rather than stored per cache.
+# protocol parameter enforced at selection rather than stored per cache.
 Cache = tuple[DataItem, ...]
 
 # Utility of a single item, evaluated from one peer's perspective.
@@ -119,26 +124,31 @@ def adapt_neighbors(
     return frozenset(it.src for it in ranked[:l])
 
 
+# A rank table: rank[v][w] is w's position in v's order of preference.
+RankTable = Sequence[Sequence[int]]
+
+
 @dataclass(frozen=True)
 class ProtocolSpec:
     """Configuration that turns the generic engine into a concrete protocol.
 
-    ``utility_for`` returns the utility assignment evaluated from a given
-    peer's perspective.  ``self_item_for`` (when ``self_inject`` is set)
-    builds the fresh item a peer injects into its pushed cache.
-    ``drop_own_id`` removes items about the owner itself from what the owner
-    retains; the item still transits through other peers' caches.
+    With a ``rank`` table, selection keeps the k items whose sources rank
+    first from the owner's perspective; this needs one item per source
+    (``id == src``), so a version's source never changes.  Without one,
+    selection keeps the k freshest items.  ``self_item_for`` (when
+    ``self_inject`` is set) builds the fresh item a peer injects into its
+    pushed cache.  ``drop_own_id`` removes items about the owner itself from
+    what the owner retains; the item still transits through other peers'
+    caches.  A ``global_view`` protocol keeps no neighborhood: its peers may
+    contact any live peer.
     """
 
     name: str
     cache_size: int
-    utility_for: Callable[[PeerId], Utility]
-    merge_on_utility: bool
+    rank: RankTable | None = None
     self_inject: bool = False
     self_item_for: Callable[[PeerId, Timestamp], DataItem] | None = None
     drop_own_id: bool = False
-    adapt_mode: str = "adaptive"
-    adapt_l: int | None = None  # None means l = cache_size
     global_view: bool = False
 
 
@@ -160,44 +170,31 @@ class GossipState:
         return len(self.caches)
 
 
-def _retain(
-    owner: PeerId,
-    own: Cache,
-    other: Cache,
-    protocol: ProtocolSpec,
-    prior: frozenset[PeerId] | None,
-) -> tuple[Cache, frozenset[PeerId] | None]:
-    """Merge, select and neighborhood-adapt for one side of an exchange.
+def _fresh_first(item: DataItem) -> tuple[int, int, int]:
+    return (-item.timestamp, item.src, item.id)
 
-    Fused equivalent of merge (freshest or by-utility), the own-id filter,
-    select_top_k and adapt_neighbors, scoring each item exactly once; the
-    test suite pins its equivalence to that composition of the public ops.
+
+def _retain(owner: PeerId, own: Cache, other: Cache, protocol: ProtocolSpec) -> Cache:
+    """Merge, own-id filter and select for one side of an exchange.
+
+    Expects id-unique caches.  The merge keeps the freshest version per id,
+    the owner's own copy on ties; with a rank table every version of an id
+    has the same source and so the same rank, which makes this also the
+    most useful version.  The test suite pins the result to the composition
+    of the public merge and select operations.
     """
-    u = protocol.utility_for(owner)
-    drop_own = protocol.drop_own_id
-    on_utility = protocol.merge_on_utility
-    best: dict[int, tuple[float, int, int, DataItem]] = {}
-    for side, cache in ((0, other), (1, own)):
-        for item in cache:
-            if drop_own and item.id == owner:
-                continue
-            entry = (u(item), item.timestamp, side, item)
-            cur = best.get(item.id)
-            if cur is None:
-                best[item.id] = entry
-            elif on_utility:
-                if entry[:3] > cur[:3]:
-                    best[item.id] = entry
-            elif entry[1:3] > cur[1:3]:
-                best[item.id] = entry
-    ranked = sorted(best.values(), key=lambda e: (-e[0], e[3].src, e[3].id))
-    selected = tuple(e[3] for e in ranked[: protocol.cache_size])
-    if protocol.adapt_mode == "fixed":
-        return selected, prior
-    l = protocol.adapt_l if protocol.adapt_l is not None else protocol.cache_size
-    # selected is ordered by the selection key, which is the same ordering
-    # adapt_neighbors uses, so the top-l sources are a prefix.
-    return selected, frozenset(it.src for it in selected[:l])
+    merged = {item.id: item for item in other}
+    for item in own:
+        theirs = merged.get(item.id)
+        if theirs is None or item.timestamp >= theirs.timestamp:
+            merged[item.id] = item
+    if protocol.drop_own_id:
+        merged.pop(owner, None)
+    k = protocol.cache_size
+    if protocol.rank is None:
+        return tuple(sorted(merged.values(), key=_fresh_first)[:k])
+    ids = sorted(merged, key=protocol.rank[owner].__getitem__)
+    return tuple(map(merged.__getitem__, ids[:k]))
 
 
 def run_exchange(
@@ -211,7 +208,7 @@ def run_exchange(
 
     The initiator (optionally) injects a fresh self-item into the cache it
     pushes; both transmitted caches are then merged, filtered and selected
-    independently on each side with that side's own utility.  The update is
+    independently on each side from that side's perspective.  The update is
     atomic: both peers' caches and neighborhoods are replaced together.
     """
     if not state.alive[responder]:
@@ -222,7 +219,8 @@ def run_exchange(
         pushed = pushed + (protocol.self_item_for(initiator, now),)
     pulled = state.caches[responder]
 
-    new_i = _retain(initiator, pushed, pulled, protocol, state.neighbors[initiator])
-    new_r = _retain(responder, pulled, pushed, protocol, state.neighbors[responder])
-    state.caches[initiator], state.neighbors[initiator] = new_i
-    state.caches[responder], state.neighbors[responder] = new_r
+    for peer, own, other in ((initiator, pushed, pulled), (responder, pulled, pushed)):
+        cache = _retain(peer, own, other, protocol)
+        state.caches[peer] = cache
+        if not protocol.global_view:
+            state.neighbors[peer] = frozenset(item.src for item in cache)

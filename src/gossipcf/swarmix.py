@@ -4,7 +4,8 @@ Here the disseminated items are snapshots of peer rating profiles: one item
 per peer (``id == src``), timestamped at creation.  A peer scores every item
 by the cosine similarity between its own profile and the profile inside the
 item, so merge and selection keep the most useful (most similar) peers and
-the cache doubles as the peer's neighborhood.
+the cache doubles as the peer's neighborhood.  Profiles never change during
+a run, so those scores reduce to a rank table built once per split.
 
 In this in-process simulation a cache entry's contact address is the peer id
 itself, so cache entries collapse to the items they carry.
@@ -13,7 +14,10 @@ itself, so cache entries collapse to the items they carry.
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Mapping
+
+import numpy as np
 
 from .pushpull import DataItem, GossipState, PeerId, ProtocolSpec, Timestamp
 
@@ -142,24 +146,36 @@ def item_address(item: DataItem) -> PeerId:
     return item.src
 
 
+def rank_table(similarity: np.ndarray) -> list[array]:
+    """Per peer, every peer's position in its (similarity desc, id asc) order.
+
+    ``rank[v][w]`` is that position of w for v; one stable argsort of the
+    negated similarity rows gives the order.  Rows are compact ``array('i')``
+    so the table costs four bytes per peer pair.
+    """
+    sim = np.asarray(similarity, dtype=np.float64)
+    n = sim.shape[0]
+    order = np.argsort(-sim, axis=1, kind="stable")
+    rank = np.empty((n, n), dtype=np.int32)
+    np.put_along_axis(rank, order, np.arange(n, dtype=np.int32)[None, :], axis=1)
+    return [array("i", row.tobytes()) for row in rank]
+
+
 def similarity_protocol(
     cache_size: int,
-    similarity_rows: list[list[float]],
+    similarity: np.ndarray,
     profiles: list[RatingProfile],
 ) -> ProtocolSpec:
     """The similarity-utility instance of the push-pull engine.
 
-    ``similarity_rows[v][w]`` must hold the similarity between peers v and w
-    as computed from the same profiles the items snapshot; profiles never
-    change during a run, so the table lookup equals scoring the snapshot
-    inside each item.  Initiators inject a fresh self-item before pushing,
-    neighborhoods are exactly the sources named in the selected cache, and a
-    peer never retains an item about itself.
+    ``similarity[v, w]`` must hold the similarity between peers v and w as
+    computed from the same profiles the items snapshot; profiles never
+    change during a run, so ranking sources by the table equals scoring the
+    snapshot inside each item.  Selection keeps the most similar sources,
+    ties to the smaller id.  Initiators inject a fresh self-item before
+    pushing, neighborhoods are exactly the sources named in the selected
+    cache, and a peer never retains an item about itself.
     """
-
-    def utility_for(owner: PeerId):
-        row = similarity_rows[owner]
-        return lambda item: row[item.src]
 
     def self_item_for(peer: PeerId, now: Timestamp) -> DataItem:
         return make_self_item(peer, profiles[peer], now)
@@ -167,25 +183,19 @@ def similarity_protocol(
     return ProtocolSpec(
         name="swarmix",
         cache_size=cache_size,
-        utility_for=utility_for,
-        merge_on_utility=True,
+        rank=rank_table(similarity),
         self_inject=True,
         self_item_for=self_item_for,
         drop_own_id=True,
-        adapt_mode="adaptive",
-        adapt_l=cache_size,
     )
 
 
 def newscast_protocol(cache_size: int) -> ProtocolSpec:
     """Freshest-news dissemination over a partial view of size k.
 
-    Merge and selection both order by timestamp; each initiator injects a
-    fresh self-item, and the neighborhood is the sources in the cache.
+    Merge and selection both keep the freshest items; each initiator injects
+    a fresh self-item, and the neighborhood is the sources in the cache.
     """
-
-    def utility_for(_owner: PeerId):
-        return lambda item: float(item.timestamp)
 
     def self_item_for(peer: PeerId, now: Timestamp) -> DataItem:
         return DataItem(id=peer, src=peer, timestamp=now, payload=None)
@@ -193,37 +203,20 @@ def newscast_protocol(cache_size: int) -> ProtocolSpec:
     return ProtocolSpec(
         name="newscast",
         cache_size=cache_size,
-        utility_for=utility_for,
-        merge_on_utility=False,
         self_inject=True,
         self_item_for=self_item_for,
         drop_own_id=True,
-        adapt_mode="adaptive",
-        adapt_l=cache_size,
     )
 
 
 def anti_entropy_protocol(cache_size: int) -> ProtocolSpec:
     """Freshest-entry database replication with a global view.
 
-    Merge and selection order by timestamp, there is no self-injection and no
-    neighborhood adaptation; one exchange leaves both sides with identical
-    caches whenever competing versions have distinct timestamps.
+    Merge and selection keep the freshest entries, there is no
+    self-injection and no neighborhood; one exchange leaves both sides with
+    identical caches whenever competing versions have distinct timestamps.
     """
-
-    def utility_for(_owner: PeerId):
-        return lambda item: float(item.timestamp)
-
-    return ProtocolSpec(
-        name="anti-entropy",
-        cache_size=cache_size,
-        utility_for=utility_for,
-        merge_on_utility=False,
-        self_inject=False,
-        drop_own_id=False,
-        adapt_mode="fixed",
-        global_view=True,
-    )
+    return ProtocolSpec(name="anti-entropy", cache_size=cache_size, global_view=True)
 
 
 def join(

@@ -1,5 +1,6 @@
 """Settings resolution, CSV schemas, manifests, byte-level determinism."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -11,12 +12,14 @@ from gossipcf.cli import (
     Settings,
     build_manifest,
     emit_churn_csv,
+    emit_metrics_csv,
     main,
     parse_config,
     read_config_file,
     sim_config_from_mapping,
 )
-from gossipcf.engine import InvalidConfig
+from gossipcf.engine import ChurnSpec, InvalidConfig, SimConfig
+from gossipcf.harness import run_experiment
 from gossipcf.synth import generate_ratings, write_ratings_file
 
 
@@ -122,6 +125,52 @@ def test_sweep_churn_csv_rows(data_file, tmp_path):
     assert len(lines) == 1 + 2 * 2  # 2 pcts x 2 modes
     modes = [line.split(",")[1] for line in lines[1:]]
     assert modes == ["failures", "leavings", "failures", "leavings"]
+
+
+def test_run_rejects_churn_that_silences_every_peer(data_file, tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(
+        ["run", "--data", str(data_file), "--trials", "2", "--cycles", "6",
+         "--churn-pct", "100", "--churn-cycle", "3", "--out", str(out)]
+    )
+    assert code == 2
+    assert "silence all" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_rejects_churn_that_silences_every_peer(data_file, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code = main(
+        ["sweep-churn", "--data", str(data_file), "--trials", "2", "--cycles", "6",
+         "--churn-cycle", "3", "--churn-pcts", "10,100", "--out", str(out)]
+    )
+    assert code == 2
+    assert "silence all" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# sha256 of metrics.csv for 2 trials of the 80-user dataset, 12 cycles, k=8,
+# master seed 31, a 25% loss at cycle 6.  Recorded before the rank-table
+# exchange and the ranking memo replaced the per-item utility path: both
+# must leave every output byte unchanged.
+GOLDEN_METRICS_SHA256 = {
+    "swarmix": "fc67b166b5fef9ba2661d85770d585d867e2a5d9ae255497c73c4fdf5ba9a0b3",
+    "newscast": "a3215f5fd0fbdfc804d5957a6a1a79ea7081f72783d5bd2fe2c26e7b48122459",
+    "anti-entropy": "e41687162bfe64b28f5230fd05d0052b916604ae08486cc01b7d227809a232ff",
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(GOLDEN_METRICS_SHA256))
+def test_metrics_csv_golden_bytes(protocol, small_ratings, tmp_path):
+    config = SimConfig(
+        n_peers=80, cache_size=8, cycles=12, seed=31, protocol=protocol,
+        churn=ChurnSpec(mode="leavings", pct=25.0, at_cycle=6),
+    )
+    # Anti-entropy runs unchecked: its peers may hold their own entry, which
+    # the strict checker's dominance bound rejects (a recorded fault).
+    result = run_experiment(config, small_ratings, 2, strict=protocol != "anti-entropy")
+    path = emit_metrics_csv(result, tmp_path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_METRICS_SHA256[protocol]
 
 
 def test_sweep_default_percentages():

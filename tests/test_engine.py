@@ -17,7 +17,7 @@ from gossipcf.engine import (
     run_simulation,
 )
 from gossipcf.harness import all_but_1_split, split_seed
-from gossipcf.recommend import build_training_arrays
+from gossipcf.recommend import build_training_arrays, tally_votes, top_n_from_votes
 
 
 def _arrays(matrix):
@@ -82,6 +82,10 @@ def test_config_validation():
         SimConfig(n_peers=10, churn=ChurnSpec(pct=120.0, at_cycle=5)).validate()
     with pytest.raises(InvalidConfig):
         SimConfig(n_peers=10, cycles=10, churn=ChurnSpec(pct=5.0, at_cycle=40)).validate()
+    # floor(pct * n / 100) must leave a live peer
+    SimConfig(n_peers=10, churn=ChurnSpec(pct=99.0, at_cycle=5)).validate()
+    with pytest.raises(InvalidConfig, match="silence all"):
+        SimConfig(n_peers=10, churn=ChurnSpec(pct=100.0, at_cycle=5)).validate()
 
 
 def _small_sim(small_ratings, **kwargs):
@@ -215,6 +219,33 @@ def test_dead_entries_linger_in_live_caches(small_ratings):
     assert pointing_at_dead > 0
 
 
+def test_memoised_rankings_equal_fresh_ones(small_ratings):
+    # A peer ranks right after its own exchange and keeps its row until an
+    # exchange changes its cache sources.  A peer that received no exchange
+    # in a cycle still holds the cache it ranked, so its row must equal a
+    # ranking recomputed from the snapshot's cache.
+    config, arrays = _small_sim(
+        small_ratings, cycles=30, churn=ChurnSpec(mode="failures", pct=30.0, at_cycle=12)
+    )
+    compared = 0
+    for snap in run_simulation(config, arrays):
+        assert (snap.rec_items[~snap.alive] == -1).all()
+        assert (snap.rec_votes[~snap.alive] == 0).all()
+        for v in np.flatnonzero(snap.alive & (snap.receptions == 0)):
+            votes = tally_votes(arrays, snap.neighbor_ids[v])
+            ranked = top_n_from_votes(
+                votes, arrays.rated_cols[v], config.top_n, arrays.item_ids
+            )
+            items = np.full(config.top_n, -1, dtype=np.int64)
+            counts = np.zeros(config.top_n, dtype=np.int32)
+            for j, (item, count) in enumerate(ranked):
+                items[j], counts[j] = item, count
+            assert (snap.rec_items[v] == items).all()
+            assert (snap.rec_votes[v] == counts).all()
+            compared += 1
+    assert compared > 500
+
+
 def test_churn_request_beyond_alive_raises(small_ratings):
     config, arrays = _small_sim(small_ratings, cycles=4)
     state = bootstrap(config, arrays, np.random.default_rng(0))
@@ -269,22 +300,36 @@ def test_global_view_protocol_draws_any_peer(small_ratings):
 
 
 def test_similarity_utility_scores_the_item_snapshot(small_ratings):
-    # the table-backed utility must agree with scoring the profile snapshot
-    # carried inside each item (profiles are immutable for the whole run)
+    # the rank table must order sources as scoring the profile snapshot
+    # carried inside each item would (profiles are immutable for the whole
+    # run): similarity descending, ties to the smaller source id
     from gossipcf.engine import make_protocol
     from gossipcf.swarmix import cosine_similarity, make_self_item
 
     config, arrays = _small_sim(small_ratings)
     profiles = arrays.matrix.profiles()
-    protocol = make_protocol(config, arrays, profiles)
+    rank = make_protocol(config, arrays, profiles).rank
+    n = config.n_peers
     rng = np.random.default_rng(12)
-    for _ in range(100):
-        owner, src = rng.integers(80, size=2)
-        item = make_self_item(int(src), profiles[int(src)], now=int(rng.integers(50)))
-        table_score = protocol.utility_for(int(owner))(item)
-        from_snapshot = (
+    compared = 0
+    for _ in range(300):
+        owner, a, b = (int(x) for x in rng.integers(n, size=3))
+        scores = [
             1.0
-            if owner == src
-            else cosine_similarity(profiles[int(owner)], item.payload)
-        )
-        assert table_score == pytest.approx(from_snapshot, abs=1e-12)
+            if src == owner
+            else cosine_similarity(
+                profiles[owner],
+                make_self_item(src, profiles[src], now=int(rng.integers(50))).payload,
+            )
+            for src in (a, b)
+        ]
+        if abs(scores[0] - scores[1]) > 1e-12:
+            assert (rank[owner][a] < rank[owner][b]) == (scores[0] > scores[1])
+            compared += 1
+    assert compared > 200
+    for owner in range(n):
+        order = sorted(range(n), key=rank[owner].__getitem__)
+        assert sorted(rank[owner]) == list(range(n))
+        steps = np.diff(arrays.similarity[owner, order])
+        assert (steps <= 0).all()
+        assert (np.diff(order)[steps == 0] > 0).all()

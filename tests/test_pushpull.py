@@ -253,33 +253,50 @@ def test_merge_id_unique_and_commutative_up_to_ties(data):
             assert it == other
 
 
+def rank_from_table(table, n=8):
+    """Rank row of a utility table: utility descending, ties to the smaller src."""
+    order = sorted(range(n), key=lambda s: (-table[s], s))
+    row = [0] * n
+    for position, src in enumerate(order):
+        row[src] = position
+    return row
+
+
+def random_source_cache(rnd, max_items=8, pool=8, t_pool=6):
+    """One item per source (id == src), as the similarity protocol keeps."""
+    srcs = rnd.sample(range(pool), rnd.randint(0, min(max_items, pool)))
+    return tuple(
+        item(id=s, src=s, t=rnd.randrange(t_pool), payload=rnd.randrange(1000)) for s in srcs
+    )
+
+
 def test_retain_equals_public_op_composition():
     rnd = random.Random(505)
     for _ in range(2000):
-        a = random_cache(rnd)
-        b = random_cache(rnd)
         owner = rnd.randrange(8)
         k = rnd.randint(1, 6)
-        table = {s: rnd.choice([0.1, 0.4, 0.4, 0.9]) for s in range(8)}
-        u = utility_from_table(table)
-        on_utility = rnd.random() < 0.5
         drop = rnd.random() < 0.5
-        proto = ProtocolSpec(
-            name="t",
-            cache_size=k,
-            utility_for=lambda o: u,
-            merge_on_utility=on_utility,
-            drop_own_id=drop,
-            adapt_mode="adaptive",
-            adapt_l=k,
-        )
-        got_cache, got_nb = _retain(owner, a, b, proto, None)
-        merged = merge_by_utility(a, b, u) if on_utility else merge_freshest(a, b)
+        if rnd.random() < 0.5:
+            # rank table from a random utility table: most useful version per
+            # id, then the k most useful items
+            a, b = random_source_cache(rnd), random_source_cache(rnd)
+            tables = [{s: rnd.choice([0.1, 0.4, 0.4, 0.9]) for s in range(8)} for _ in range(8)]
+            u = utility_from_table(tables[owner])
+            proto = ProtocolSpec(
+                name="t", cache_size=k, rank=[rank_from_table(t) for t in tables],
+                drop_own_id=drop,
+            )
+            merged = merge_by_utility(a, b, u)
+            assert set(merged) == set(merge_freshest(a, b))
+        else:
+            # no rank table: freshest version per id, then the k freshest
+            a, b = random_cache(rnd), random_cache(rnd)
+            u = lambda it: float(it.timestamp)
+            proto = ProtocolSpec(name="t", cache_size=k, drop_own_id=drop)
+            merged = merge_freshest(a, b)
         if drop:
             merged = tuple(it for it in merged if it.id != owner)
-        want_cache = select_top_k(merged, u, k)
-        assert got_cache == want_cache
-        assert got_nb == adapt_neighbors(want_cache, u, k, "adaptive")
+        assert _retain(owner, a, b, proto) == select_top_k(merged, u, k)
 
 
 # --- exchanges ---------------------------------------------------------------
@@ -311,6 +328,7 @@ def test_anti_entropy_exchange_is_symmetric():
     assert set(state.caches[0]) == set(state.caches[1])
     by_id = {it.id: it for it in state.caches[0]}
     assert by_id[1].timestamp == 5 and by_id[2].timestamp == 9
+    assert state.neighbors == [None, None]  # global view: no neighborhood
 
 
 def test_exchange_idempotent_on_identical_caches():

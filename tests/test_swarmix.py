@@ -235,6 +235,8 @@ def test_newscast_protocol_keeps_freshest():
     by_id = {it.id: it for it in state.caches[1]}
     assert by_id[0].timestamp == 9
     assert all(len(c) <= 2 for c in state.caches)
+    for peer in (0, 1):
+        assert state.neighbors[peer] == frozenset(it.src for it in state.caches[peer])
 
 
 # --- join --------------------------------------------------------------------
