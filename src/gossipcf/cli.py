@@ -24,9 +24,11 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
-from .engine import DEFAULT_CHURN_PERCENTAGES, ChurnSpec, InvalidConfig, SimConfig
+from .engine import (
+    CHURN_MODES, DEFAULT_CHURN_PERCENTAGES, PROTOCOLS, ChurnSpec, InvalidConfig, SimConfig,
+)
 from .harness import (
     ChurnRow,
     ExperimentResult,
@@ -38,6 +40,8 @@ from .harness import (
     load_ratings,
     run_experiment,
 )
+from .metrics import NoEligiblePeers
+from .recommend import RatingMatrix
 from . import __version__
 
 ENV_PREFIX = "GOSSIPCF_"
@@ -190,13 +194,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cycles", type=int, help="protocol cycles per trial")
         p.add_argument("--cache-size", dest="cache_size", type=int, help="cache capacity k")
         p.add_argument("--top-n", dest="top_n", type=int, help="recommendation list length")
-        p.add_argument("--protocol", choices=("swarmix", "newscast", "anti-entropy"))
+        p.add_argument("--protocol", choices=PROTOCOLS)
         p.add_argument("--significance-threshold", dest="significance_threshold", type=int)
         p.add_argument("--bootstrap-degree", dest="bootstrap_degree", type=float)
         p.add_argument("--out", help="output directory")
         if churn:
             p.add_argument("--churn-pct", dest="churn_pct", type=float)
-            p.add_argument("--churn-mode", dest="churn_mode", choices=("failures", "leavings"))
+            p.add_argument("--churn-mode", dest="churn_mode", choices=CHURN_MODES)
             p.add_argument("--churn-cycle", dest="churn_cycle", type=int)
 
     run_p = sub.add_parser("run", help="run one experiment and emit metrics.csv")
@@ -226,9 +230,7 @@ def parse_config(argv: Sequence[str], environ=None) -> tuple[str, Settings]:
         if value is not None:
             resolved[key] = value
     settings = Settings(**resolved)
-    if settings.protocol not in ("swarmix", "newscast", "anti-entropy"):
-        raise InvalidConfig(f"unknown protocol: {settings.protocol!r}")
-    if settings.churn_mode not in ("failures", "leavings"):
+    if settings.churn_mode not in CHURN_MODES:
         raise InvalidConfig(f"unknown churn mode: {settings.churn_mode!r}")
     # Surface bound violations now rather than mid-run.
     probe = settings.sim_config(n_peers=2)
@@ -422,52 +424,56 @@ def _cmd_validate(settings: Settings) -> int:
     return 0
 
 
-def _cmd_run(settings: Settings) -> int:
+def _run_and_write(
+    settings: Settings,
+    command: str,
+    compute: Callable[[SimConfig, RatingMatrix], Any],
+    emit: Callable[[Any, Path], Path],
+) -> tuple[Any, Path]:
+    """Load the ratings, compute, then write the CSV and ``manifest.json``.
+
+    Nothing is written unless ``compute`` returns.
+    """
     path = _require_data(settings)
     matrix = load_ratings(path)
     config = settings.sim_config(matrix.n_users)
-    result = run_experiment(config, matrix, settings.trials)
+    result = compute(config, matrix)
     out_dir = Path(settings.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    metrics_path = emit_metrics_csv(result, out_dir)
-    manifest = build_manifest("run", config, settings.trials, path, [metrics_path.name])
+    written = emit(result, out_dir)
+    manifest = build_manifest(command, config, settings.trials, path, [written.name])
     (out_dir / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
+    return result, written
+
+
+def _cmd_run(settings: Settings) -> int:
+    result, metrics_path = _run_and_write(
+        settings, "run", lambda c, m: run_experiment(c, m, settings.trials), emit_metrics_csv
+    )
     final_hit = result.mean["hit_rate"][-1]
-    print(f"wrote {metrics_path} ({settings.trials} trials x {config.cycles} cycles); "
+    print(f"wrote {metrics_path} ({settings.trials} trials x {settings.cycles} cycles); "
           f"final mean hit rate {final_hit:.4f}")
     return 0
 
 
 def _cmd_sweep(settings: Settings) -> int:
-    path = _require_data(settings)
-    matrix = load_ratings(path)
-    config = settings.sim_config(matrix.n_users)
-    rows = churn_sweep(
-        config,
-        matrix,
-        settings.sweep_percentages(),
-        settings.trials,
-        at_cycle=settings.churn_cycle,
+    rows, churn_path = _run_and_write(
+        settings,
+        "sweep-churn",
+        lambda c, m: churn_sweep(
+            c, m, settings.sweep_percentages(), settings.trials, at_cycle=settings.churn_cycle
+        ),
+        emit_churn_csv,
     )
-    out_dir = Path(settings.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    churn_path = emit_churn_csv(rows, out_dir)
-    manifest = build_manifest("sweep-churn", config, settings.trials, path, [churn_path.name])
-    (out_dir / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
     print(f"wrote {churn_path} ({len(rows)} rows)")
     return 0
 
 
 def _cmd_baseline(settings: Settings) -> int:
-    path = _require_data(settings)
-    matrix = load_ratings(path)
-    config = settings.sim_config(matrix.n_users)
-    baselines = centralized_baseline(config, matrix, settings.trials)
-    out_dir = Path(settings.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    base_path = emit_baseline_csv(baselines, out_dir)
-    manifest = build_manifest("baseline", config, settings.trials, path, [base_path.name])
-    (out_dir / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
+    _, base_path = _run_and_write(
+        settings, "baseline", lambda c, m: centralized_baseline(c, m, settings.trials),
+        emit_baseline_csv,
+    )
     print(f"wrote {base_path}")
     return 0
 
@@ -485,10 +491,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         if command == "baseline":
             return _cmd_baseline(settings)
         raise InvalidConfig(f"unknown command {command!r}")
-    except (InvalidConfig, ParseError, RangeError, UserTooSparse, IoError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (
+        InvalidConfig, NoEligiblePeers, ParseError, RangeError, UserTooSparse, IoError,
+        FileNotFoundError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,16 +23,11 @@ from typing import Iterator
 import numpy as np
 
 from .pushpull import Cache, DataItem, GossipState, ProtocolSpec, run_exchange
-from .recommend import TrainingArrays, top_n_from_votes
-from .swarmix import (
-    RatingProfile,
-    anti_entropy_protocol,
-    join,
-    newscast_protocol,
-    similarity_protocol,
-)
+from .recommend import TrainingArrays, tally_votes, top_n_from_votes
+from .swarmix import anti_entropy_protocol, join, newscast_protocol, similarity_protocol
 
 PROTOCOLS = ("swarmix", "newscast", "anti-entropy")
+CHURN_MODES = ("failures", "leavings")
 DEFAULT_CHURN_PERCENTAGES = (5.0, 10.0, 20.0, 40.0, 60.0, 80.0)
 
 
@@ -54,7 +49,7 @@ class ChurnSpec:
     at_cycle: int = 50
 
     def validate(self, cycles: int) -> None:
-        if self.mode not in ("failures", "leavings"):
+        if self.mode not in CHURN_MODES:
             raise InvalidConfig(f"unknown churn mode: {self.mode!r}")
         if not 0.0 <= self.pct <= 100.0:
             raise InvalidConfig(f"churn pct {self.pct!r} outside [0, 100]")
@@ -143,7 +138,6 @@ class SimState:
     config: SimConfig
     gossip: GossipState
     left: list[bool]
-    profiles: list[RatingProfile]
     arrays: TrainingArrays
     protocol: ProtocolSpec
     rng: np.random.Generator
@@ -231,9 +225,9 @@ def bootstrap_topology(
     return [sorted(s) for s in out]
 
 
-def make_protocol(config: SimConfig, arrays: TrainingArrays, profiles: list[RatingProfile]) -> ProtocolSpec:
+def make_protocol(config: SimConfig, arrays: TrainingArrays) -> ProtocolSpec:
     if config.protocol == "swarmix":
-        return similarity_protocol(config.cache_size, arrays.similarity, profiles)
+        return similarity_protocol(config.cache_size, arrays.similarity)
     if config.protocol == "newscast":
         return newscast_protocol(config.cache_size)
     return anti_entropy_protocol(config.cache_size)
@@ -256,27 +250,18 @@ def bootstrap(
             f"config expects {n} peers but training data has "
             f"{arrays.similarity.shape[0]} users"
         )
-    profiles = arrays.matrix.profiles()
     participants = [p for p in range(n) if p not in holdout]
     topology = bootstrap_topology(
         n, config.bootstrap_degree, config.cache_size, rng, participants
     )
-    caches: list[Cache] = []
-    neighbors: list[frozenset[int] | None] = []
-    global_view = config.protocol == "anti-entropy"
-    for v in range(n):
-        caches.append(
-            tuple(DataItem(u, u, 0, profiles[u]) for u in topology[v])
-        )
-        neighbors.append(None if global_view else frozenset(topology[v]))
+    caches = [tuple(DataItem(u, u, 0) for u in topology[v]) for v in range(n)]
     alive = [p not in holdout for p in range(n)]
-    gossip = GossipState(caches=caches, neighbors=neighbors, alive=alive)
-    protocol = make_protocol(config, arrays, profiles)
+    gossip = GossipState(caches=caches, alive=alive)
+    protocol = make_protocol(config, arrays)
     return SimState(
         config=config,
         gossip=gossip,
         left=[False] * n,
-        profiles=profiles,
         arrays=arrays,
         protocol=protocol,
         rng=rng,
@@ -321,11 +306,7 @@ def _rank(state: SimState, peer: int) -> None:
         return
     state.stale[peer] = 0
     arrays = state.arrays
-    srcs = [item.src for item in state.gossip.caches[peer]]
-    if srcs:
-        votes = arrays.binary[srcs].sum(axis=0, dtype=np.int64)
-    else:
-        votes = np.zeros(arrays.binary.shape[1], dtype=np.int64)
+    votes = tally_votes(arrays, [item.src for item in state.gossip.caches[peer]])
     ranked = top_n_from_votes(
         votes, arrays.rated_cols[peer], state.config.top_n, arrays.item_ids
     )
@@ -461,5 +442,5 @@ def run_simulation(
 
 def join_peer(state: SimState, new_peer: int, buddy: int) -> None:
     """Wire a held-out peer into a running simulation via one buddy."""
-    join(state.gossip, new_peer, buddy, state.profiles[buddy], now=state.cycle)
+    join(state.gossip, new_peer, buddy, now=state.cycle)
     state.stale[new_peer] = 1

@@ -31,6 +31,7 @@ from .recommend import (
     TrainingArrays,
     build_training_arrays,
     centralized_neighborhoods,
+    tally_votes,
     top_m_mean_table,
     top_n_from_votes,
     weighted_similarity_matrix,
@@ -208,7 +209,7 @@ def _centralized_hit_rate(
 ) -> float:
     hits = 0
     for peer in range(arrays.binary.shape[0]):
-        votes = arrays.binary[neighborhoods[peer]].sum(axis=0, dtype=np.int64)
+        votes = tally_votes(arrays, neighborhoods[peer])
         ranked = top_n_from_votes(votes, arrays.rated_cols[peer], top_n, arrays.item_ids)
         if any(item == hidden[peer] for item, _ in ranked):
             hits += 1
@@ -223,6 +224,35 @@ def sim_seed(master_seed: int, trial: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=master_seed, spawn_key=(trial, 1))
 
 
+@dataclass
+class _Reference:
+    """One trial's split, its training arrays and the centralized reference."""
+
+    hidden: dict[int, int]
+    arrays: TrainingArrays
+    top_m: np.ndarray
+    avg_similarity: float
+    hit_rate: float
+
+
+def _reference(config: SimConfig, ratings: RatingMatrix, trial: int) -> _Reference:
+    """Draw trial ``trial``'s split and score the centralized reference on it."""
+    split_rng = np.random.Generator(np.random.PCG64(split_seed(config.seed, trial)))
+    split = all_but_1_split(ratings, split_rng)
+    hidden = split.hidden_items()
+    arrays = build_training_arrays(split.training)
+    top_m = top_m_mean_table(arrays.similarity, config.cache_size)
+    weighted = weighted_similarity_matrix(arrays, config.significance_threshold)
+    neighborhoods = centralized_neighborhoods(weighted, config.cache_size)
+    return _Reference(
+        hidden=hidden,
+        arrays=arrays,
+        top_m=top_m,
+        avg_similarity=float(top_m[:, -1].mean()),
+        hit_rate=_centralized_hit_rate(arrays, neighborhoods, hidden, config.top_n),
+    )
+
+
 def run_trial(
     config: SimConfig,
     ratings: RatingMatrix,
@@ -235,18 +265,9 @@ def run_trial(
         raise InvalidConfig(
             f"config expects {config.n_peers} peers, dataset has {ratings.n_users} users"
         )
-    split_rng = np.random.Generator(np.random.PCG64(split_seed(config.seed, trial)))
-    split = all_but_1_split(ratings, split_rng)
-    hidden = split.hidden_items()
-    arrays = build_training_arrays(split.training)
-
-    top_m = top_m_mean_table(arrays.similarity, config.cache_size)
-    weighted = weighted_similarity_matrix(arrays, config.significance_threshold)
-    neighborhoods = centralized_neighborhoods(weighted, config.cache_size)
-    centralized_sim = float(top_m[:, -1].mean())
-    centralized_hit = _centralized_hit_rate(arrays, neighborhoods, hidden, config.top_n)
-
-    checker = _StrictChecker(config, arrays, top_m) if strict else None
+    ref = _reference(config, ratings, trial)
+    arrays, hidden = ref.arrays, ref.hidden
+    checker = _StrictChecker(config, arrays, ref.top_m) if strict else None
     rows: list[CycleMetrics] = []
     first_full: int | None = None
     k = config.cache_size
@@ -262,8 +283,8 @@ def run_trial(
         trial=trial,
         config=config,
         metrics=rows,
-        centralized_avg_similarity=centralized_sim,
-        centralized_hit_rate=centralized_hit,
+        centralized_avg_similarity=ref.avg_similarity,
+        centralized_hit_rate=ref.hit_rate,
         first_full_cycle=first_full,
         split_spawn_key=(trial, 0),
         sim_spawn_key=(trial, 1),
@@ -354,17 +375,8 @@ def centralized_baseline(
     with run_experiment output for the same master seed.
     """
     config.validate()
-    out: list[tuple[float, float]] = []
-    for trial in range(trials):
-        split_rng = np.random.Generator(np.random.PCG64(split_seed(config.seed, trial)))
-        split = all_but_1_split(ratings, split_rng)
-        arrays = build_training_arrays(split.training)
-        top_m = top_m_mean_table(arrays.similarity, config.cache_size)
-        weighted = weighted_similarity_matrix(arrays, config.significance_threshold)
-        neighborhoods = centralized_neighborhoods(weighted, config.cache_size)
-        hit = _centralized_hit_rate(arrays, neighborhoods, split.hidden_items(), config.top_n)
-        out.append((float(top_m[:, -1].mean()), hit))
-    return out
+    refs = (_reference(config, ratings, trial) for trial in range(trials))
+    return [(ref.avg_similarity, ref.hit_rate) for ref in refs]
 
 
 @dataclass(frozen=True)

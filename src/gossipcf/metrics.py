@@ -97,8 +97,12 @@ def hit_rate(
     raise ValueError(f"unknown hit-rate mode: {mode!r}")
 
 
-def _alive_adjacency(snapshot: CycleSnapshot) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Symmetrized 0/1 adjacency over live peers, with the live peer ids."""
+def live_graph(snapshot: CycleSnapshot) -> sp.csr_matrix:
+    """Symmetrized 0/1 adjacency over live peers, in ascending peer id order.
+
+    Node i of the graph is the i-th live peer; the structural metrics take
+    this graph, so one snapshot builds it once.
+    """
     alive = snapshot.alive
     alive_idx = np.flatnonzero(alive)
     m = alive_idx.size
@@ -111,13 +115,13 @@ def _alive_adjacency(snapshot: CycleSnapshot) -> tuple[sp.csr_matrix, np.ndarray
     r = np.repeat(np.arange(m), counts)[live]
     c = compact[targets[live]]
     if r.size == 0:
-        return sp.csr_matrix((m, m), dtype=np.int32), alive_idx
+        return sp.csr_matrix((m, m), dtype=np.int32)
     a = sp.coo_matrix((np.ones(r.size, dtype=np.int32), (r, c)), shape=(m, m))
     a = a.tocsr()
     a = ((a + a.T) > 0).astype(np.int32)
     a.setdiag(0)
     a.eliminate_zeros()
-    return a.tocsr(), alive_idx
+    return a.tocsr()
 
 
 def _largest_component(adj: sp.csr_matrix) -> np.ndarray:
@@ -162,17 +166,17 @@ def _apsp_sums(adj: sp.csr_matrix) -> tuple[int, int]:
         prev_counts = counts
 
 
-def avg_path_length(snapshot: CycleSnapshot) -> tuple[float, float]:
-    """Mean shortest-path length in the largest live component, plus coverage.
+def avg_path_length(adj: sp.csr_matrix) -> tuple[float, float]:
+    """Mean shortest-path length in the largest component, plus coverage.
 
-    Coverage is the fraction of live peers inside that component; a
-    degenerate component of fewer than two nodes reports length 0.0.
+    ``adj`` is a snapshot's :func:`live_graph`.  Coverage is the fraction of
+    live peers inside that component; a degenerate component of fewer than
+    two nodes reports length 0.0.
     """
-    adj, alive_idx = _alive_adjacency(snapshot)
-    if alive_idx.size == 0:
+    if adj.shape[0] == 0:
         return 0.0, 0.0
     component = _largest_component(adj)
-    coverage = component.size / alive_idx.size
+    coverage = component.size / adj.shape[0]
     if component.size < 2:
         return 0.0, float(coverage)
     sub = adj[component][:, component].tocsr()
@@ -180,9 +184,11 @@ def avg_path_length(snapshot: CycleSnapshot) -> tuple[float, float]:
     return float(total / pairs), float(coverage)
 
 
-def clustering_coefficient(snapshot: CycleSnapshot) -> float:
-    """Mean local clustering over live nodes with at least two neighbors."""
-    adj, _ = _alive_adjacency(snapshot)
+def clustering_coefficient(adj: sp.csr_matrix) -> float:
+    """Mean local clustering over nodes with at least two neighbors.
+
+    ``adj`` is a snapshot's :func:`live_graph`.
+    """
     degrees = np.asarray(adj.sum(axis=1)).ravel()
     eligible = degrees >= 2
     if not eligible.any():
@@ -220,8 +226,9 @@ def compute_cycle_metrics(
     """Assemble the full metrics row for one snapshot."""
     in_mean, in_var = in_degree_stats(snapshot)
     if structural:
-        apl, coverage = avg_path_length(snapshot)
-        clustering = clustering_coefficient(snapshot)
+        graph = live_graph(snapshot)
+        apl, coverage = avg_path_length(graph)
+        clustering = clustering_coefficient(graph)
     else:
         apl = coverage = clustering = None
     return CycleMetrics(

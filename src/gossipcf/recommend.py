@@ -7,28 +7,19 @@ architectures: over a peer's current overlay neighborhood (local knowledge
 only) and over the global top-k most similar users, which serves as the
 centralized reference.
 
-The reference implementations here work on sparse per-user dicts; the
-matrix-backed batch paths (used by the simulator and the harness at scale)
-are cross-checked against them in the test suite.
+Everything here is matrix-backed.  The test suite cross-checks these batch
+paths against reference implementations over sparse per-user dicts.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .pushpull import PeerId
-from .swarmix import RatingProfile, significance_weighted_similarity
-
 # Ordered (item id, vote count) pairs, votes descending, item id ascending.
 RecommendationList = list[tuple[int, int]]
-
-
-class DeadPeer(Exception):
-    """Recommendations were requested for a failed peer."""
 
 
 class RatingMatrix:
@@ -66,12 +57,6 @@ class RatingMatrix:
     @property
     def n_ratings(self) -> int:
         return sum(len(r) for r in self.rows)
-
-    def profile(self, peer: PeerId) -> RatingProfile:
-        return RatingProfile(self.rows[peer])
-
-    def profiles(self) -> list[RatingProfile]:
-        return [RatingProfile(row) for row in self.rows]
 
 
 @dataclass
@@ -157,9 +142,9 @@ def centralized_neighborhoods(weighted: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def tally_votes(arrays: TrainingArrays, neighbor_rows: Iterable[int]) -> np.ndarray:
+def tally_votes(arrays: TrainingArrays, neighbor_rows: Sequence[int]) -> np.ndarray:
     """One vote per neighbor per training item it rated."""
-    rows = np.asarray(list(neighbor_rows), dtype=np.intp)
+    rows = np.asarray(neighbor_rows, dtype=np.intp)
     if rows.size == 0:
         return np.zeros(arrays.binary.shape[1], dtype=np.int64)
     return arrays.binary[rows].sum(axis=0, dtype=np.int64)
@@ -186,60 +171,3 @@ def top_n_from_votes(
             break
         out.append((int(item_ids[col]), int(votes[col])))
     return out
-
-
-def most_frequent_items(
-    active: PeerId,
-    neighbors: Iterable[PeerId],
-    ratings: RatingMatrix,
-    n_top: int,
-) -> RecommendationList:
-    """Reference majority-vote aggregation over per-user rating dicts."""
-    if n_top < 1:
-        raise ValueError("n_top must be positive")
-    votes: Counter[int] = Counter()
-    for w in neighbors:
-        if w == active:
-            raise ValueError("active user cannot vote for itself")
-        votes.update(ratings.rows[w].keys())
-    seen = ratings.rows[active].keys()
-    ranked = sorted(
-        ((item, count) for item, count in votes.items() if item not in seen),
-        key=lambda pair: (-pair[1], pair[0]),
-    )
-    return ranked[:n_top]
-
-
-def centralized_recommend(
-    active: PeerId,
-    all_peers: Iterable[PeerId],
-    ratings: RatingMatrix,
-    k: int,
-    n_top: int,
-    threshold: int = 50,
-) -> RecommendationList:
-    """Reference oracle: global top-k neighborhood, then majority voting.
-
-    Similarities are significance weighted; neighbor ties fall back to the
-    smaller peer id.  Pure function of its inputs.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    profile = ratings.profile(active)
-    scored = []
-    for w in all_peers:
-        if w == active:
-            continue
-        sim = significance_weighted_similarity(profile, ratings.profile(w), threshold)
-        scored.append((-sim, w))
-    scored.sort()
-    neighborhood = [w for _, w in scored[:k]]
-    return most_frequent_items(active, neighborhood, ratings, n_top)
-
-
-def overlay_recommend(active: PeerId, state, ratings: RatingMatrix, n_top: int) -> RecommendationList:
-    """Recommendations from the peer's current cache, local knowledge only."""
-    if not state.alive[active]:
-        raise DeadPeer(f"peer {active} is not alive")
-    neighbors = [item.src for item in state.caches[active]]
-    return most_frequent_items(active, neighbors, ratings, n_top)

@@ -7,22 +7,25 @@ per-peer dominance are enforced at every cycle of every trial while it
 executes.
 """
 
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gossipcf
 import test_metrics as metrics_oracles
 import test_pushpull as pushpull_oracles
 from gossipcf.engine import SimConfig, run_simulation
 from gossipcf.harness import all_but_1_split, churn_sweep, sim_seed, split_seed
-from gossipcf.metrics import avg_path_length, clustering_coefficient
-from gossipcf.pushpull import adapt_neighbors, merge_by_utility, merge_freshest, select_top_k
+from gossipcf.metrics import avg_path_length, clustering_coefficient, live_graph
 from gossipcf.recommend import build_training_arrays
 from gossipcf.synth import generate_ratings, write_ratings_file
 from conftest import ACCEPTANCE_SEED
+from oracles import adapt_neighbors, merge_by_utility, merge_freshest, select_top_k
 
 RANDOM_BASELINE_CLUSTERING = 0.02121  # k/n at 20/943
 CASES = 1000
@@ -69,15 +72,15 @@ def test_criterion_1_graph_metrics_oracle_equivalence():
         alive = [rnd.random() > 0.2 for _ in range(n)]
         if sum(alive) < 2:
             alive = [True] * n
-        snap = metrics_oracles.make_snapshot(lists, alive=alive)
-        got = avg_path_length(snap)
+        graph = live_graph(metrics_oracles.make_snapshot(lists, alive=alive))
+        got = avg_path_length(graph)
         want = metrics_oracles.oracle_path_length(lists, alive)
         assert got == want
         try:
             want_cc = metrics_oracles.oracle_clustering(lists, alive)
         except Exception:
             continue
-        assert clustering_coefficient(snap) == want_cc
+        assert clustering_coefficient(graph) == want_cc
         checked_cc += 1
     report(
         "1b",
@@ -199,18 +202,23 @@ def test_criterion_7_byte_identical_outputs(tmp_path):
         data, generate_ratings(n_users=60, n_items=200, target_ratings=2400, seed=9)
     )
     base = [sys.executable, "-m", "gossipcf"]
+    # the child imports gossipcf from where this process did, installed or not
+    src = str(Path(gossipcf.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
     run_args = ["--data", str(data), "--trials", "2", "--cycles", "6",
                 "--cache-size", "8", "--seed", "31"]
     for out in ("r1", "r2"):
         subprocess.run(
             base + ["run"] + run_args + ["--out", str(tmp_path / out)],
-            check=True, capture_output=True,
+            check=True, capture_output=True, env=env,
         )
     for out in ("s1", "s2"):
         subprocess.run(
             base + ["sweep-churn"] + run_args
             + ["--churn-cycle", "3", "--churn-pcts", "10,40", "--out", str(tmp_path / out)],
-            check=True, capture_output=True,
+            check=True, capture_output=True, env=env,
         )
     metrics_same = (tmp_path / "r1/metrics.csv").read_bytes() == (tmp_path / "r2/metrics.csv").read_bytes()
     churn_same = (tmp_path / "s1/churn.csv").read_bytes() == (tmp_path / "s2/churn.csv").read_bytes()

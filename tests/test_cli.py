@@ -149,6 +149,21 @@ def test_sweep_rejects_churn_that_silences_every_peer(data_file, tmp_path, capsy
     assert not out.exists()
 
 
+def test_run_reports_undefined_structural_metric(data_file, tmp_path, capsys):
+    # A 99% loss leaves one live peer, so the clustering coefficient of the
+    # live graph is undefined from the disturbance on.
+    out = tmp_path / "run"
+    code = main(
+        ["run", "--data", str(data_file), "--cycles", "10", "--trials", "2",
+         "--churn-pct", "99", "--churn-cycle", "5", "--out", str(out)]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "neighbors" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # sha256 of metrics.csv for 2 trials of the 80-user dataset, 12 cycles, k=8,
 # master seed 31, a 25% loss at cycle 6.  Recorded before the rank-table
 # exchange and the ranking memo replaced the per-item utility path: both

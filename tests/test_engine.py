@@ -262,9 +262,8 @@ def test_churn_count_is_floor_of_pct_at_full_scale():
     n = 943
     state = SimState(
         config=SimConfig(n_peers=n),
-        gossip=GossipState(caches=[()] * n, neighbors=[None] * n, alive=[True] * n),
+        gossip=GossipState(caches=[()] * n, alive=[True] * n),
         left=[False] * n,
-        profiles=[],
         arrays=None,
         protocol=None,
         rng=np.random.default_rng(3),
@@ -300,27 +299,22 @@ def test_global_view_protocol_draws_any_peer(small_ratings):
 
 
 def test_similarity_utility_scores_the_item_snapshot(small_ratings):
-    # the rank table must order sources as scoring the profile snapshot
-    # carried inside each item would (profiles are immutable for the whole
-    # run): similarity descending, ties to the smaller source id
+    # the rank table must order sources as the reference cosine of the
+    # training profiles does (ratings are fixed for the whole run):
+    # similarity descending, ties to the smaller source id
     from gossipcf.engine import make_protocol
-    from gossipcf.swarmix import cosine_similarity, make_self_item
+    from oracles import cosine_similarity, profiles
 
     config, arrays = _small_sim(small_ratings)
-    profiles = arrays.matrix.profiles()
-    rank = make_protocol(config, arrays, profiles).rank
+    training = profiles(arrays.matrix)
+    rank = make_protocol(config, arrays).rank
     n = config.n_peers
     rng = np.random.default_rng(12)
     compared = 0
     for _ in range(300):
         owner, a, b = (int(x) for x in rng.integers(n, size=3))
         scores = [
-            1.0
-            if src == owner
-            else cosine_similarity(
-                profiles[owner],
-                make_self_item(src, profiles[src], now=int(rng.integers(50))).payload,
-            )
+            1.0 if src == owner else cosine_similarity(training[owner], training[src])
             for src in (a, b)
         ]
         if abs(scores[0] - scores[1]) > 1e-12:

@@ -16,6 +16,7 @@ from gossipcf.metrics import (
     compute_cycle_metrics,
     hit_rate,
     in_degree_stats,
+    live_graph,
     similarity_variance,
 )
 
@@ -191,13 +192,13 @@ def test_path_length_complete_graph():
     n = 5
     lists = [[u for u in range(n) if u != v] for v in range(n)]
     snap = make_snapshot(lists)
-    value, coverage = avg_path_length(snap)
+    value, coverage = avg_path_length(live_graph(snap))
     assert value == 1.0 and coverage == 1.0
 
 
 def test_path_length_path_graph():
     snap = make_snapshot([[1], [0, 2], [1]])
-    value, coverage = avg_path_length(snap)
+    value, coverage = avg_path_length(live_graph(snap))
     assert value == pytest.approx(4 / 3)
     assert coverage == 1.0
 
@@ -205,26 +206,26 @@ def test_path_length_path_graph():
 def test_clustering_complete_graph():
     n = 4
     lists = [[u for u in range(n) if u != v] for v in range(n)]
-    assert clustering_coefficient(make_snapshot(lists)) == 1.0
+    assert clustering_coefficient(live_graph(make_snapshot(lists))) == 1.0
 
 
 def test_clustering_star_center_scores_zero():
     # undirected view: center has degree 3 (eligible, no linked neighbors ->
     # coefficient 0), leaves have degree 1 and are excluded
     snap = make_snapshot([[1, 2, 3], [], [], []])
-    assert clustering_coefficient(snap) == 0.0
+    assert clustering_coefficient(live_graph(snap)) == 0.0
 
 
 def test_clustering_pure_pair_raises():
     snap = make_snapshot([[1], [0]])
     with pytest.raises(NoEligiblePeers):
-        clustering_coefficient(snap)
+        clustering_coefficient(live_graph(snap))
 
 
 def test_clustering_triangle_with_pendant():
     # triangle 0-1-2 plus pendant 3 attached to 0: coefficients 1/3, 1, 1
     snap = make_snapshot([[1, 2, 3], [0, 2], [0, 1], [0]])
-    assert clustering_coefficient(snap) == pytest.approx(7 / 9)
+    assert clustering_coefficient(live_graph(snap)) == pytest.approx(7 / 9)
 
 
 def test_graph_metrics_match_oracles_randomized():
@@ -238,8 +239,8 @@ def test_graph_metrics_match_oracles_randomized():
         alive = [rnd.random() > 0.2 for v in range(n)]
         if sum(alive) < 2:
             alive = [True] * n
-        snap = make_snapshot(lists, alive=alive)
-        got_apl, got_cov = avg_path_length(snap)
+        graph = live_graph(make_snapshot(lists, alive=alive))
+        got_apl, got_cov = avg_path_length(graph)
         want_apl, want_cov = oracle_path_length(lists, alive)
         assert got_apl == want_apl, (case, lists, alive)
         assert got_cov == want_cov
@@ -247,9 +248,9 @@ def test_graph_metrics_match_oracles_randomized():
             want_cc = oracle_clustering(lists, alive)
         except NoEligiblePeers:
             with pytest.raises(NoEligiblePeers):
-                clustering_coefficient(snap)
+                clustering_coefficient(graph)
         else:
-            assert clustering_coefficient(snap) == want_cc, (case, lists, alive)
+            assert clustering_coefficient(graph) == want_cc, (case, lists, alive)
 
 
 # --- in-degree ---------------------------------------------------------------

