@@ -19,12 +19,15 @@ def main() -> int:
     parser.add_argument("--ratings", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=20240101)
     args = parser.parse_args()
-    ratings = generate_ratings(
-        n_users=args.users,
-        n_items=args.items,
-        target_ratings=args.ratings,
-        seed=args.seed,
-    )
+    try:
+        ratings = generate_ratings(
+            n_users=args.users,
+            n_items=args.items,
+            target_ratings=args.ratings,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     write_ratings_file(args.out, ratings)
     total = sum(len(r) for r in ratings.values())
     print(f"wrote {args.out}: {len(ratings)} users, {total} ratings")

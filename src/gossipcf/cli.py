@@ -325,47 +325,23 @@ def sim_config_from_mapping(cfg: dict[str, Any]) -> SimConfig:
 
 
 def emit_metrics_csv(result: ExperimentResult, out_dir: Path) -> Path:
-    """Per-trial per-cycle rows, then mean and ci95 aggregate rows."""
+    """Per-trial per-cycle rows, then mean and ci95 aggregate rows.
+
+    A trial row takes each column from the cycle's ``CycleMetrics`` field of
+    that name, else from the ``TrialResult``; an aggregate row is its label,
+    the cycle, then each column's entry in the mean or ci95 table.
+    """
     rows: list[Sequence[Any]] = []
     for trial in result.trials:
         for row in trial.metrics:
-            rows.append(
-                (
-                    trial.trial,
-                    row.cycle,
-                    row.avg_similarity,
-                    row.similarity_variance,
-                    row.hit_rate,
-                    row.hit_rate_voluntary,
-                    row.avg_path_length,
-                    row.path_coverage,
-                    row.clustering_coefficient,
-                    row.in_degree_mean,
-                    row.in_degree_variance,
-                    trial.centralized_avg_similarity,
-                    trial.centralized_hit_rate,
-                )
-            )
+            rows.append([
+                getattr(row, col) if hasattr(row, col) else getattr(trial, col)
+                for col in METRICS_COLUMNS
+            ])
     cycles = [row.cycle for row in result.trials[0].metrics]
     for label, table in (("mean", result.mean), ("ci95", result.ci_half)):
         for i, cycle in enumerate(cycles):
-            rows.append(
-                (
-                    label,
-                    cycle,
-                    table["avg_similarity"][i],
-                    table["similarity_variance"][i],
-                    table["hit_rate"][i],
-                    table["hit_rate_voluntary"][i],
-                    table["avg_path_length"][i],
-                    table["path_coverage"][i],
-                    table["clustering_coefficient"][i],
-                    table["in_degree_mean"][i],
-                    table["in_degree_variance"][i],
-                    table["centralized_avg_similarity"][i],
-                    table["centralized_hit_rate"][i],
-                )
-            )
+            rows.append([label, cycle, *(table[col][i] for col in METRICS_COLUMNS[2:])])
     path = out_dir / "metrics.csv"
     _write_csv(path, METRICS_COLUMNS, rows)
     return path

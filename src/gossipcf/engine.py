@@ -22,9 +22,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .pushpull import Cache, DataItem, GossipState, ProtocolSpec, run_exchange
+from .pushpull import Cache, DataItem, GossipState, ProtocolSpec, join, rank_table, run_exchange
 from .recommend import TrainingArrays, tally_votes, top_n_from_votes
-from .swarmix import anti_entropy_protocol, join, newscast_protocol, similarity_protocol
 
 PROTOCOLS = ("swarmix", "newscast", "anti-entropy")
 CHURN_MODES = ("failures", "leavings")
@@ -226,11 +225,15 @@ def bootstrap_topology(
 
 
 def make_protocol(config: SimConfig, arrays: TrainingArrays) -> ProtocolSpec:
+    """The push-pull configuration of ``config.protocol``.
+
+    swarmix keeps the sources most similar to the owner (a rank table built
+    from the training similarity); newscast keeps the freshest entries of a
+    partial view; anti-entropy keeps the freshest entries with a global view.
+    """
     if config.protocol == "swarmix":
-        return similarity_protocol(config.cache_size, arrays.similarity)
-    if config.protocol == "newscast":
-        return newscast_protocol(config.cache_size)
-    return anti_entropy_protocol(config.cache_size)
+        return ProtocolSpec(config.cache_size, rank=rank_table(arrays.similarity))
+    return ProtocolSpec(config.cache_size, global_view=config.protocol == "anti-entropy")
 
 
 def bootstrap(
@@ -254,7 +257,7 @@ def bootstrap(
     topology = bootstrap_topology(
         n, config.bootstrap_degree, config.cache_size, rng, participants
     )
-    caches = [tuple(DataItem(u, u, 0) for u in topology[v]) for v in range(n)]
+    caches = [tuple(DataItem(u, 0) for u in topology[v]) for v in range(n)]
     alive = [p not in holdout for p in range(n)]
     gossip = GossipState(caches=caches, alive=alive)
     protocol = make_protocol(config, arrays)

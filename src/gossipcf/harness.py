@@ -402,8 +402,11 @@ def churn_sweep(
     One simulation per percentage serves both accountings: the silenced peer
     set is identical, only the denominator differs.  Structural metrics are
     skipped, the sweep output does not use them.  Every level's config is
-    validated before the first trial runs.
+    validated before the first trial runs, and an empty list of levels is a
+    config error.
     """
+    if not percentages:
+        raise InvalidConfig("no churn percentages to sweep")
     if at_cycle is None:
         at_cycle = base_config.churn.at_cycle if base_config.churn is not None else 50
     configs = [

@@ -1,57 +1,62 @@
-"""Generic epidemic push-pull engine.
+"""The epidemic push-pull protocol, in all three of its variants.
 
-Every peer keeps a bounded cache of timestamped data items and periodically
-exchanges its cache with one neighbor.  After the push/pull both sides run,
-each from its *own* perspective, the two exchangeable steps:
+Every peer keeps a bounded cache of timestamped entries, one per source
+peer, and periodically exchanges its cache with one neighbor.  After the
+push/pull both sides run, each from its *own* perspective, the two
+exchangeable steps:
 
-    merge      -> one surviving version per item id: the freshest
-    select     -> keep the k best items by the protocol's order
+    merge      -> one surviving entry per source: the freshest
+    select     -> keep the k best entries by the protocol's order
 
-The selected cache doubles as the peer's neighborhood: its partners are the
-sources its entries name (unless the protocol has a global view).
-
-Variants (anti-entropy replication, news dissemination, similarity-driven
-neighborhood formation) differ only in the :class:`ProtocolSpec` they plug
-into :func:`run_exchange`.  Selection orders either by a per-owner rank
-table (similarity: ``rank[owner][src]``, smaller is better) or, without one,
-freshest first.
+The variants differ in one switch and one order.  A partial-view protocol
+(swarmix, newscast) contacts only the sources in its cache, which is then
+the peer's neighborhood; its initiator pushes a fresh entry about itself,
+and a peer never retains its own entry.  A global-view protocol
+(anti-entropy) may contact any live peer and does neither.  Selection
+orders either by a per-owner rank table (swarmix: ``rank[owner][src]``,
+smaller is better) or, without one, freshest first.
 
 All tie-breaks are deterministic so that seeded runs reproduce exactly:
 merge ties keep the merging peer's own copy; freshest-first selection ties
-fall back to smaller source peer id, then smaller item id.  Step-by-step
-reference versions of merge and select live with the test suite, which pins
-:func:`_retain` to their composition.
+fall back to the smaller source id.  Step-by-step reference versions of
+merge and select live with the test suite, which pins :func:`_retain` to
+their composition.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 PeerId = int
 Timestamp = int
 
 
 class DataItem(NamedTuple):
-    """One version of a piece of disseminated data.
+    """One cache entry: the peer ``src`` it is about, and when it was created.
 
-    ``id`` identifies the datum across versions, ``src`` the peer where it
-    entered the network, ``timestamp`` the (logical) creation time of this
-    version.  For protocols that disseminate one item per peer, ``id == src``.
+    A cache holds at most one entry per source; of two entries about the
+    same source, the one with the larger ``timestamp`` is the fresher.
     """
 
-    id: int
     src: PeerId
     timestamp: Timestamp
 
 
-# A cache is an ordered, immutable collection of items.  Capacity is a
+# A cache is an ordered, immutable collection of entries.  Capacity is a
 # protocol parameter enforced at selection rather than stored per cache.
 Cache = tuple[DataItem, ...]
 
 
 class ResponderUnreachable(Exception):
     """The chosen exchange partner is not alive; caller should re-draw."""
+
+
+class BuddyUnreachable(Exception):
+    """The bootstrap contact of a joining peer is not alive."""
 
 
 # A rank table: rank[v][w] is w's position in v's order of preference.
@@ -62,23 +67,18 @@ RankTable = Sequence[Sequence[int]]
 class ProtocolSpec:
     """Configuration that turns the generic engine into a concrete protocol.
 
-    With a ``rank`` table, selection keeps the k items whose sources rank
-    first from the owner's perspective; this needs one item per source
-    (``id == src``), so a version's source never changes.  Without one,
-    selection keeps the k freshest items.  With ``self_inject`` set, an
-    initiator adds a fresh item about itself (``id == src ==`` initiator,
-    stamped with the exchange time) to the cache it pushes.
-    ``drop_own_id`` removes items about the owner itself from what the owner
-    retains; the item still transits through other peers' caches.  A
-    ``global_view`` protocol keeps no neighborhood: its peers may contact
-    any live peer.
+    With a ``rank`` table, selection keeps the k entries whose sources rank
+    first from the owner's perspective; without one, it keeps the k
+    freshest.  A partial-view protocol (``global_view`` unset) has each
+    initiator add a fresh entry about itself, stamped with the exchange
+    time, to the cache it pushes, and removes the owner's own entry from
+    what the owner retains; the entry still transits through other peers'
+    caches.  A ``global_view`` protocol keeps no neighborhood: its peers may
+    contact any live peer.
     """
 
-    name: str
     cache_size: int
     rank: RankTable | None = None
-    self_inject: bool = False
-    drop_own_id: bool = False
     global_view: bool = False
 
 
@@ -86,43 +86,52 @@ class ProtocolSpec:
 class GossipState:
     """Mutable per-peer protocol state shared by all variants.
 
-    ``run_exchange`` mutates exactly the two participants' caches; items
+    ``run_exchange`` mutates exactly the two participants' caches; entries
     themselves are immutable values.
     """
 
     caches: list[Cache]
     alive: list[bool]
 
-    @property
-    def n_peers(self) -> int:
-        return len(self.caches)
+
+def rank_table(similarity: np.ndarray) -> list[array]:
+    """Per peer, every peer's position in its (similarity desc, id asc) order.
+
+    ``rank[v][w]`` is that position of w for v; one stable argsort of the
+    negated similarity rows gives the order.  Rows are compact ``array('i')``
+    so the table costs four bytes per peer pair.
+    """
+    sim = np.asarray(similarity, dtype=np.float64)
+    n = sim.shape[0]
+    order = np.argsort(-sim, axis=1, kind="stable")
+    rank = np.empty((n, n), dtype=np.int32)
+    np.put_along_axis(rank, order, np.arange(n, dtype=np.int32)[None, :], axis=1)
+    return [array("i", row.tobytes()) for row in rank]
 
 
-def _fresh_first(item: DataItem) -> tuple[int, int, int]:
-    return (-item.timestamp, item.src, item.id)
+def _fresh_first(item: DataItem) -> tuple[int, int]:
+    return (-item.timestamp, item.src)
 
 
 def _retain(owner: PeerId, own: Cache, other: Cache, protocol: ProtocolSpec) -> Cache:
-    """Merge, own-id filter and select for one side of an exchange.
+    """Merge, own-entry filter and select for one side of an exchange.
 
-    Expects id-unique caches.  The merge keeps the freshest version per id,
-    the owner's own copy on ties; with a rank table every version of an id
-    has the same source and so the same rank, which makes this also the
-    most useful version.  The test suite pins the result to the composition
-    of reference merge and select operations.
+    Expects source-unique caches.  The merge keeps the freshest entry per
+    source, the owner's own copy on ties.  The test suite pins the result to
+    the composition of reference merge and select operations.
     """
-    merged = {item.id: item for item in other}
+    merged = {item.src: item for item in other}
     for item in own:
-        theirs = merged.get(item.id)
+        theirs = merged.get(item.src)
         if theirs is None or item.timestamp >= theirs.timestamp:
-            merged[item.id] = item
-    if protocol.drop_own_id:
+            merged[item.src] = item
+    if not protocol.global_view:
         merged.pop(owner, None)
     k = protocol.cache_size
     if protocol.rank is None:
         return tuple(sorted(merged.values(), key=_fresh_first)[:k])
-    ids = sorted(merged, key=protocol.rank[owner].__getitem__)
-    return tuple(map(merged.__getitem__, ids[:k]))
+    srcs = sorted(merged, key=protocol.rank[owner].__getitem__)
+    return tuple(map(merged.__getitem__, srcs[:k]))
 
 
 def run_exchange(
@@ -134,16 +143,28 @@ def run_exchange(
 ) -> None:
     """One push-pull session between ``initiator`` and ``responder``.
 
-    The initiator (optionally) injects a fresh self-item into the cache it
-    pushes; both transmitted caches are then merged, filtered and selected
-    independently on each side from that side's perspective.  The update is
-    atomic: both peers' caches are replaced together.
+    Under a partial view the initiator adds a fresh entry about itself to
+    the cache it pushes; both transmitted caches are then merged, filtered
+    and selected independently on each side from that side's perspective.
+    The update is atomic: both peers' caches are replaced together.
     """
     if not state.alive[responder]:
         raise ResponderUnreachable(f"peer {responder} is not alive")
     pushed = state.caches[initiator]
-    if protocol.self_inject:
-        pushed = pushed + (DataItem(initiator, initiator, now),)
+    if not protocol.global_view:
+        pushed = pushed + (DataItem(initiator, now),)
     pulled = state.caches[responder]
     state.caches[initiator] = _retain(initiator, pushed, pulled, protocol)
     state.caches[responder] = _retain(responder, pulled, pushed, protocol)
+
+
+def join(state: GossipState, new_peer: PeerId, buddy: PeerId, now: Timestamp) -> None:
+    """Let ``new_peer`` enter the overlay knowing exactly one live peer.
+
+    The joining peer's cache is initialized with a single entry for the
+    buddy, stamped ``now``; it participates from the next cycle on.
+    """
+    if not state.alive[buddy]:
+        raise BuddyUnreachable(f"buddy {buddy} is not alive")
+    state.caches[new_peer] = (DataItem(buddy, now),)
+    state.alive[new_peer] = True

@@ -28,6 +28,8 @@ def generate_ratings(
     min_per_user = 15
     if target_ratings < n_users * min_per_user:
         raise ValueError("target_ratings too small for the per-user minimum")
+    if target_ratings > n_users * n_items:
+        raise ValueError("target_ratings exceeds one rating per user and item")
     rng = np.random.default_rng(seed)
 
     genre_pop = 1.0 / (np.arange(n_genres) + 1.5)

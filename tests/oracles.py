@@ -1,7 +1,7 @@
 """Reference implementations the test suite compares the simulator against.
 
 Each function spells out one step on plain Python values, with no concern
-for speed: the protocol's merge, select and neighborhood steps over
+for speed: the protocol's merge and select steps over source-keyed
 :class:`~gossipcf.pushpull.DataItem` caches, cosine and significance-weighted
 similarity over sparse rating profiles, and majority-vote recommendation over
 per-user rating dicts.  The package's fast paths (the rank-table exchange,
@@ -17,76 +17,38 @@ from typing import Callable, Iterable, Mapping
 from gossipcf.pushpull import Cache, DataItem, GossipState, PeerId
 from gossipcf.recommend import RatingMatrix, RecommendationList
 
-# Utility of a single item, evaluated from one peer's perspective.
+# Utility of a single entry, evaluated from one peer's perspective.
 Utility = Callable[[DataItem], float]
 
 
 # --- push-pull steps ---------------------------------------------------------
 
 def merge_freshest(cache_a: Cache, cache_b: Cache) -> Cache:
-    """Union of both caches keeping, per item id, the most recent version.
+    """Union of both caches keeping, per source, the most recent entry.
 
     Timestamp ties prefer ``cache_a``'s copy, so a merging peer keeps its own
-    version when versions are equally fresh.
+    entry when entries are equally fresh.
     """
     best: dict[int, tuple[int, int, DataItem]] = {}
     for side, cache in ((0, cache_b), (1, cache_a)):
         for item in cache:
             key = (item.timestamp, side, item)
-            cur = best.get(item.id)
+            cur = best.get(item.src)
             if cur is None or key[:2] > cur[:2]:
-                best[item.id] = key
+                best[item.src] = key
     return tuple(entry[2] for entry in best.values())
 
 
-def merge_by_utility(cache_a: Cache, cache_b: Cache, u: Utility) -> Cache:
-    """Union of both caches keeping, per item id, the most useful version.
-
-    ``u`` must be the merging peer's own utility assignment.  Utility ties
-    fall back to larger timestamp, then to ``cache_a``'s copy.
-    """
-    best: dict[int, tuple[float, int, int, DataItem]] = {}
-    for side, cache in ((0, cache_b), (1, cache_a)):
-        for item in cache:
-            key = (u(item), item.timestamp, side, item)
-            cur = best.get(item.id)
-            if cur is None or key[:3] > cur[:3]:
-                best[item.id] = key
-    return tuple(entry[3] for entry in best.values())
-
-
 def select_top_k(cache: Cache, u: Utility, k: int) -> Cache:
-    """The k most useful items, in descending utility order.
+    """The k most useful entries, in descending utility order.
 
-    Expects an id-unique (merged) cache.  Utility ties are broken by smaller
-    source peer id, then smaller item id.
+    Expects a source-unique (merged) cache.  Utility ties are broken by the
+    smaller source peer id.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    ranked = sorted(cache, key=lambda it: (-u(it), it.src, it.id))
+    ranked = sorted(cache, key=lambda it: (-u(it), it.src))
     return tuple(ranked[:k])
-
-
-def adapt_neighbors(
-    cache_selected: Cache,
-    u: Utility,
-    l: int,
-    mode: str,
-    prior: frozenset[PeerId] = frozenset(),
-) -> frozenset[PeerId]:
-    """New neighborhood after an exchange.
-
-    ``adaptive`` takes the sources of the top-l items by utility; ``fixed``
-    leaves the prior neighborhood untouched (no neighborhood adaptation).
-    """
-    if mode == "fixed":
-        return prior
-    if mode != "adaptive":
-        raise ValueError(f"unknown adaptation mode: {mode!r}")
-    if l < 1:
-        raise ValueError("l must be positive")
-    ranked = sorted(cache_selected, key=lambda it: (-u(it), it.src, it.id))
-    return frozenset(it.src for it in ranked[:l])
 
 
 # --- rating profiles and similarity ------------------------------------------

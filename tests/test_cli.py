@@ -149,6 +149,18 @@ def test_sweep_rejects_churn_that_silences_every_peer(data_file, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("pcts", ["", " , "])
+def test_sweep_rejects_empty_churn_list(data_file, tmp_path, capsys, pcts):
+    out = tmp_path / "sweep"
+    code = main(
+        ["sweep-churn", "--data", str(data_file), "--trials", "2", "--cycles", "6",
+         "--churn-cycle", "3", "--churn-pcts", pcts, "--out", str(out)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_run_reports_undefined_structural_metric(data_file, tmp_path, capsys):
     # A 99% loss leaves one live peer, so the clustering coefficient of the
     # live graph is undefined from the disturbance on.

@@ -31,7 +31,7 @@ from oracles import (
 
 
 def entry(peer):
-    return DataItem(id=peer, src=peer, timestamp=0)
+    return DataItem(src=peer, timestamp=0)
 
 
 def enumeration_tally(ratings: RatingMatrix, active, neighbors) -> dict[int, int]:

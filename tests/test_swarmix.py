@@ -1,4 +1,4 @@
-"""Reference similarity functions, join/leave and protocol wiring."""
+"""Reference similarity functions, join and the partial-view protocols."""
 
 import math
 
@@ -6,8 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipcf.pushpull import DataItem, GossipState, run_exchange
-from gossipcf.swarmix import BuddyUnreachable, join, newscast_protocol, similarity_protocol
+from gossipcf.pushpull import (
+    BuddyUnreachable,
+    DataItem,
+    GossipState,
+    ProtocolSpec,
+    join,
+    rank_table,
+    run_exchange,
+)
 from oracles import (
     EmptyProfile,
     RatingProfile,
@@ -117,7 +124,11 @@ def test_profile_rejects_out_of_scale_ratings():
 
 def entry(peer, t=0):
     """The cache entry about ``peer``, created at time ``t``."""
-    return DataItem(id=peer, src=peer, timestamp=t)
+    return DataItem(src=peer, timestamp=t)
+
+
+def newscast(cache_size):
+    return ProtocolSpec(cache_size=cache_size)
 
 
 def build_sim_protocol(profile_dicts, cache_size):
@@ -130,7 +141,7 @@ def build_sim_protocol(profile_dicts, cache_size):
         ]
         for v in range(n)
     ]
-    return similarity_protocol(cache_size, rows)
+    return ProtocolSpec(cache_size=cache_size, rank=rank_table(rows))
 
 
 def test_swarmix_exchange_pushes_self_item_to_responder():
@@ -144,7 +155,7 @@ def test_swarmix_exchange_pushes_self_item_to_responder():
 
 def pushed_self_item(now):
     """Peer 0's self-item as it lands in peer 1's cache in an exchange at ``now``."""
-    proto = newscast_protocol(cache_size=4)
+    proto = newscast(4)
     state = GossipState(caches=[(entry(2),), (entry(2),), ()], alive=[True] * 3)
     run_exchange(state, 0, 1, proto, now=now)
     return next(it for it in state.caches[1] if it.src == 0)
@@ -154,7 +165,7 @@ def test_make_self_item_constructor_contract():
     # run_exchange builds the self-item: the entry about the initiator,
     # stamped with the exchange time
     it = pushed_self_item(7)
-    assert it.id == 0 and it.src == 0 and it.timestamp == 7
+    assert it.src == 0 and it.timestamp == 7
     assert it == entry(0, 7)
 
 
@@ -162,9 +173,9 @@ def test_make_self_item_timestamps_differ_only():
     # two pushes by the same initiator differ only in their timestamps, and a
     # later push replaces the earlier entry in the responder's cache
     a, b = pushed_self_item(7), pushed_self_item(8)
-    assert a.id == b.id and a.src == b.src
+    assert a.src == b.src
     assert a.timestamp == 7 and b.timestamp == 8
-    proto = newscast_protocol(cache_size=4)
+    proto = newscast(4)
     state = GossipState(caches=[(entry(2),), (entry(2),), ()], alive=[True] * 3)
     run_exchange(state, 0, 1, proto, now=7)
     run_exchange(state, 0, 1, proto, now=8)
@@ -179,8 +190,8 @@ def test_swarmix_exchange_never_retains_own_item():
     caches = [(entry(0), entry(1)), (entry(1), entry(0)), ()]
     state = GossipState(caches=caches, alive=[True] * 3)
     run_exchange(state, 0, 1, proto, now=2)
-    assert all(it.id != 0 for it in state.caches[0])
-    assert all(it.id != 1 for it in state.caches[1])
+    assert all(it.src != 0 for it in state.caches[0])
+    assert all(it.src != 1 for it in state.caches[1])
 
 
 def test_swarmix_asymmetry_witness():
@@ -198,15 +209,15 @@ def test_swarmix_asymmetry_witness():
     assert set(state.caches[0]) != set(state.caches[1])
 
 
-def test_newscast_protocol_keeps_freshest():
-    proto = newscast_protocol(cache_size=2)
-    old = DataItem(id=5, src=5, timestamp=1)
-    older = DataItem(id=6, src=6, timestamp=0)
+def test_newscast_keeps_freshest():
+    proto = newscast(2)
+    old = entry(5, 1)
+    older = entry(6, 0)
     state = GossipState(caches=[(old, older), (old,)], alive=[True, True])
     run_exchange(state, 0, 1, proto, now=9)
     # initiator's fresh self-item (t=9) lands in the responder cache
-    by_id = {it.id: it for it in state.caches[1]}
-    assert by_id[0].timestamp == 9
+    by_src = {it.src: it for it in state.caches[1]}
+    assert by_src[0].timestamp == 9
     assert all(len(c) <= 2 for c in state.caches)
 
 

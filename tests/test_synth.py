@@ -1,6 +1,7 @@
 """Synthetic ratings generator: determinism, marginals, file round-trip."""
 
 import numpy as np
+import pytest
 
 from gossipcf.harness import load_ratings
 from gossipcf.synth import generate_ratings, write_ratings_file
@@ -21,6 +22,14 @@ def test_generator_marginals():
     values = [v for row in ratings.values() for v in row.values()]
     assert set(values) <= {1, 2, 3, 4, 5}
     assert 2.8 <= np.mean(values) <= 4.2
+
+
+def test_target_beyond_one_rating_per_cell_raises():
+    with pytest.raises(ValueError):
+        generate_ratings(n_users=40, n_items=60, target_ratings=3000, seed=3)
+    # items too few for the per-user minimum leave no reachable target
+    with pytest.raises(ValueError):
+        generate_ratings(n_users=40, n_items=12, target_ratings=600, seed=3)
 
 
 def test_full_scale_shape():
