@@ -402,11 +402,13 @@ def churn_sweep(
     One simulation per percentage serves both accountings: the silenced peer
     set is identical, only the denominator differs.  Structural metrics are
     skipped, the sweep output does not use them.  Every level's config is
-    validated before the first trial runs, and an empty list of levels is a
-    config error.
+    validated before the first trial runs; an empty list of levels, or a
+    level given twice, is a config error.
     """
     if not percentages:
         raise InvalidConfig("no churn percentages to sweep")
+    if len({float(p) for p in percentages}) < len(percentages):
+        raise InvalidConfig(f"repeated churn percentage in {list(percentages)}")
     if at_cycle is None:
         at_cycle = base_config.churn.at_cycle if base_config.churn is not None else 50
     configs = [

@@ -10,20 +10,22 @@ Path length and clustering follow the usual small-world definitions on the
 symmetrized subgraph induced by live peers: mean shortest-path length over
 all ordered pairs inside the largest connected component (with the covered
 fraction reported alongside), and the mean over nodes of degree at least two
-of the realized fraction of edges among a node's neighbors.  All-pairs BFS
-runs bit-parallel on packed uint64 reachability rows, which keeps exact
-per-cycle computation cheap at the thousand-peer scale.
+of the realized fraction of edges among a node's neighbors.  Both run on one
+live graph per snapshot, whose adjacency is packed 64 nodes per uint64 word:
+an all-sources BFS ORs neighbors' packed reachability rows until each row
+holds its node's component, which yields the distance sums and the largest
+component at once, and a node's triangles are popcounts of its row AND-ed
+with its neighbors' rows.  That keeps exact per-cycle computation cheap at
+the thousand-peer scale.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from .engine import CycleSnapshot
 
@@ -97,12 +99,23 @@ def hit_rate(
     raise ValueError(f"unknown hit-rate mode: {mode!r}")
 
 
-def live_graph(snapshot: CycleSnapshot) -> sp.csr_matrix:
-    """Symmetrized 0/1 adjacency over live peers, in ascending peer id order.
+class LiveGraph(NamedTuple):
+    """Symmetrized live subgraph, node i being the i-th live peer by id.
 
-    Node i of the graph is the i-th live peer; the structural metrics take
-    this graph, so one snapshot builds it once.
+    ``indptr``/``indices`` list each node's neighbors in CSR order; ``bits``
+    holds the same adjacency as (m, ceil(m/64)) uint64 rows, node j at bit
+    j & 63 of word j >> 6, with a zero diagonal.
     """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    bits: np.ndarray
+
+
+def live_graph(snapshot: CycleSnapshot) -> LiveGraph:
+    """The live graph of a snapshot; the structural metrics take it, so one
+    snapshot builds it once.  Entries about dead peers and self entries add
+    no edge."""
     alive = snapshot.alive
     alive_idx = np.flatnonzero(alive)
     m = alive_idx.size
@@ -110,90 +123,84 @@ def live_graph(snapshot: CycleSnapshot) -> sp.csr_matrix:
     compact[alive_idx] = np.arange(m)
     lists = [snapshot.neighbor_ids[v] for v in alive_idx]
     counts = np.fromiter(map(len, lists), dtype=np.int64, count=m)
-    targets = np.concatenate(lists) if m else np.zeros(0, dtype=np.int64)
-    live = alive[targets]
-    r = np.repeat(np.arange(m), counts)[live]
-    c = compact[targets[live]]
-    if r.size == 0:
-        return sp.csr_matrix((m, m), dtype=np.int32)
-    a = sp.coo_matrix((np.ones(r.size, dtype=np.int32), (r, c)), shape=(m, m))
-    a = a.tocsr()
-    a = ((a + a.T) > 0).astype(np.int32)
-    a.setdiag(0)
-    a.eliminate_zeros()
-    return a.tocsr()
+    targets = compact[np.concatenate(lists)] if m else np.zeros(0, dtype=np.int64)
+    live = targets >= 0
+    width = 64 * ((m + 63) // 64)
+    rows, cols = np.repeat(np.arange(m), counts)[live], targets[live]
+    dense = np.zeros((m, width), dtype=bool)
+    dense[rows, cols] = dense[cols, rows] = True
+    np.fill_diagonal(dense, False)
+    flat = np.flatnonzero(dense)
+    return LiveGraph(
+        indptr=np.searchsorted(flat, np.arange(m + 1) * width),
+        indices=flat % width,
+        bits=np.packbits(dense, axis=1, bitorder="little").view("<u8"),
+    )
 
 
-def _largest_component(adj: sp.csr_matrix) -> np.ndarray:
-    """Nodes of the largest connected component (ties: smallest member id)."""
-    _, labels = csgraph.connected_components(adj, directed=False)
-    sizes = np.bincount(labels)
-    best = sizes.max()
-    for node in range(labels.size):
-        if sizes[labels[node]] == best:
-            return np.flatnonzero(labels == labels[node])
-    raise AssertionError("unreachable: graph has at least one node")
-
-
-def _apsp_sums(adj: sp.csr_matrix) -> tuple[int, int]:
-    """Sum of shortest-path lengths and count over ordered reachable pairs.
-
-    Level-synchronized BFS from all sources at once, with reachability sets
-    packed 64 nodes per uint64 word.  Exact for unweighted graphs; expects a
-    connected graph with no isolated nodes.
-    """
-    m = adj.shape[0]
-    words = (m + 63) // 64
-    indptr, indices = adj.indptr, adj.indices
-    reach = np.zeros((m, words), dtype=np.uint64)
-    r = np.arange(m)
-    reach[r, r >> 6] |= np.uint64(1) << (r & 63).astype(np.uint64)
-    prev_counts = np.ones(m, dtype=np.int64)
-    total = 0
-    pairs = 0
-    depth = 0
-    while True:
-        depth += 1
-        expanded = np.bitwise_or.reduceat(reach[indices], indptr[:-1])
-        expanded |= reach
-        counts = np.bitwise_count(expanded).sum(axis=1, dtype=np.int64)
-        gained = int((counts - prev_counts).sum())
-        if gained == 0:
-            return total, pairs
-        total += depth * gained
-        pairs += gained
-        reach = expanded
-        prev_counts = counts
-
-
-def avg_path_length(adj: sp.csr_matrix) -> tuple[float, float]:
+def avg_path_length(graph: LiveGraph) -> tuple[float, float]:
     """Mean shortest-path length in the largest component, plus coverage.
 
-    ``adj`` is a snapshot's :func:`live_graph`.  Coverage is the fraction of
-    live peers inside that component; a degenerate component of fewer than
-    two nodes reports length 0.0.
+    ``graph`` is a snapshot's :func:`live_graph`.  Coverage is the fraction
+    of live peers inside that component (ties: the one holding the smallest
+    id); a degenerate component of fewer than two nodes reports length 0.0.
+
+    One level-synchronized BFS from all sources at once: row i of ``reach``
+    is the ball around node i, grown by OR-ing its neighbors' rows.  A row
+    that stops growing holds i's whole component, so only growing rows of
+    nodes with neighbors are expanded, and each row keeps its distance sum.
     """
-    if adj.shape[0] == 0:
+    indptr, indices, bits = graph
+    m = bits.shape[0]
+    if m == 0:
         return 0.0, 0.0
-    component = _largest_component(adj)
-    coverage = component.size / adj.shape[0]
-    if component.size < 2:
-        return 0.0, float(coverage)
-    sub = adj[component][:, component].tocsr()
-    total, pairs = _apsp_sums(sub)
-    return float(total / pairs), float(coverage)
+    r = np.arange(m)
+    reach = bits.copy()
+    reach[r, r >> 6] |= np.uint64(1) << (r & 63).astype(np.uint64)
+    degrees = np.diff(indptr)
+    counts = degrees + 1
+    sums = degrees.copy()
+    owners = np.repeat(r, degrees)
+    active = degrees > 0
+    depth = 1
+    while active.any():
+        depth += 1
+        growing = np.flatnonzero(active)
+        seg = degrees[growing]
+        expanded = np.bitwise_or.reduceat(
+            np.take(reach, indices[active[owners]], axis=0), np.cumsum(seg) - seg
+        )
+        expanded |= reach[growing]
+        grown = np.bitwise_count(expanded).sum(axis=1, dtype=np.int64)
+        gained = grown - counts[growing]
+        sums[growing] += depth * gained
+        counts[growing] = grown
+        reach[growing] = expanded
+        active[growing] = gained > 0
+    seed = int(np.argmax(counts))
+    size = int(counts[seed])
+    coverage = size / m
+    if size < 2:
+        return 0.0, coverage
+    members = np.unpackbits(reach[seed].view(np.uint8), bitorder="little")[:m]
+    total = int(sums[members.view(bool)].sum())
+    return total / (size * (size - 1)), coverage
 
 
-def clustering_coefficient(adj: sp.csr_matrix) -> float:
+def clustering_coefficient(graph: LiveGraph) -> float:
     """Mean local clustering over nodes with at least two neighbors.
 
-    ``adj`` is a snapshot's :func:`live_graph`.
+    ``graph`` is a snapshot's :func:`live_graph`.  Node i's triangles are
+    half the sum, over its neighbors j, of popcount(bits[i] & bits[j]).
     """
-    degrees = np.asarray(adj.sum(axis=1)).ravel()
+    indptr, indices, bits = graph
+    degrees = np.diff(indptr)
     eligible = degrees >= 2
     if not eligible.any():
         raise NoEligiblePeers("no live peer has two or more neighbors")
-    triangles = np.asarray((adj @ adj).multiply(adj).sum(axis=1)).ravel() / 2.0
+    shared = np.repeat(bits, degrees, axis=0) & np.take(bits, indices, axis=0)
+    common = np.bitwise_count(shared).sum(axis=1, dtype=np.int64)
+    triangles = np.diff(np.concatenate(([0], np.cumsum(common)))[indptr]) / 2.0
     possible = degrees * (degrees - 1) / 2.0
     coeffs = triangles[eligible] / possible[eligible]
     # fsum gives the correctly rounded sum independent of accumulation order,
@@ -201,21 +208,12 @@ def clustering_coefficient(adj: sp.csr_matrix) -> float:
     return float(math.fsum(coeffs) / coeffs.size)
 
 
-def in_degree_stats(snapshots: Iterable[CycleSnapshot] | CycleSnapshot) -> tuple[float, float]:
-    """Mean and population variance of per-peer receptions per cycle.
-
-    Accepts a single snapshot or a window; only live peers at each cycle
-    contribute samples.
-    """
-    if isinstance(snapshots, CycleSnapshot):
-        snapshots = [snapshots]
-    samples = [snap.receptions[snap.alive] for snap in snapshots]
-    if not samples:
-        raise NoEligiblePeers("empty snapshot window")
-    merged = np.concatenate(samples).astype(np.float64)
-    if merged.size == 0:
-        raise NoEligiblePeers("no live peers in window")
-    return float(merged.mean()), float(merged.var())
+def in_degree_stats(snapshot: CycleSnapshot) -> tuple[float, float]:
+    """Mean and population variance of receptions over live peers."""
+    samples = snapshot.receptions[snapshot.alive].astype(np.float64)
+    if samples.size == 0:
+        raise NoEligiblePeers("no live peers")
+    return float(samples.mean()), float(samples.var())
 
 
 def compute_cycle_metrics(

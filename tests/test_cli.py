@@ -161,6 +161,17 @@ def test_sweep_rejects_empty_churn_list(data_file, tmp_path, capsys, pcts):
     assert not out.exists()
 
 
+def test_sweep_rejects_repeated_churn_level(data_file, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code = main(
+        ["sweep-churn", "--data", str(data_file), "--trials", "2", "--cycles", "6",
+         "--churn-cycle", "3", "--churn-pcts", "10,10", "--out", str(out)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_run_reports_undefined_structural_metric(data_file, tmp_path, capsys):
     # A 99% loss leaves one live peer, so the clustering coefficient of the
     # live graph is undefined from the disturbance on.

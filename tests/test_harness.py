@@ -305,6 +305,19 @@ def test_churn_sweep_rejects_full_loss_before_any_split(small_ratings, monkeypat
     assert splits == []
 
 
+def test_churn_sweep_rejects_repeated_level_before_any_split(small_ratings, monkeypatch):
+    import gossipcf.harness as harness
+
+    splits = []
+    monkeypatch.setattr(
+        harness, "all_but_1_split", lambda *args: splits.append(args) or all_but_1_split(*args)
+    )
+    config = SimConfig(n_peers=80, cache_size=8, cycles=6, seed=3)
+    with pytest.raises(InvalidConfig, match="repeated"):
+        churn_sweep(config, small_ratings, [10, 20.0, 10.0], trials=2, at_cycle=3)
+    assert splits == []
+
+
 def test_churn_exact_denominator_identity(small_ratings):
     # failures value = voluntary value * survivors / n, same numerators
     config = SimConfig(

@@ -141,6 +141,8 @@ def oracle_path_length(neighbor_lists, alive):
         dist[(a, b)] = dist[(b, a)] = 1
     for k in nodes:
         for i in nodes:
+            if dist[(i, k)] == inf:
+                continue
             for j in nodes:
                 alt = dist[(i, k)] + dist[(k, j)]
                 if alt < dist[(i, j)]:
@@ -253,6 +255,60 @@ def test_graph_metrics_match_oracles_randomized():
             assert clustering_coefficient(graph) == want_cc, (case, lists, alive)
 
 
+def random_multiword_graph(rnd):
+    """65-200 peers, so packed rows span several words.  Live peers form
+    ``groups`` components of one shared size (the largest), plus isolated
+    peers, peers whose only entries are about dead peers, and dead peers
+    whose entries point anywhere."""
+    n = rnd.randint(65, 200)
+    order = rnd.sample(range(n), n)
+    groups = rnd.randint(2, 4)
+    size = rnd.randint(2, (n - 6) // groups)
+    dead = order[groups * size : groups * size + rnd.randint(1, 6)]
+    rest = order[groups * size + len(dead) :]
+    alive = [v not in dead for v in range(n)]
+    lists = [[] for _ in range(n)]
+    for g in range(groups):
+        members = order[g * size : (g + 1) * size]
+        pairs = list(zip(members, members[1:]))  # a spanning path
+        pairs += [rnd.sample(members, 2) for _ in range(rnd.randint(0, 3 * size))]
+        for a, b in pairs:  # one side lists the other
+            if rnd.random() < 0.5:
+                a, b = b, a
+            lists[a].append(b)
+        for v in members:
+            lists[v] += rnd.sample(dead, rnd.randint(0, len(dead)))
+    for v in rest:  # isolated, or listing dead peers only
+        lists[v] = rnd.sample(dead, rnd.randint(0, len(dead)))
+    for v in dead:
+        lists[v] = rnd.sample(range(n), rnd.randint(0, 10))
+    lists = [sorted(set(ids) - {v}) for v, ids in enumerate(lists)]
+    return lists, alive
+
+
+def test_graph_metrics_match_oracles_on_multiword_graphs():
+    rnd = random.Random(2024)
+    for case in range(30):
+        lists, alive = random_multiword_graph(rnd)
+        graph = live_graph(make_snapshot(lists, alive=alive))
+        assert graph.bits.shape[1] > 1
+        assert avg_path_length(graph) == oracle_path_length(lists, alive), case
+        assert clustering_coefficient(graph) == oracle_clustering(lists, alive), case
+
+
+def test_self_entries_add_nothing():
+    # anti-entropy caches may list their owner; that entry is no edge
+    lists = [[1, 2], [0, 2, 3], [1], [], [3], [0]]
+    alive = [True, True, True, True, True, False]
+    with_self = [ids + [v] for v, ids in enumerate(lists)]
+    plain = live_graph(make_snapshot(lists, alive=alive))
+    selfish = live_graph(make_snapshot(with_self, alive=alive))
+    for got, want in zip(selfish, plain):
+        assert np.array_equal(got, want)
+    assert avg_path_length(selfish) == avg_path_length(plain) == (34 / 20, 1.0)
+    assert clustering_coefficient(selfish) == clustering_coefficient(plain) == pytest.approx(7 / 12)
+
+
 # --- in-degree ---------------------------------------------------------------
 
 def test_in_degree_mean_one_without_skips():
@@ -268,14 +324,6 @@ def test_in_degree_counts_only_live_peers():
     mean, var = in_degree_stats(snap)
     assert mean == pytest.approx(1.5)
     assert var == pytest.approx(0.25)
-
-
-def test_in_degree_window_concatenates_cycles():
-    a = make_snapshot([[1], [0]], receptions=[2, 0], cycle=1)
-    b = make_snapshot([[1], [0]], receptions=[1, 1], cycle=2)
-    mean, var = in_degree_stats([a, b])
-    assert mean == 1.0
-    assert var == pytest.approx(np.array([2, 0, 1, 1]).var())
 
 
 def test_in_degree_single_survivor_means_zero():
