@@ -10,7 +10,8 @@ entries a cache keeps:
 * ``newscast``:     partial view of size k, freshest first,
 * ``swarmix``:      partial view of size k, rank table of profile similarity.
 
-Under a partial view a peer's cache is its neighborhood.  On top of the
+Under every variant a peer's neighborhood is its cache's sources other than
+itself (a global-view cache may keep its owner's entry).  On top of the
 overlay sit a user-based collaborative filter (``recommend``), a
 deterministic cycle simulator (``engine``, which also builds each variant's
 configuration), topology and quality metrics (``metrics``), and an

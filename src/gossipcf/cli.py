@@ -308,22 +308,6 @@ def build_manifest(
     )
 
 
-def sim_config_from_mapping(cfg: dict[str, Any]) -> SimConfig:
-    """Rebuild a SimConfig from a manifest's config echo."""
-    churn = cfg.get("churn")
-    return SimConfig(
-        n_peers=cfg["n_peers"],
-        cache_size=cfg["cache_size"],
-        cycles=cfg["cycles"],
-        seed=cfg["seed"],
-        protocol=cfg["protocol"],
-        churn=None if churn is None else ChurnSpec(**churn),
-        top_n=cfg["top_n"],
-        significance_threshold=cfg["significance_threshold"],
-        bootstrap_degree=cfg["bootstrap_degree"],
-    )
-
-
 def emit_metrics_csv(result: ExperimentResult, out_dir: Path) -> Path:
     """Per-trial per-cycle rows, then mean and ci95 aggregate rows.
 

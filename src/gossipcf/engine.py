@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .pushpull import Cache, DataItem, GossipState, ProtocolSpec, join, rank_table, run_exchange
+from .pushpull import Cache, DataItem, GossipState, ProtocolSpec, rank_table, run_exchange
 from .recommend import TrainingArrays, tally_votes, top_n_from_votes
 
 PROTOCOLS = ("swarmix", "newscast", "anti-entropy")
@@ -109,9 +109,11 @@ class SimConfig:
 class CycleSnapshot:
     """State of the overlay at the end of one cycle.
 
-    ``neighbor_ids[v]`` are the sources in v's cache, in selection order;
+    ``neighbor_ids[v]`` is v's neighborhood: the sources in v's cache other
+    than v itself, in selection order.  Under every protocol it never holds
+    v, even where a global-view cache keeps v's own entry.
     ``cache_sim_mean[v]`` is v's mean similarity to those sources (NaN for an
-    empty cache).  Recommendation rows are padded with -1 item ids.
+    empty neighborhood).  Recommendation rows are padded with -1 item ids.
     """
 
     cycle: int
@@ -183,31 +185,25 @@ def bootstrap_topology(
     target_avg_degree: float,
     cache_size: int,
     rng: np.random.Generator,
-    participants: list[int] | None = None,
 ) -> list[list[int]]:
     """Initial directed overlay: connected, unbalanced, caches not full.
 
     A uniform random spanning tree (oriented both ways) guarantees weak
     connectivity; additional random directed edges are added until the mean
-    out-degree over participants reaches the target.  No peer's cache is
-    filled: out-degrees stay strictly below the cache size.
+    out-degree reaches the target.  No peer's cache is filled: out-degrees
+    stay strictly below the cache size.
     """
     if n < 2:
         raise InvalidConfig("need at least two peers")
     if not 1.0 <= target_avg_degree < cache_size:
         raise InvalidConfig("target degree must satisfy 1 <= degree < cache_size")
-    members = list(range(n)) if participants is None else sorted(participants)
-    m = len(members)
-    if m < 2:
-        raise InvalidConfig("need at least two participating peers")
 
     out: list[set[int]] = [set() for _ in range(n)]
-    for a, b in _random_tree_edges(m, rng):
-        u, v = members[a], members[b]
+    for u, v in _random_tree_edges(n, rng):
         out[u].add(v)
         out[v].add(u)
 
-    budget = int(round(target_avg_degree * m))
+    budget = int(round(target_avg_degree * n))
     existing = sum(len(s) for s in out)
     attempts = 0
     limit = 200 * max(budget, 1)
@@ -215,8 +211,8 @@ def bootstrap_topology(
         attempts += 1
         if attempts > limit:
             raise InvalidConfig("could not reach target bootstrap degree")
-        u = members[int(rng.integers(m))]
-        v = members[int(rng.integers(m))]
+        u = int(rng.integers(n))
+        v = int(rng.integers(n))
         if u == v or v in out[u] or len(out[u]) >= cache_size - 1:
             continue
         out[u].add(v)
@@ -240,26 +236,17 @@ def bootstrap(
     config: SimConfig,
     arrays: TrainingArrays,
     rng: np.random.Generator,
-    holdout: frozenset[int] = frozenset(),
 ) -> SimState:
-    """Build the cycle-0 simulation state.
-
-    ``holdout`` peers are kept out of the initial overlay (cache empty, not
-    alive) so tests can exercise late joins; the default is everyone in.
-    """
+    """Build the cycle-0 simulation state: every peer alive, in the overlay."""
     n = config.n_peers
     if arrays.similarity.shape[0] != n:
         raise InvalidConfig(
             f"config expects {n} peers but training data has "
             f"{arrays.similarity.shape[0]} users"
         )
-    participants = [p for p in range(n) if p not in holdout]
-    topology = bootstrap_topology(
-        n, config.bootstrap_degree, config.cache_size, rng, participants
-    )
+    topology = bootstrap_topology(n, config.bootstrap_degree, config.cache_size, rng)
     caches = [tuple(DataItem(u, 0) for u in topology[v]) for v in range(n)]
-    alive = [p not in holdout for p in range(n)]
-    gossip = GossipState(caches=caches, alive=alive)
+    gossip = GossipState(caches=caches, alive=[True] * n)
     protocol = make_protocol(config, arrays)
     return SimState(
         config=config,
@@ -328,15 +315,17 @@ def _take_snapshot(
     n = state.n
     caches = state.gossip.caches
     counts = np.array([len(caches[v]) for v in range(n)], dtype=np.int64)
-    total = int(counts.sum())
     owners = np.repeat(np.arange(n), counts)
     flat = np.fromiter(
         (item.src for v in range(n) for item in caches[v]),
         dtype=np.int64,
-        count=total,
+        count=owners.size,
     )
-    sims = state.arrays.similarity[owners, flat] if total else np.zeros(0)
-    sums = np.bincount(owners, weights=sims, minlength=n)
+    # A neighborhood never holds its owner, even where the cache does.
+    others = flat != owners
+    owners, flat = owners[others], flat[others]
+    counts = np.bincount(owners, minlength=n)
+    sums = np.bincount(owners, weights=state.arrays.similarity[owners, flat], minlength=n)
     with np.errstate(invalid="ignore"):
         mean = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     neighbor_ids = []
@@ -416,7 +405,6 @@ def run_simulation(
     config: SimConfig,
     arrays: TrainingArrays,
     seed_seq: np.random.SeedSequence | None = None,
-    holdout: frozenset[int] = frozenset(),
 ) -> Iterator[CycleSnapshot]:
     """Bootstrap and run all cycles, yielding cycles+1 snapshots.
 
@@ -428,13 +416,12 @@ def run_simulation(
     if seed_seq is None:
         seed_seq = np.random.SeedSequence(config.seed)
     rng = np.random.Generator(np.random.PCG64(seed_seq))
-    state = bootstrap(config, arrays, rng, holdout)
+    state = bootstrap(config, arrays, rng)
 
     receptions = np.zeros(state.n, dtype=np.int32)
-    participants = np.flatnonzero(np.asarray(state.gossip.alive, dtype=bool))
-    for p in participants.tolist():
+    for p in range(state.n):
         _rank(state, p)
-    rec_items, rec_votes = _rec_rows(state, participants)
+    rec_items, rec_votes = _rec_rows(state, np.arange(state.n))
     yield _take_snapshot(state, receptions, 0, rec_items, rec_votes)
 
     for cycle in range(1, config.cycles + 1):
@@ -442,8 +429,3 @@ def run_simulation(
             inject_churn(state, config.churn)
         yield run_cycle(state)
 
-
-def join_peer(state: SimState, new_peer: int, buddy: int) -> None:
-    """Wire a held-out peer into a running simulation via one buddy."""
-    join(state.gossip, new_peer, buddy, now=state.cycle)
-    state.stale[new_peer] = 1

@@ -8,11 +8,13 @@ independent seed streams derived from the master seed and the trial index, so
 adding trials never perturbs earlier ones.  Per-cycle means come with
 Student-t 95% confidence intervals over trials.
 
-While folding, every snapshot passes a strict invariant check: cache capacity
-and uniqueness, self-exclusion, no recommended item the peer already rated,
-and per-peer dominance of the size-matched global top-m similarity mean over
-the overlay cache mean (the global top-m maximizes the mean over every
-m-subset, so a violation can only be an implementation bug).
+While folding, every snapshot of every protocol passes a strict invariant
+check: capacity and uniqueness of each neighborhood, self-exclusion (no
+neighborhood holds its owner, even where a global-view cache keeps the
+owner's entry), no recommended item the peer already rated, and per-peer
+dominance of the size-matched global top-m similarity mean over the
+neighborhood mean (the global top-m maximizes the mean over every m-subset,
+so a violation can only be an implementation bug).
 """
 
 from __future__ import annotations
@@ -135,8 +137,6 @@ class TrialResult:
     centralized_avg_similarity: float
     centralized_hit_rate: float
     first_full_cycle: int | None
-    split_spawn_key: tuple[int, ...]
-    sim_spawn_key: tuple[int, ...]
     strict_checked: bool = False
 
 
@@ -150,7 +150,6 @@ class _StrictChecker:
         max_id = int(arrays.item_ids.max())
         self.col_of_id = np.full(max_id + 2, -1, dtype=np.int64)
         self.col_of_id[arrays.item_ids] = np.arange(arrays.item_ids.size)
-        self.check_identity = config.protocol != "anti-entropy"
 
     def check(self, snap: CycleSnapshot) -> None:
         k = self.config.cache_size
@@ -160,7 +159,7 @@ class _StrictChecker:
         if (counts > k).any():
             raise AssertionError(f"cycle {snap.cycle}: cache over capacity")
         alive_ids = np.flatnonzero(snap.alive)
-        if self.check_identity and alive_ids.size:
+        if alive_ids.size:
             owners = np.repeat(alive_ids, counts[alive_ids])
             ids = np.concatenate([snap.neighbor_ids[v] for v in alive_ids])
             order = np.lexsort((ids, owners))
@@ -286,8 +285,6 @@ def run_trial(
         centralized_avg_similarity=ref.avg_similarity,
         centralized_hit_rate=ref.hit_rate,
         first_full_cycle=first_full,
-        split_spawn_key=(trial, 0),
-        sim_spawn_key=(trial, 1),
         strict_checked=checker is not None,
     )
 

@@ -114,8 +114,7 @@ class LiveGraph(NamedTuple):
 
 def live_graph(snapshot: CycleSnapshot) -> LiveGraph:
     """The live graph of a snapshot; the structural metrics take it, so one
-    snapshot builds it once.  Entries about dead peers and self entries add
-    no edge."""
+    snapshot builds it once.  Entries about dead peers add no edge."""
     alive = snapshot.alive
     alive_idx = np.flatnonzero(alive)
     m = alive_idx.size
@@ -129,7 +128,6 @@ def live_graph(snapshot: CycleSnapshot) -> LiveGraph:
     rows, cols = np.repeat(np.arange(m), counts)[live], targets[live]
     dense = np.zeros((m, width), dtype=bool)
     dense[rows, cols] = dense[cols, rows] = True
-    np.fill_diagonal(dense, False)
     flat = np.flatnonzero(dense)
     return LiveGraph(
         indptr=np.searchsorted(flat, np.arange(m + 1) * width),

@@ -9,12 +9,14 @@ exchangeable steps:
     select     -> keep the k best entries by the protocol's order
 
 The variants differ in one switch and one order.  A partial-view protocol
-(swarmix, newscast) contacts only the sources in its cache, which is then
-the peer's neighborhood; its initiator pushes a fresh entry about itself,
-and a peer never retains its own entry.  A global-view protocol
-(anti-entropy) may contact any live peer and does neither.  Selection
-orders either by a per-owner rank table (swarmix: ``rank[owner][src]``,
-smaller is better) or, without one, freshest first.
+(swarmix, newscast) contacts only the sources in its cache; its initiator
+pushes a fresh entry about itself, and a peer never retains its own entry.
+A global-view protocol (anti-entropy) may contact any live peer and does
+neither, so its cache may keep the owner's own entry.  Under every protocol
+a peer's neighborhood is its cache's sources other than itself: the engine
+leaves the owner out of what it snapshots.  Selection orders either by a
+per-owner rank table (swarmix: ``rank[owner][src]``, smaller is better) or,
+without one, freshest first.
 
 All tie-breaks are deterministic so that seeded runs reproduce exactly:
 merge ties keep the merging peer's own copy; freshest-first selection ties
@@ -55,10 +57,6 @@ class ResponderUnreachable(Exception):
     """The chosen exchange partner is not alive; caller should re-draw."""
 
 
-class BuddyUnreachable(Exception):
-    """The bootstrap contact of a joining peer is not alive."""
-
-
 # A rank table: rank[v][w] is w's position in v's order of preference.
 RankTable = Sequence[Sequence[int]]
 
@@ -73,8 +71,9 @@ class ProtocolSpec:
     initiator add a fresh entry about itself, stamped with the exchange
     time, to the cache it pushes, and removes the owner's own entry from
     what the owner retains; the entry still transits through other peers'
-    caches.  A ``global_view`` protocol keeps no neighborhood: its peers may
-    contact any live peer.
+    caches.  A ``global_view`` protocol lets its peers contact any live
+    peer and filters nothing, so a cache may keep the owner's own entry; the
+    engine still leaves it out of the owner's neighborhood.
     """
 
     cache_size: int
@@ -157,14 +156,3 @@ def run_exchange(
     state.caches[initiator] = _retain(initiator, pushed, pulled, protocol)
     state.caches[responder] = _retain(responder, pulled, pushed, protocol)
 
-
-def join(state: GossipState, new_peer: PeerId, buddy: PeerId, now: Timestamp) -> None:
-    """Let ``new_peer`` enter the overlay knowing exactly one live peer.
-
-    The joining peer's cache is initialized with a single entry for the
-    buddy, stamped ``now``; it participates from the next cycle on.
-    """
-    if not state.alive[buddy]:
-        raise BuddyUnreachable(f"buddy {buddy} is not alive")
-    state.caches[new_peer] = (DataItem(buddy, now),)
-    state.alive[new_peer] = True

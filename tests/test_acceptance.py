@@ -19,7 +19,7 @@ import pytest
 import gossipcf
 import test_metrics as metrics_oracles
 import test_pushpull as pushpull_oracles
-from gossipcf.engine import SimConfig, run_simulation
+from gossipcf.engine import PROTOCOLS, SimConfig, run_simulation
 from gossipcf.harness import all_but_1_split, churn_sweep, sim_seed, split_seed
 from gossipcf.metrics import avg_path_length, clustering_coefficient, live_graph
 from gossipcf.recommend import build_training_arrays
@@ -236,28 +236,33 @@ def test_criterion_8_protocol_laws(flagship, small_ratings):
 
     # cache laws at every cycle of every trial: enforced by the strict checker
     # during the flagship run; re-verify here explicitly on a fresh small run
-    config = SimConfig(n_peers=80, cache_size=8, cycles=30, seed=ACCEPTANCE_SEED)
-    split_rng = np.random.Generator(np.random.PCG64(split_seed(config.seed, 0)))
+    # of every protocol, the global-view one included
+    split_rng = np.random.Generator(np.random.PCG64(split_seed(ACCEPTANCE_SEED, 0)))
     split = all_but_1_split(small_ratings, split_rng)
     arrays = build_training_arrays(split.training)
     consumed_checked = 0
-    for snap in run_simulation(config, arrays, sim_seed(config.seed, 0)):
-        for v in range(config.n_peers):
-            ids = snap.neighbor_ids[v]
-            assert ids.size <= config.cache_size
-            assert np.unique(ids).size == ids.size
-            assert not (ids == v).any()
-            row = snap.rec_items[v]
-            for item in row[row >= 0].tolist():
-                assert item not in split.training.rows[v]
-                consumed_checked += 1
+    for protocol in PROTOCOLS:
+        config = SimConfig(
+            n_peers=80, cache_size=8, cycles=30, seed=ACCEPTANCE_SEED, protocol=protocol
+        )
+        for snap in run_simulation(config, arrays, sim_seed(config.seed, 0)):
+            for v in range(config.n_peers):
+                ids = snap.neighbor_ids[v]
+                assert ids.size <= config.cache_size
+                assert np.unique(ids).size == ids.size
+                assert not (ids == v).any(), (protocol, snap.cycle, v)
+                row = snap.rec_items[v]
+                for item in row[row >= 0].tolist():
+                    assert item not in split.training.rows[v]
+                    consumed_checked += 1
     strict = all(t.strict_checked for t in flagship.trials)
     report(
         "8",
         strict,
         "asymmetry witness found; anti-entropy exchange symmetric; capacity, "
-        f"id-uniqueness, self-exclusion and no-consumed-item verified per cycle "
-        f"({consumed_checked} recommendations checked) and enforced across the flagship run",
+        f"id-uniqueness, self-exclusion and no-consumed-item verified per cycle for "
+        f"{', '.join(PROTOCOLS)} ({consumed_checked} recommendations checked) and "
+        "enforced across the flagship run",
     )
 
 

@@ -32,14 +32,12 @@ def test_tracer_counts_protocol_work_and_leaves_rows_unchanged(small_ratings, pr
     config = SimConfig(
         n_peers=small_ratings.n_users, cache_size=8, cycles=4, seed=7, protocol=protocol
     )
-    # anti-entropy trips the strict checker on some seeds (a recorded fault)
-    strict = protocol != "anti-entropy"
-    plain = harness.run_trial(config, small_ratings, 0, strict=strict)
+    plain = harness.run_trial(config, small_ratings, 0)
 
     capture = instrument.Capture(harness)
     tracer = instrument.Tracer(harness, engine, metrics)
     with instrument.patched(capture.patches()), instrument.patched(tracer.patches()):
-        traced = harness.run_trial(config, small_ratings, 0, strict=strict)
+        traced = harness.run_trial(config, small_ratings, 0)
 
     assert repr(traced.metrics) == repr(plain.metrics)
     layers = tracer.layer_metrics()

@@ -16,7 +16,6 @@ from gossipcf.cli import (
     main,
     parse_config,
     read_config_file,
-    sim_config_from_mapping,
 )
 from gossipcf.engine import ChurnSpec, InvalidConfig, SimConfig
 from gossipcf.harness import run_experiment
@@ -79,6 +78,22 @@ def test_protocol_variant_switch():
     assert settings.protocol == "newscast"
     config = settings.sim_config(n_peers=10)
     assert config.protocol == "newscast"
+
+
+def sim_config_from_mapping(cfg: dict) -> SimConfig:
+    """Rebuild a SimConfig from a manifest's config echo."""
+    churn = cfg.get("churn")
+    return SimConfig(
+        n_peers=cfg["n_peers"],
+        cache_size=cfg["cache_size"],
+        cycles=cfg["cycles"],
+        seed=cfg["seed"],
+        protocol=cfg["protocol"],
+        churn=None if churn is None else ChurnSpec(**churn),
+        top_n=cfg["top_n"],
+        significance_threshold=cfg["significance_threshold"],
+        bootstrap_degree=cfg["bootstrap_degree"],
+    )
 
 
 def test_manifest_config_roundtrip(data_file):
@@ -188,13 +203,15 @@ def test_run_reports_undefined_structural_metric(data_file, tmp_path, capsys):
 
 
 # sha256 of metrics.csv for 2 trials of the 80-user dataset, 12 cycles, k=8,
-# master seed 31, a 25% loss at cycle 6.  Recorded before the rank-table
-# exchange and the ranking memo replaced the per-item utility path: both
-# must leave every output byte unchanged.
+# master seed 31, a 25% loss at cycle 6.  The swarmix and newscast hashes
+# were recorded before the rank-table exchange and the ranking memo replaced
+# the per-item utility path: both must leave every output byte unchanged.
+# The anti-entropy hash was recorded when neighborhoods stopped holding their
+# owner's entry.
 GOLDEN_METRICS_SHA256 = {
     "swarmix": "fc67b166b5fef9ba2661d85770d585d867e2a5d9ae255497c73c4fdf5ba9a0b3",
     "newscast": "a3215f5fd0fbdfc804d5957a6a1a79ea7081f72783d5bd2fe2c26e7b48122459",
-    "anti-entropy": "e41687162bfe64b28f5230fd05d0052b916604ae08486cc01b7d227809a232ff",
+    "anti-entropy": "1d91e09b38ce7daac5132afeee8dfaf0dfefd21c17a2da4d8d5f2cef56ad3641",
 }
 
 
@@ -204,11 +221,21 @@ def test_metrics_csv_golden_bytes(protocol, small_ratings, tmp_path):
         n_peers=80, cache_size=8, cycles=12, seed=31, protocol=protocol,
         churn=ChurnSpec(mode="leavings", pct=25.0, at_cycle=6),
     )
-    # Anti-entropy runs unchecked: its peers may hold their own entry, which
-    # the strict checker's dominance bound rejects (a recorded fault).
-    result = run_experiment(config, small_ratings, 2, strict=protocol != "anti-entropy")
+    result = run_experiment(config, small_ratings, 2)
     path = emit_metrics_csv(result, tmp_path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_METRICS_SHA256[protocol]
+
+
+def test_anti_entropy_run_passes_strict_checks(tmp_path):
+    # Seed 102 once stopped at cycle 1: a global-view cache kept its owner's
+    # entry, and the self-similarity of 1.0 broke the top-m bound.
+    data = tmp_path / "twin.data"
+    write_ratings_file(data, generate_ratings())
+    code = main(
+        ["run", "--data", str(data), "--protocol", "anti-entropy", "--seed", "102",
+         "--cycles", "2", "--trials", "2", "--out", str(tmp_path / "run")]
+    )
+    assert code == 0
 
 
 def test_sweep_default_percentages():

@@ -12,8 +12,6 @@ from gossipcf.engine import (
     bootstrap,
     bootstrap_topology,
     inject_churn,
-    join_peer,
-    run_cycle,
     run_simulation,
 )
 from gossipcf.harness import all_but_1_split, split_seed
@@ -271,24 +269,6 @@ def test_churn_count_is_floor_of_pct_at_full_scale():
     silenced = inject_churn(state, ChurnSpec(mode="failures", pct=20.0, at_cycle=1))
     assert len(silenced) == 188
     assert sum(1 for a in state.gossip.alive if not a) == 188
-
-
-def test_join_grows_cache_monotonically_to_full(small_ratings):
-    config, arrays = _small_sim(small_ratings, cycles=1)
-    rng = np.random.Generator(np.random.PCG64(7))
-    holdout = frozenset({79})
-    state = bootstrap(config, arrays, rng, holdout=holdout)
-    assert not state.gossip.alive[79]
-    assert all(79 not in [it.src for it in c] for c in state.gossip.caches)
-    join_peer(state, 79, buddy=0)
-    assert [it.src for it in state.gossip.caches[79]] == [0]
-    sizes = [1]
-    for _ in range(15):
-        run_cycle(state)
-        sizes.append(len(state.gossip.caches[79]))
-    until_full = [s for s in sizes if s < config.cache_size]
-    assert sizes[-1] == config.cache_size  # reached a full cache
-    assert until_full == sorted(until_full)  # monotone growth until full
 
 
 def test_global_view_protocol_draws_any_peer(small_ratings):

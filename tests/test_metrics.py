@@ -296,19 +296,6 @@ def test_graph_metrics_match_oracles_on_multiword_graphs():
         assert clustering_coefficient(graph) == oracle_clustering(lists, alive), case
 
 
-def test_self_entries_add_nothing():
-    # anti-entropy caches may list their owner; that entry is no edge
-    lists = [[1, 2], [0, 2, 3], [1], [], [3], [0]]
-    alive = [True, True, True, True, True, False]
-    with_self = [ids + [v] for v, ids in enumerate(lists)]
-    plain = live_graph(make_snapshot(lists, alive=alive))
-    selfish = live_graph(make_snapshot(with_self, alive=alive))
-    for got, want in zip(selfish, plain):
-        assert np.array_equal(got, want)
-    assert avg_path_length(selfish) == avg_path_length(plain) == (34 / 20, 1.0)
-    assert clustering_coefficient(selfish) == clustering_coefficient(plain) == pytest.approx(7 / 12)
-
-
 # --- in-degree ---------------------------------------------------------------
 
 def test_in_degree_mean_one_without_skips():

@@ -1,4 +1,4 @@
-"""Reference similarity functions, join and the partial-view protocols."""
+"""Reference similarity functions and the partial-view protocols."""
 
 import math
 
@@ -7,11 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gossipcf.pushpull import (
-    BuddyUnreachable,
     DataItem,
     GossipState,
     ProtocolSpec,
-    join,
     rank_table,
     run_exchange,
 )
@@ -219,18 +217,3 @@ def test_newscast_keeps_freshest():
     by_src = {it.src: it for it in state.caches[1]}
     assert by_src[0].timestamp == 9
     assert all(len(c) <= 2 for c in state.caches)
-
-
-# --- join --------------------------------------------------------------------
-
-def test_join_initializes_cache_with_single_buddy_entry():
-    state = GossipState(caches=[(), (entry(0),), ()], alive=[True, True, False])
-    join(state, 2, 1, now=4)
-    assert state.caches[2] == (entry(1, 4),)
-    assert state.alive[2]
-
-
-def test_join_dead_buddy_raises():
-    state = GossipState(caches=[(), ()], alive=[False, True])
-    with pytest.raises(BuddyUnreachable):
-        join(state, 1, 0, now=0)
