@@ -109,15 +109,18 @@ class SimConfig:
 class CycleSnapshot:
     """State of the overlay at the end of one cycle.
 
-    ``neighbor_ids[v]`` is v's neighborhood: the sources in v's cache other
+    Neighborhoods are stored in CSR layout: v's neighborhood is
+    ``neighbors[indptr[v]:indptr[v + 1]]``, the sources in v's cache other
     than v itself, in selection order.  Under every protocol it never holds
     v, even where a global-view cache keeps v's own entry.
     ``cache_sim_mean[v]`` is v's mean similarity to those sources (NaN for an
-    empty neighborhood).  Recommendation rows are padded with -1 item ids.
+    empty neighborhood).  Recommendation rows are padded with -1 item ids;
+    a silenced peer's row is all padding.
     """
 
     cycle: int
-    neighbor_ids: list[np.ndarray]
+    indptr: np.ndarray
+    neighbors: np.ndarray
     cache_sim_mean: np.ndarray
     rec_items: np.ndarray
     rec_votes: np.ndarray
@@ -125,6 +128,11 @@ class CycleSnapshot:
     left: np.ndarray
     receptions: np.ndarray
     skipped: int
+
+    @property
+    def neighbor_ids(self) -> list[np.ndarray]:
+        """Per-peer views of ``neighbors``, for readers outside the library."""
+        return np.split(self.neighbors, self.indptr[1:-1])
 
 
 @dataclass
@@ -308,10 +316,7 @@ def _rank(state: SimState, peer: int) -> None:
         counts[j] = count
 
 
-def _take_snapshot(
-    state: SimState, receptions: np.ndarray, skipped: int,
-    rec_items: np.ndarray, rec_votes: np.ndarray,
-) -> CycleSnapshot:
+def _take_snapshot(state: SimState, receptions: np.ndarray, skipped: int) -> CycleSnapshot:
     n = state.n
     caches = state.gossip.caches
     counts = np.array([len(caches[v]) for v in range(n)], dtype=np.int64)
@@ -328,31 +333,21 @@ def _take_snapshot(
     sums = np.bincount(owners, weights=state.arrays.similarity[owners, flat], minlength=n)
     with np.errstate(invalid="ignore"):
         mean = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    neighbor_ids = []
-    pos = 0
-    for v in range(n):
-        neighbor_ids.append(flat[pos : pos + counts[v]].copy())
-        pos += counts[v]
+    alive = np.array(state.gossip.alive, dtype=bool)
+    # Every peer alive at the start of the cycle was ranked, and nobody is
+    # silenced mid-cycle, so the memo holds exactly the live peers' rows.
     return CycleSnapshot(
         cycle=state.cycle,
-        neighbor_ids=neighbor_ids,
+        indptr=np.concatenate(([0], np.cumsum(counts))),
+        neighbors=flat,
         cache_sim_mean=mean,
-        rec_items=rec_items,
-        rec_votes=rec_votes,
-        alive=np.array(state.gossip.alive, dtype=bool),
+        rec_items=np.where(alive[:, None], state.rec_items, -1),
+        rec_votes=np.where(alive[:, None], state.rec_votes, 0),
+        alive=alive,
         left=np.array(state.left, dtype=bool),
         receptions=receptions,
         skipped=skipped,
     )
-
-
-def _rec_rows(state: SimState, ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """This cycle's recommendation rows: the memo for ``ranked`` peers, else padding."""
-    rec_items = np.full(state.rec_items.shape, -1, dtype=np.int64)
-    rec_votes = np.zeros(state.rec_votes.shape, dtype=np.int32)
-    rec_items[ranked] = state.rec_items[ranked]
-    rec_votes[ranked] = state.rec_votes[ranked]
-    return rec_items, rec_votes
 
 
 def run_cycle(state: SimState) -> CycleSnapshot:
@@ -397,8 +392,7 @@ def run_cycle(state: SimState) -> CycleSnapshot:
         else:
             skipped += 1
         _rank(state, p)
-    rec_items, rec_votes = _rec_rows(state, participants)
-    return _take_snapshot(state, receptions, skipped, rec_items, rec_votes)
+    return _take_snapshot(state, receptions, skipped)
 
 
 def run_simulation(
@@ -421,8 +415,7 @@ def run_simulation(
     receptions = np.zeros(state.n, dtype=np.int32)
     for p in range(state.n):
         _rank(state, p)
-    rec_items, rec_votes = _rec_rows(state, np.arange(state.n))
-    yield _take_snapshot(state, receptions, 0, rec_items, rec_votes)
+    yield _take_snapshot(state, receptions, 0)
 
     for cycle in range(1, config.cycles + 1):
         if config.churn is not None and cycle == config.churn.at_cycle:

@@ -153,33 +153,25 @@ class _StrictChecker:
 
     def check(self, snap: CycleSnapshot) -> None:
         k = self.config.cache_size
-        counts = np.fromiter(
-            map(len, snap.neighbor_ids), dtype=np.int64, count=len(snap.neighbor_ids)
-        )
+        counts = np.diff(snap.indptr)
         if (counts > k).any():
             raise AssertionError(f"cycle {snap.cycle}: cache over capacity")
         alive_ids = np.flatnonzero(snap.alive)
-        if alive_ids.size:
-            owners = np.repeat(alive_ids, counts[alive_ids])
-            ids = np.concatenate([snap.neighbor_ids[v] for v in alive_ids])
-            order = np.lexsort((ids, owners))
-            owners_sorted, ids_sorted = owners[order], ids[order]
-            same = (owners_sorted[1:] == owners_sorted[:-1]) & (
-                ids_sorted[1:] == ids_sorted[:-1]
-            )
-            duplicated = owners_sorted[1:][same]
-            holds_self = owners[ids == owners]
-            # Peers are checked in id order, a peer's duplicates before its self entry.
-            first_dup = duplicated[0] if duplicated.size else None
-            first_self = holds_self[0] if holds_self.size else None
-            if first_dup is not None and (first_self is None or first_dup <= first_self):
-                raise AssertionError(
-                    f"cycle {snap.cycle}: duplicate cache id at peer {first_dup}"
-                )
-            if first_self is not None:
-                raise AssertionError(
-                    f"cycle {snap.cycle}: self in neighborhood of {first_self}"
-                )
+        live = np.repeat(snap.alive, counts)
+        owners = np.repeat(np.arange(counts.size), counts)[live]
+        ids = snap.neighbors[live]
+        order = np.lexsort((ids, owners))
+        owners_sorted, ids_sorted = owners[order], ids[order]
+        same = (owners_sorted[1:] == owners_sorted[:-1]) & (ids_sorted[1:] == ids_sorted[:-1])
+        duplicated = owners_sorted[1:][same]
+        holds_self = owners[ids == owners]
+        # Peers are checked in id order, a peer's duplicates before its self entry.
+        first_dup = duplicated[0] if duplicated.size else None
+        first_self = holds_self[0] if holds_self.size else None
+        if first_dup is not None and (first_self is None or first_dup <= first_self):
+            raise AssertionError(f"cycle {snap.cycle}: duplicate cache id at peer {first_dup}")
+        if first_self is not None:
+            raise AssertionError(f"cycle {snap.cycle}: self in neighborhood of {first_self}")
         rows = snap.rec_items[alive_ids]
         listed = rows >= 0
         listed_by = np.repeat(alive_ids, listed.sum(axis=1))
@@ -274,8 +266,8 @@ def run_trial(
         if checker is not None:
             checker.check(snap)
         if first_full is None:
-            counts = [len(ids) for v, ids in enumerate(snap.neighbor_ids) if snap.alive[v]]
-            if counts and min(counts) >= k:
+            counts = np.diff(snap.indptr)[snap.alive]
+            if counts.size and counts.min() >= k:
                 first_full = snap.cycle
         rows.append(compute_cycle_metrics(snap, hidden, structural))
     return TrialResult(
@@ -310,10 +302,6 @@ class ExperimentResult:
     trials: list[TrialResult]
     mean: dict[str, np.ndarray]
     ci_half: dict[str, np.ndarray]
-
-    @property
-    def n_cycles(self) -> int:
-        return len(self.trials[0].metrics)
 
 
 def _aggregate(trials: list[TrialResult]) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:

@@ -55,8 +55,7 @@ class CycleMetrics:
 
 
 def _eligible_similarities(snapshot: CycleSnapshot) -> np.ndarray:
-    counts = np.array([len(ids) for ids in snapshot.neighbor_ids], dtype=np.int64)
-    mask = snapshot.alive & (counts > 0)
+    mask = snapshot.alive & (np.diff(snapshot.indptr) > 0)
     if not mask.any():
         raise NoEligiblePeers("no live peer has a non-empty neighborhood")
     return snapshot.cache_sim_mean[mask]
@@ -114,18 +113,18 @@ class LiveGraph(NamedTuple):
 
 def live_graph(snapshot: CycleSnapshot) -> LiveGraph:
     """The live graph of a snapshot; the structural metrics take it, so one
-    snapshot builds it once.  Entries about dead peers add no edge."""
+    snapshot builds it once.  An entry adds an edge only when its owner and
+    its source are both live."""
     alive = snapshot.alive
     alive_idx = np.flatnonzero(alive)
     m = alive_idx.size
     compact = np.full(alive.shape[0], -1, dtype=np.int64)
     compact[alive_idx] = np.arange(m)
-    lists = [snapshot.neighbor_ids[v] for v in alive_idx]
-    counts = np.fromiter(map(len, lists), dtype=np.int64, count=m)
-    targets = compact[np.concatenate(lists)] if m else np.zeros(0, dtype=np.int64)
-    live = targets >= 0
+    owners = np.repeat(compact, np.diff(snapshot.indptr))
+    targets = compact[snapshot.neighbors]
+    live = (owners >= 0) & (targets >= 0)
     width = 64 * ((m + 63) // 64)
-    rows, cols = np.repeat(np.arange(m), counts)[live], targets[live]
+    rows, cols = owners[live], targets[live]
     dense = np.zeros((m, width), dtype=bool)
     dense[rows, cols] = dense[cols, rows] = True
     flat = np.flatnonzero(dense)

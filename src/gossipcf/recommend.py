@@ -70,8 +70,6 @@ class TrainingArrays:
 
     matrix: RatingMatrix
     item_ids: np.ndarray
-    item_col: dict[int, int]
-    values: np.ndarray
     binary: np.ndarray
     rated_cols: list[np.ndarray]
     similarity: np.ndarray
@@ -94,8 +92,6 @@ def build_training_arrays(matrix: RatingMatrix) -> TrainingArrays:
     return TrainingArrays(
         matrix=matrix,
         item_ids=item_ids,
-        item_col=item_col,
-        values=values,
         binary=binary,
         rated_cols=rated_cols,
         similarity=similarity,
@@ -132,14 +128,10 @@ def top_m_mean_table(similarity: np.ndarray, k: int) -> np.ndarray:
 def centralized_neighborhoods(weighted: np.ndarray, k: int) -> np.ndarray:
     """Global top-k neighbors per peer by (weighted similarity desc, id asc)."""
     n = weighted.shape[0]
-    s = weighted.copy()
-    np.fill_diagonal(s, -np.inf)
-    ids = np.arange(n)
-    out = np.empty((n, min(k, n - 1)), dtype=np.int32)
-    for v in range(n):
-        order = np.lexsort((ids, -s[v]))
-        out[v] = order[: out.shape[1]]
-    return out
+    key = -weighted
+    np.fill_diagonal(key, np.inf)
+    # A stable sort keeps equal keys in ascending id order.
+    return np.argsort(key, axis=1, kind="stable")[:, : min(k, n - 1)].astype(np.int32)
 
 
 def tally_votes(arrays: TrainingArrays, neighbor_rows: Sequence[int]) -> np.ndarray:

@@ -3,14 +3,17 @@
 ``bench/instrument.py`` replaces ``engine.bootstrap``, ``engine.run_cycle``,
 ``engine.run_exchange``, ``engine.top_n_from_votes`` and a set of
 ``harness`` and ``metrics`` names by module attribute, and reads ``src``
-from the entries in ``state.gossip.caches``.  A refactor that renames one of
-these, calls it some other way or changes the entry breaks
-``bench/run.py --trace 1``; these tests notice.  They only read ``bench/``.
+from the entries in ``state.gossip.caches``.  ``bench/worker.py`` and
+``bench/checks.py`` read a snapshot's neighborhoods as ``neighbor_ids``, one
+int array per peer.  A refactor that renames one of these, calls it some
+other way or changes the entry or the snapshot breaks ``bench/run.py``;
+these tests notice.  They only read ``bench/``.
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gossipcf import engine, harness, metrics
@@ -52,3 +55,8 @@ def test_tracer_counts_protocol_work_and_leaves_rows_unchanged(small_ratings, pr
     # run_trial computes structural metrics by default, through the names the
     # tracer swaps; a call that bypasses them would book 0 s to both layers
     assert layers["metrics.path_length_s"] > 0.0 and layers["metrics.clustering_s"] > 0.0
+    final = record["final"]
+    per_peer = final.neighbor_ids
+    assert len(per_peer) == n
+    assert all(ids.dtype.kind == "i" for ids in per_peer)
+    assert np.array_equal(np.concatenate(per_peer), final.neighbors)

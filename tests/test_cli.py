@@ -11,6 +11,7 @@ from gossipcf.cli import (
     METRICS_COLUMNS,
     Settings,
     build_manifest,
+    emit_baseline_csv,
     emit_churn_csv,
     emit_metrics_csv,
     main,
@@ -18,7 +19,7 @@ from gossipcf.cli import (
     read_config_file,
 )
 from gossipcf.engine import ChurnSpec, InvalidConfig, SimConfig
-from gossipcf.harness import run_experiment
+from gossipcf.harness import centralized_baseline, churn_sweep, run_experiment
 from gossipcf.synth import generate_ratings, write_ratings_file
 
 
@@ -224,6 +225,27 @@ def test_metrics_csv_golden_bytes(protocol, small_ratings, tmp_path):
     result = run_experiment(config, small_ratings, 2)
     path = emit_metrics_csv(result, tmp_path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_METRICS_SHA256[protocol]
+
+
+# sha256 of churn.csv (a 10% and a 40% loss at cycle 6 of 12) and of
+# baseline.csv (3 trials) for the 80-user dataset, k=8, master seed 31.
+# Both were recorded before snapshots became flat arrays and before the
+# centralized reference ranked all rows with one stable argsort.
+GOLDEN_CHURN_SHA256 = "b9770fc2bebab5ac10ba0be329b8471d49eae05416041345168f71d5d919c737"
+GOLDEN_BASELINE_SHA256 = "4b8c06ed6d0b9dcca56842577a7bad4c52276448742248ad2a79da723070e9ce"
+
+
+def test_churn_csv_golden_bytes(small_ratings, tmp_path):
+    config = SimConfig(n_peers=80, cache_size=8, cycles=12, seed=31)
+    rows = churn_sweep(config, small_ratings, [10.0, 40.0], 2, at_cycle=6)
+    path = emit_churn_csv(rows, tmp_path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CHURN_SHA256
+
+
+def test_baseline_csv_golden_bytes(small_ratings, tmp_path):
+    config = SimConfig(n_peers=80, cache_size=8, cycles=12, seed=31)
+    path = emit_baseline_csv(centralized_baseline(config, small_ratings, 3), tmp_path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_BASELINE_SHA256
 
 
 def test_anti_entropy_run_passes_strict_checks(tmp_path):

@@ -244,7 +244,9 @@ def test_strict_checker_catches_corruption(small_ratings):
 
     # self in neighborhood
     bad = snaps[-2]
-    bad.neighbor_ids[3] = np.array([3], dtype=np.int64)
+    start, stop = bad.indptr[3], bad.indptr[4]
+    assert stop > start
+    bad.neighbors[start] = 3
     with pytest.raises(AssertionError):
         checker.check(bad)
 

@@ -39,7 +39,8 @@ def make_snapshot(
         rec_items = np.full((n, top_n), -1, dtype=np.int64)
     return CycleSnapshot(
         cycle=cycle,
-        neighbor_ids=[np.asarray(ids, dtype=np.int64) for ids in neighbor_lists],
+        indptr=np.cumsum([0, *map(len, neighbor_lists)], dtype=np.int64),
+        neighbors=np.array([w for ids in neighbor_lists for w in ids], dtype=np.int64),
         cache_sim_mean=np.asarray(sims, dtype=np.float64),
         rec_items=np.asarray(rec_items, dtype=np.int64),
         rec_votes=np.zeros((n, top_n), dtype=np.int32),
