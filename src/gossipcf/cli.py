@@ -26,6 +26,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
+import numpy as np
+
 from .engine import (
     CHURN_MODES, DEFAULT_CHURN_PERCENTAGES, PROTOCOLS, ChurnSpec, InvalidConfig, SimConfig,
 )
@@ -37,6 +39,7 @@ from .harness import (
     UserTooSparse,
     centralized_baseline,
     churn_sweep,
+    ci95_half_width,
     load_ratings,
     run_experiment,
 )
@@ -344,9 +347,6 @@ def emit_churn_csv(rows: list[ChurnRow], out_dir: Path) -> Path:
 def emit_baseline_csv(
     baselines: list[tuple[float, float]], out_dir: Path
 ) -> Path:
-    import numpy as np
-    from scipy import stats
-
     rows: list[Sequence[Any]] = [
         (t, sim, hit) for t, (sim, hit) in enumerate(baselines)
     ]
@@ -354,14 +354,7 @@ def emit_baseline_csv(
     hits = np.array([h for _, h in baselines])
     rows.append(("mean", float(sims.mean()), float(hits.mean())))
     if len(baselines) > 1:
-        mult = float(stats.t.ppf(0.975, len(baselines) - 1))
-        rows.append(
-            (
-                "ci95",
-                float(mult * sims.std(ddof=1) / len(baselines) ** 0.5),
-                float(mult * hits.std(ddof=1) / len(baselines) ** 0.5),
-            )
-        )
+        rows.append(("ci95", float(ci95_half_width(sims)), float(ci95_half_width(hits))))
     path = out_dir / "baseline.csv"
     _write_csv(path, BASELINE_COLUMNS, rows)
     return path

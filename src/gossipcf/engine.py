@@ -5,8 +5,8 @@ then executes protocol cycles: every live peer, in per-cycle shuffled order,
 initiates one push-pull exchange with a uniformly random live member of its
 cache and immediately afterwards has its top-N recommendations computed from
 its (possibly just updated) cache.  A top-N row is a pure function of the
-cache's source set, so a peer's row is recomputed only when an exchange has
-changed that set since the peer last ranked.  Churn is injected once, at the
+cache's source set, so a peer's row is recomputed only when that set differs
+from the sources the peer last ranked.  Churn is injected once, at the
 start of a configured cycle, by silencing a uniform sample of live peers;
 their cache entries linger in other peers' caches until displaced by
 selection pressure.
@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .pushpull import Cache, DataItem, GossipState, ProtocolSpec, rank_table, run_exchange
+from .pushpull import DataItem, GossipState, ProtocolSpec, rank_table, run_exchange
 from .recommend import TrainingArrays, tally_votes, top_n_from_votes
 
 PROTOCOLS = ("swarmix", "newscast", "anti-entropy")
@@ -140,8 +140,8 @@ class SimState:
     """Mutable state of a running simulation.
 
     The ranking memo is ``rec_items``/``rec_votes``, each peer's latest top-N
-    row, plus ``stale[v]``, set when an exchange changes v's cache sources
-    and cleared when v is ranked again.
+    row, keyed by ``ranked[v]``: the cache sources v's row was computed
+    from, ``None`` before v is first ranked.
     """
 
     config: SimConfig
@@ -153,7 +153,7 @@ class SimState:
     cycle: int = 0
     rec_items: np.ndarray | None = None
     rec_votes: np.ndarray | None = None
-    stale: bytearray | None = None
+    ranked: list[list[int] | None] | None = None
 
     @property
     def n(self) -> int:
@@ -265,7 +265,7 @@ def bootstrap(
         rng=rng,
         rec_items=np.full((n, config.top_n), -1, dtype=np.int64),
         rec_votes=np.zeros((n, config.top_n), dtype=np.int32),
-        stale=bytearray(b"\x01" * n),
+        ranked=[None] * n,
     )
 
 
@@ -292,26 +292,22 @@ def inject_churn(state: SimState, spec: ChurnSpec) -> list[int]:
     return silenced
 
 
-def _sources_changed(before: Cache, after: Cache) -> bool:
-    old = [item.src for item in before]
-    new = [item.src for item in after]
-    return old != new and set(old) != set(new)
-
-
 def _rank(state: SimState, peer: int) -> None:
     """Bring ``peer``'s memoised top-N row up to date with its cache."""
-    if not state.stale[peer]:
+    sources = [item.src for item in state.gossip.caches[peer]]
+    last = state.ranked[peer]
+    if last is not None and (sources == last or set(sources) == set(last)):
         return
-    state.stale[peer] = 0
+    state.ranked[peer] = sources
     arrays = state.arrays
-    votes = tally_votes(arrays, [item.src for item in state.gossip.caches[peer]])
-    ranked = top_n_from_votes(
+    votes = tally_votes(arrays, sources)
+    top = top_n_from_votes(
         votes, arrays.rated_cols[peer], state.config.top_n, arrays.item_ids
     )
     items, counts = state.rec_items[peer], state.rec_votes[peer]
     items.fill(-1)
     counts.fill(0)
-    for j, (item, count) in enumerate(ranked):
+    for j, (item, count) in enumerate(top):
         items[j] = item
         counts[j] = count
 
@@ -358,7 +354,6 @@ def run_cycle(state: SimState) -> CycleSnapshot:
     caches = gossip.caches
     alive = gossip.alive
     rng = state.rng
-    stale = state.stale
     global_view = state.protocol.global_view
     receptions = np.zeros(n, dtype=np.int32)
     skipped = 0
@@ -382,12 +377,7 @@ def run_cycle(state: SimState) -> CycleSnapshot:
             if count:
                 w = candidates[int(rng.integers(count))]
         if count:
-            before_p, before_w = caches[p], caches[w]
             run_exchange(gossip, p, w, state.protocol, now=state.cycle)
-            if _sources_changed(before_p, caches[p]):
-                stale[p] = 1
-            if _sources_changed(before_w, caches[w]):
-                stale[w] = 1
             receptions[w] += 1
         else:
             skipped += 1

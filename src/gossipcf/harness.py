@@ -304,9 +304,13 @@ class ExperimentResult:
     ci_half: dict[str, np.ndarray]
 
 
+def ci95_half_width(samples: np.ndarray) -> np.ndarray:
+    """Student-t 95% confidence half-width of the mean over axis 0."""
+    n = samples.shape[0]
+    return float(stats.t.ppf(0.975, n - 1)) * samples.std(axis=0, ddof=1) / np.sqrt(n)
+
+
 def _aggregate(trials: list[TrialResult]) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    t_count = len(trials)
-    t_mult = float(stats.t.ppf(0.975, t_count - 1))
     mean: dict[str, np.ndarray] = {}
     ci: dict[str, np.ndarray] = {}
     for name in AGGREGATED_FIELDS:
@@ -321,14 +325,11 @@ def _aggregate(trials: list[TrialResult]) -> tuple[dict[str, np.ndarray], dict[s
             dtype=np.float64,
         )
         mean[name] = series.mean(axis=0)
-        sd = series.std(axis=0, ddof=1)
-        ci[name] = t_mult * sd / np.sqrt(t_count)
+        ci[name] = ci95_half_width(series)
     for name in ("centralized_avg_similarity", "centralized_hit_rate"):
         values = np.array([getattr(trial, name) for trial in trials], dtype=np.float64)
         mean[name] = np.full_like(mean["hit_rate"], values.mean())
-        ci[name] = np.full_like(
-            mean["hit_rate"], t_mult * values.std(ddof=1) / np.sqrt(t_count)
-        )
+        ci[name] = np.full_like(mean["hit_rate"], ci95_half_width(values))
     return mean, ci
 
 

@@ -53,10 +53,6 @@ class DataItem(NamedTuple):
 Cache = tuple[DataItem, ...]
 
 
-class ResponderUnreachable(Exception):
-    """The chosen exchange partner is not alive; caller should re-draw."""
-
-
 # A rank table: rank[v][w] is w's position in v's order of preference.
 RankTable = Sequence[Sequence[int]]
 
@@ -145,10 +141,9 @@ def run_exchange(
     Under a partial view the initiator adds a fresh entry about itself to
     the cache it pushes; both transmitted caches are then merged, filtered
     and selected independently on each side from that side's perspective.
-    The update is atomic: both peers' caches are replaced together.
+    The update is atomic: both peers' caches are replaced together.  The
+    caller draws a live responder; liveness is not checked here.
     """
-    if not state.alive[responder]:
-        raise ResponderUnreachable(f"peer {responder} is not alive")
     pushed = state.caches[initiator]
     if not protocol.global_view:
         pushed = pushed + (DataItem(initiator, now),)

@@ -50,6 +50,8 @@ def test_tracer_counts_protocol_work_and_leaves_rows_unchanged(small_ratings, pr
     assert layers["pushpull.exchanges"] == config.cycles * n - record["skipped"] > 0
     # cycle 0 ranks every peer; later cycles rank a peer at most once each
     assert n <= layers["recommend.rank_calls"] <= (config.cycles + 1) * n
+    # the memo ranks a peer only when its sources differ from those it last ranked
+    assert layers["recommend.needed_ratio"] == 1.0
     assert 0.0 < layers["pushpull.effective_ratio"] <= 1.0
     assert layers["engine.cycle_s"] > 0.0 and layers["pushpull.exchange_s"] > 0.0
     # run_trial computes structural metrics by default, through the names the

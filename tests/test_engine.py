@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
+from gossipcf import engine
 from gossipcf.engine import (
     ChurnSpec,
     InvalidConfig,
@@ -15,6 +16,7 @@ from gossipcf.engine import (
     run_simulation,
 )
 from gossipcf.harness import all_but_1_split, split_seed
+from gossipcf.pushpull import DataItem
 from gossipcf.recommend import build_training_arrays, tally_votes, top_n_from_votes
 
 
@@ -217,11 +219,22 @@ def test_dead_entries_linger_in_live_caches(small_ratings):
     assert pointing_at_dead > 0
 
 
+def _fresh_row(config, arrays, peer, sources):
+    """The padded (items, votes) row a fresh ranking of ``sources`` gives."""
+    votes = tally_votes(arrays, sources)
+    ranked = top_n_from_votes(votes, arrays.rated_cols[peer], config.top_n, arrays.item_ids)
+    items = np.full(config.top_n, -1, dtype=np.int64)
+    counts = np.zeros(config.top_n, dtype=np.int32)
+    for j, (item, count) in enumerate(ranked):
+        items[j], counts[j] = item, count
+    return items, counts
+
+
 def test_memoised_rankings_equal_fresh_ones(small_ratings):
-    # A peer ranks right after its own exchange and keeps its row until an
-    # exchange changes its cache sources.  A peer that received no exchange
-    # in a cycle still holds the cache it ranked, so its row must equal a
-    # ranking recomputed from the snapshot's cache.
+    # A peer ranks right after its own exchange and keeps its row until its
+    # cache sources differ from those it last ranked.  A peer that received
+    # no exchange in a cycle still holds the cache it ranked, so its row must
+    # equal a ranking recomputed from the snapshot's cache.
     config, arrays = _small_sim(
         small_ratings, cycles=30, churn=ChurnSpec(mode="failures", pct=30.0, at_cycle=12)
     )
@@ -230,18 +243,45 @@ def test_memoised_rankings_equal_fresh_ones(small_ratings):
         assert (snap.rec_items[~snap.alive] == -1).all()
         assert (snap.rec_votes[~snap.alive] == 0).all()
         for v in np.flatnonzero(snap.alive & (snap.receptions == 0)):
-            votes = tally_votes(arrays, snap.neighbor_ids[v])
-            ranked = top_n_from_votes(
-                votes, arrays.rated_cols[v], config.top_n, arrays.item_ids
-            )
-            items = np.full(config.top_n, -1, dtype=np.int64)
-            counts = np.zeros(config.top_n, dtype=np.int32)
-            for j, (item, count) in enumerate(ranked):
-                items[j], counts[j] = item, count
+            items, counts = _fresh_row(config, arrays, v, snap.neighbor_ids[v])
             assert (snap.rec_items[v] == items).all()
             assert (snap.rec_votes[v] == counts).all()
             compared += 1
     assert compared > 500
+
+
+def test_memo_is_keyed_by_the_sources_last_ranked(small_ratings, monkeypatch):
+    # A row is a pure function of the cache's source set: a reordered cache
+    # keeps its row without a new ranking, and a different set is ranked
+    # afresh on the peer's next turn, whatever replaced the cache.
+    config, arrays = _small_sim(small_ratings)
+    state = bootstrap(config, arrays, np.random.default_rng(5))
+    caches = state.gossip.caches
+    peer = 0
+    assert len(caches[peer]) > 1
+    engine._rank(state, peer)
+    row = state.rec_items[peer].copy()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return top_n_from_votes(*args)
+
+    monkeypatch.setattr(engine, "top_n_from_votes", counted)
+    caches[peer] = caches[peer][::-1]
+    engine._rank(state, peer)
+    assert calls == []
+    assert (state.rec_items[peer] == row).all()
+
+    held = {item.src for item in caches[peer]} | {peer}
+    others = [w for w in range(state.n) if w not in held][: config.cache_size]
+    caches[peer] = tuple(DataItem(w, 0) for w in others)
+    items, counts = _fresh_row(config, arrays, peer, others)
+    assert not (items == row).all()
+    engine._rank(state, peer)
+    assert len(calls) == 1
+    assert (state.rec_items[peer] == items).all()
+    assert (state.rec_votes[peer] == counts).all()
 
 
 def test_churn_request_beyond_alive_raises(small_ratings):
