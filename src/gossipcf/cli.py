@@ -235,8 +235,10 @@ def parse_config(argv: Sequence[str], environ=None) -> tuple[str, Settings]:
     settings = Settings(**resolved)
     if settings.churn_mode not in CHURN_MODES:
         raise InvalidConfig(f"unknown churn mode: {settings.churn_mode!r}")
-    # Surface bound violations now rather than mid-run.
-    probe = settings.sim_config(n_peers=2)
+    # Surface bound violations now rather than mid-run.  The peer count is
+    # known only once the data is loaded, so probe with the fewest peers the
+    # cache size allows.
+    probe = settings.sim_config(n_peers=max(2, settings.cache_size + 1))
     probe.validate()
     return ns.command, settings
 

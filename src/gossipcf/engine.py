@@ -82,6 +82,11 @@ class SimConfig:
             raise InvalidConfig("n_peers must be at least 2")
         if self.cache_size < 1:
             raise InvalidConfig("cache_size must be positive")
+        if self.cache_size >= self.n_peers:
+            # A neighborhood never holds its owner: at most n - 1 peers.
+            raise InvalidConfig(
+                f"cache_size {self.cache_size} must be below the {self.n_peers} peers"
+            )
         if self.cycles < 1:
             raise InvalidConfig("cycles must be positive")
         if self.seed < 0:

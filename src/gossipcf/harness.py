@@ -252,6 +252,7 @@ def run_trial(
     strict: bool = True,
 ) -> TrialResult:
     """One split plus one simulation, folded into metric rows."""
+    config.validate()
     if config.n_peers != ratings.n_users:
         raise InvalidConfig(
             f"config expects {config.n_peers} peers, dataset has {ratings.n_users} users"
@@ -361,6 +362,8 @@ def centralized_baseline(
     with run_experiment output for the same master seed.
     """
     config.validate()
+    if trials < 1:
+        raise InvalidConfig("need at least 1 trial")
     refs = (_reference(config, ratings, trial) for trial in range(trials))
     return [(ref.avg_similarity, ref.hit_rate) for ref in refs]
 

@@ -14,6 +14,7 @@ paths against reference implementations over sparse per-user dicts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -75,14 +76,23 @@ class TrainingArrays:
     similarity: np.ndarray
 
 
+def _dense_ratings(matrix: RatingMatrix, item_ids: np.ndarray) -> np.ndarray:
+    """Users-by-items float ratings, zero where unrated."""
+    users = np.repeat(np.arange(matrix.n_users), [len(row) for row in matrix.rows])
+    total = users.size
+    items = np.fromiter(chain.from_iterable(matrix.rows), dtype=np.int64, count=total)
+    ratings = np.fromiter(
+        chain.from_iterable(row.values() for row in matrix.rows), dtype=np.float64, count=total
+    )
+    values = np.zeros((matrix.n_users, matrix.n_items), dtype=np.float64)
+    values[users, np.searchsorted(item_ids, items)] = ratings
+    return values
+
+
 def build_training_arrays(matrix: RatingMatrix) -> TrainingArrays:
-    n, m = matrix.n_users, matrix.n_items
+    n = matrix.n_users
     item_ids = np.asarray(matrix.item_ids, dtype=np.int64)
-    item_col = {item: col for col, item in enumerate(matrix.item_ids)}
-    values = np.zeros((n, m), dtype=np.float64)
-    for v, row in enumerate(matrix.rows):
-        for item, value in row.items():
-            values[v, item_col[item]] = value
+    values = _dense_ratings(matrix, item_ids)
     binary = (values > 0).astype(np.uint8)
     rated_cols = [np.flatnonzero(binary[v]).astype(np.int32) for v in range(n)]
     norms = np.sqrt((values * values).sum(axis=1))
@@ -136,10 +146,9 @@ def centralized_neighborhoods(weighted: np.ndarray, k: int) -> np.ndarray:
 
 def tally_votes(arrays: TrainingArrays, neighbor_rows: Sequence[int]) -> np.ndarray:
     """One vote per neighbor per training item it rated."""
-    rows = np.asarray(neighbor_rows, dtype=np.intp)
-    if rows.size == 0:
-        return np.zeros(arrays.binary.shape[1], dtype=np.int64)
-    return arrays.binary[rows].sum(axis=0, dtype=np.int64)
+    cols = [arrays.rated_cols[v] for v in neighbor_rows]
+    flat = np.concatenate(cols) if cols else np.empty(0, dtype=np.int32)
+    return np.bincount(flat, minlength=arrays.item_ids.shape[0])
 
 
 def top_n_from_votes(
@@ -149,17 +158,12 @@ def top_n_from_votes(
     item_ids: np.ndarray,
 ) -> RecommendationList:
     """Top-N voted items, ties to the smaller item id, zero-vote items dropped."""
-    m = votes.shape[0]
-    votes = votes.copy()
-    votes[exclude_cols] = 0
-    # Composite key makes (votes desc, column asc) a strict total order.
-    key = votes * np.int64(m + 1) + (np.int64(m) - np.arange(m, dtype=np.int64))
-    take = min(n_top, m)
-    part = np.argpartition(-key, take - 1)[:take] if take < m else np.arange(m)
-    order = part[np.argsort(-key[part], kind="stable")]
-    out: RecommendationList = []
-    for col in order[:n_top]:
-        if votes[col] == 0:
-            break
-        out.append((int(item_ids[col]), int(votes[col])))
-    return out
+    most = int(votes.max())
+    # Ascending key = descending votes; a stable sort keeps ties in column
+    # order.  Keys fit in the fewest bits that hold ``most``, and NumPy's
+    # stable sort of 8- and 16-bit keys is a radix sort.
+    key = (most - votes).astype(np.min_scalar_type(most))
+    key[exclude_cols] = most
+    order = np.argsort(key, kind="stable")[:n_top]
+    order = order[key[order] < most]
+    return list(zip(item_ids[order].tolist(), votes[order].tolist()))

@@ -277,6 +277,31 @@ def test_baseline_command(data_file, tmp_path):
     assert len(lines) == 1 + 2 + 2  # trials + mean + ci95
 
 
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_baseline_without_trials_is_a_config_error(data_file, tmp_path, capsys, trials):
+    out = tmp_path / "base"
+    code = main(["baseline", "--data", str(data_file), "--trials", trials, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "baseline", "sweep-churn"])
+@pytest.mark.parametrize("cache_size", ["60", "70"])
+def test_cache_size_of_all_peers_is_a_config_error(
+    data_file, tmp_path, capsys, command, cache_size
+):
+    # data_file has 60 users: a neighborhood holds at most 59 of them
+    out = tmp_path / "out"
+    code = main([command, "--data", str(data_file), "--cache-size", cache_size,
+                 "--trials", "2", "--cycles", "2", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cache_size" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_validate_data_command(data_file, capsys):
     assert main(["validate-data", "--data", str(data_file)]) == 0
     out = capsys.readouterr().out

@@ -69,23 +69,29 @@ def test_bootstrap_topology_rejects_bad_degree():
 
 
 def test_config_validation():
-    SimConfig(n_peers=10).validate()
+    base = dict(n_peers=10, cache_size=5)
+    SimConfig(**base).validate()
     with pytest.raises(InvalidConfig):
         SimConfig(n_peers=1).validate()
     with pytest.raises(InvalidConfig):
         SimConfig(n_peers=10, cache_size=0).validate()
     with pytest.raises(InvalidConfig):
-        SimConfig(n_peers=10, cycles=0).validate()
+        SimConfig(**base, cycles=0).validate()
     with pytest.raises(InvalidConfig):
-        SimConfig(n_peers=10, protocol="carrier-pigeon").validate()
+        SimConfig(**base, protocol="carrier-pigeon").validate()
     with pytest.raises(InvalidConfig):
-        SimConfig(n_peers=10, churn=ChurnSpec(pct=120.0, at_cycle=5)).validate()
+        SimConfig(**base, churn=ChurnSpec(pct=120.0, at_cycle=5)).validate()
     with pytest.raises(InvalidConfig):
-        SimConfig(n_peers=10, cycles=10, churn=ChurnSpec(pct=5.0, at_cycle=40)).validate()
+        SimConfig(**base, cycles=10, churn=ChurnSpec(pct=5.0, at_cycle=40)).validate()
     # floor(pct * n / 100) must leave a live peer
-    SimConfig(n_peers=10, churn=ChurnSpec(pct=99.0, at_cycle=5)).validate()
+    SimConfig(**base, churn=ChurnSpec(pct=99.0, at_cycle=5)).validate()
     with pytest.raises(InvalidConfig, match="silence all"):
-        SimConfig(n_peers=10, churn=ChurnSpec(pct=100.0, at_cycle=5)).validate()
+        SimConfig(**base, churn=ChurnSpec(pct=100.0, at_cycle=5)).validate()
+    # a neighborhood never holds its owner, so it holds at most n - 1 peers
+    SimConfig(n_peers=10, cache_size=9).validate()
+    for cache_size in (10, 11, 20):
+        with pytest.raises(InvalidConfig, match="cache_size"):
+            SimConfig(n_peers=10, cache_size=cache_size).validate()
 
 
 def _small_sim(small_ratings, **kwargs):

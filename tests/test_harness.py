@@ -157,6 +157,12 @@ def test_run_trial_series_lengths(small_ratings):
     assert trial.first_full_cycle is not None
 
 
+def test_run_trial_rejects_a_cache_of_every_peer(small_ratings):
+    config = SimConfig(n_peers=80, cache_size=80, cycles=2, seed=2)
+    with pytest.raises(InvalidConfig, match="cache_size"):
+        run_trial(config, small_ratings, trial=0)
+
+
 def test_experiment_requires_two_trials(small_ratings):
     config = SimConfig(n_peers=80, cache_size=8, cycles=3, seed=2)
     with pytest.raises(InvalidConfig):
@@ -217,6 +223,13 @@ def test_centralized_baseline_matches_run_trial(small_ratings):
         trial = run_trial(config, small_ratings, trial=t, structural=False)
         assert baseline[t][0] == pytest.approx(trial.centralized_avg_similarity)
         assert baseline[t][1] == pytest.approx(trial.centralized_hit_rate)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_centralized_baseline_needs_a_trial(small_ratings, trials):
+    config = SimConfig(n_peers=80, cache_size=8, cycles=3, seed=4)
+    with pytest.raises(InvalidConfig, match="trial"):
+        centralized_baseline(config, small_ratings, trials=trials)
 
 
 def test_centralized_dominates_overlay_every_cycle(small_ratings):

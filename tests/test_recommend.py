@@ -112,6 +112,69 @@ def test_batch_votes_match_reference(small_ratings):
         assert got == want
 
 
+def sorted_top_n(votes, exclude_cols, n_top, item_ids):
+    """Reference top-N: sort by (votes desc, column asc), drop zero votes."""
+    excluded = set(int(c) for c in exclude_cols)
+    cols = sorted(range(len(votes)), key=lambda c: (-int(votes[c]), c))
+    kept = [c for c in cols if c not in excluded and votes[c] > 0]
+    return [(int(item_ids[c]), int(votes[c])) for c in kept[:n_top]]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_top_n_from_votes_matches_sorted_reference(data):
+    m = data.draw(st.integers(1, 60), label="m")
+    # The largest vote sets the sort key's width: 8 bits, 16 bits or wider.
+    most = data.draw(
+        st.one_of(
+            st.just(0), st.integers(1, 255), st.integers(256, 65_535),
+            st.integers(65_536, 2**40),
+        ),
+        label="most",
+    )
+    # Few distinct counts, so most columns tie with others.
+    levels = data.draw(st.lists(st.integers(0, most), min_size=1, max_size=4)) + [most]
+    votes = np.array(
+        data.draw(st.lists(st.sampled_from(levels), min_size=m, max_size=m)), dtype=np.int64
+    )
+    exclude = np.array(
+        sorted(data.draw(st.sets(st.integers(0, m - 1)))), dtype=np.int32
+    )
+    n_top = data.draw(st.integers(1, m + 3), label="n_top")
+    item_ids = np.cumsum(
+        data.draw(st.lists(st.integers(1, 9), min_size=m, max_size=m)), dtype=np.int64
+    )
+    before = votes.copy()
+    got = top_n_from_votes(votes, exclude, n_top, item_ids)
+    assert got == sorted_top_n(votes, exclude, n_top, item_ids)
+    assert np.array_equal(votes, before)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_tally_votes_matches_binary_row_sums(data):
+    n_users = data.draw(st.integers(1, 8))
+    rows = {
+        10 * u: data.draw(
+            st.dictionaries(st.integers(0, 30), st.integers(1, 5), min_size=1, max_size=8)
+        )
+        for u in range(n_users)
+    }
+    matrix = RatingMatrix(rows)
+    arrays = build_training_arrays(matrix)
+    for v, row in enumerate(matrix.rows):
+        want_cols = sorted(matrix.item_ids.index(item) for item in row)
+        assert arrays.rated_cols[v].tolist() == want_cols
+        assert np.flatnonzero(arrays.binary[v]).tolist() == want_cols
+    # Neighbor lists may repeat a peer or be empty.
+    neighbors = data.draw(st.lists(st.integers(0, n_users - 1), max_size=12))
+    got = tally_votes(arrays, neighbors)
+    want = arrays.binary[neighbors].sum(axis=0, dtype=np.int64)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+    assert np.array_equal(tally_votes(arrays, np.array(neighbors, dtype=np.int32)), want)
+
+
 def test_centralized_two_user_system():
     matrix = RatingMatrix({1: {1: 5, 2: 4}, 2: {1: 4, 3: 2}})
     got = centralized_recommend(0, {0, 1}, matrix, k=5, n_top=5)
