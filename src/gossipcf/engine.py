@@ -18,6 +18,7 @@ a pure function of the configuration (seed included) and the training data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -145,8 +146,10 @@ class SimState:
     """Mutable state of a running simulation.
 
     The ranking memo is ``rec_items``/``rec_votes``, each peer's latest top-N
-    row, keyed by ``ranked[v]``: the cache sources v's row was computed
-    from, ``None`` before v is first ranked.
+    row, keyed by ``ranked[v]``: the tuple ``gossip.sources[v]`` held when
+    v's row was last brought up to date, ``None`` before v is first ranked.
+    While v's sources stay unchanged, ``gossip.sources[v]`` is that very
+    tuple object, so the check is one identity test.
     """
 
     config: SimConfig
@@ -158,7 +161,7 @@ class SimState:
     cycle: int = 0
     rec_items: np.ndarray | None = None
     rec_votes: np.ndarray | None = None
-    ranked: list[list[int] | None] | None = None
+    ranked: list[tuple[int, ...] | None] | None = None
 
     @property
     def n(self) -> int:
@@ -299,11 +302,13 @@ def inject_churn(state: SimState, spec: ChurnSpec) -> list[int]:
 
 def _rank(state: SimState, peer: int) -> None:
     """Bring ``peer``'s memoised top-N row up to date with its cache."""
-    sources = [item.src for item in state.gossip.caches[peer]]
+    sources = state.gossip.sources[peer]
     last = state.ranked[peer]
-    if last is not None and (sources == last or set(sources) == set(last)):
+    if last is sources:
         return
     state.ranked[peer] = sources
+    if last is not None and set(sources) == set(last):
+        return
     arrays = state.arrays
     votes = tally_votes(arrays, sources)
     top = top_n_from_votes(
@@ -319,14 +324,10 @@ def _rank(state: SimState, peer: int) -> None:
 
 def _take_snapshot(state: SimState, receptions: np.ndarray, skipped: int) -> CycleSnapshot:
     n = state.n
-    caches = state.gossip.caches
-    counts = np.array([len(caches[v]) for v in range(n)], dtype=np.int64)
+    sources = state.gossip.sources
+    counts = np.fromiter(map(len, sources), dtype=np.int64, count=n)
     owners = np.repeat(np.arange(n), counts)
-    flat = np.fromiter(
-        (item.src for v in range(n) for item in caches[v]),
-        dtype=np.int64,
-        count=owners.size,
-    )
+    flat = np.fromiter(chain.from_iterable(sources), dtype=np.int64, count=owners.size)
     # A neighborhood never holds its owner, even where the cache does.
     others = flat != owners
     owners, flat = owners[others], flat[others]
@@ -356,7 +357,7 @@ def run_cycle(state: SimState) -> CycleSnapshot:
     state.cycle += 1
     n = state.n
     gossip = state.gossip
-    caches = gossip.caches
+    sources = gossip.sources
     alive = gossip.alive
     rng = state.rng
     global_view = state.protocol.global_view
@@ -377,7 +378,7 @@ def run_cycle(state: SimState) -> CycleSnapshot:
                 j = int(rng.integers(count))
                 w = live[j + (j >= position[p])]
         else:
-            candidates = [item.src for item in caches[p] if alive[item.src]]
+            candidates = [src for src in sources[p] if alive[src]]
             count = len(candidates)
             if count:
                 w = candidates[int(rng.integers(count))]

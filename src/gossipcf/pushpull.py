@@ -18,6 +18,12 @@ leaves the owner out of what it snapshots.  Selection orders either by a
 per-owner rank table (swarmix: ``rank[owner][src]``, smaller is better) or,
 without one, freshest first.
 
+Alongside each cache the state keeps its sources as one tuple and a
+version that moves whenever they do.  Under a rank table the sources an
+exchange retains depend on the two source sets alone, so an exchange that
+changed nothing is not repeated until one side's version moves; timestamp
+orders never skip.
+
 All tie-breaks are deterministic so that seeded runs reproduce exactly:
 merge ties keep the merging peer's own copy; freshest-first selection ties
 fall back to the smaller source id.  Step-by-step reference versions of
@@ -28,7 +34,8 @@ their composition.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -56,6 +63,8 @@ Cache = tuple[DataItem, ...]
 # A rank table: rank[v][w] is w's position in v's order of preference.
 RankTable = Sequence[Sequence[int]]
 
+_src, _timestamp = itemgetter(0), itemgetter(1)
+
 
 @dataclass(frozen=True)
 class ProtocolSpec:
@@ -82,11 +91,28 @@ class GossipState:
     """Mutable per-peer protocol state shared by all variants.
 
     ``run_exchange`` mutates exactly the two participants' caches; entries
-    themselves are immutable values.
+    themselves are immutable values.  Three fields are derived from the
+    caches and kept in step by ``run_exchange``:
+
+    - ``sources[v]``: the tuple of v's cache sources, in cache order.  The
+      exchange replaces it only when the ordered sources differ, so an
+      unchanged cache keeps the very same tuple object;
+    - ``version[v]``: bumped whenever ``sources[v]`` is replaced;
+    - ``idle``: under a rank table only, for each ordered pair whose last
+      exchange changed nothing, keyed ``initiator * n + responder``, the two
+      versions it saw, packed ``(version[initiator] << 32) | version[responder]``.
     """
 
     caches: list[Cache]
     alive: list[bool]
+    sources: list[tuple[PeerId, ...]] = field(init=False)
+    version: list[int] = field(init=False)
+    idle: dict[int, int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.sources = [tuple(item.src for item in cache) for cache in self.caches]
+        self.version = [0] * len(self.caches)
+        self.idle = {}
 
 
 def rank_table(similarity: np.ndarray) -> list[array]:
@@ -104,16 +130,15 @@ def rank_table(similarity: np.ndarray) -> list[array]:
     return [array("i", row.tobytes()) for row in rank]
 
 
-def _fresh_first(item: DataItem) -> tuple[int, int]:
-    return (-item.timestamp, item.src)
-
-
-def _retain(owner: PeerId, own: Cache, other: Cache, protocol: ProtocolSpec) -> Cache:
+def _retain(
+    owner: PeerId, own: Cache, other: Cache, protocol: ProtocolSpec
+) -> tuple[Cache, tuple[PeerId, ...]]:
     """Merge, own-entry filter and select for one side of an exchange.
 
-    Expects source-unique caches.  The merge keeps the freshest entry per
-    source, the owner's own copy on ties.  The test suite pins the result to
-    the composition of reference merge and select operations.
+    Returns the retained cache and its sources, in cache order.  Expects
+    source-unique caches.  The merge keeps the freshest entry per source,
+    the owner's own copy on ties.  The test suite pins the result to the
+    composition of reference merge and select operations.
     """
     merged = {item.src: item for item in other}
     for item in own:
@@ -124,9 +149,23 @@ def _retain(owner: PeerId, own: Cache, other: Cache, protocol: ProtocolSpec) -> 
         merged.pop(owner, None)
     k = protocol.cache_size
     if protocol.rank is None:
-        return tuple(sorted(merged.values(), key=_fresh_first)[:k])
-    srcs = sorted(merged, key=protocol.rank[owner].__getitem__)
-    return tuple(map(merged.__getitem__, srcs[:k]))
+        # freshest first, ties to the smaller source: a stable sort by
+        # timestamp over the entries in source order
+        entries = map(merged.__getitem__, sorted(merged))
+        kept = sorted(entries, key=_timestamp, reverse=True)[:k]
+        return tuple(kept), tuple(map(_src, kept))
+    srcs = tuple(sorted(merged, key=protocol.rank[owner].__getitem__)[:k])
+    return tuple(map(merged.__getitem__, srcs)), srcs
+
+
+def _store(state: GossipState, peer: PeerId, cache: Cache, srcs: tuple[PeerId, ...]) -> bool:
+    """Install ``peer``'s new cache; True when its ordered sources changed."""
+    state.caches[peer] = cache
+    if srcs == state.sources[peer]:
+        return False
+    state.sources[peer] = srcs
+    state.version[peer] += 1
+    return True
 
 
 def run_exchange(
@@ -143,11 +182,29 @@ def run_exchange(
     and selected independently on each side from that side's perspective.
     The update is atomic: both peers' caches are replaced together.  The
     caller draws a live responder; liveness is not checked here.
+
+    Under a rank table each side's retained sources are a pure function of
+    the two peers and their source sets; timestamps only pick which copy of
+    an entry survives, and no output reads them.  So an ordered pair whose
+    last exchange changed no source, and whose versions have not moved
+    since, is skipped: it would change nothing again.  Freshest-first
+    selection reads timestamps and is never skipped.
     """
+    memo = protocol.rank is not None
+    if memo:
+        key = initiator * len(state.caches) + responder
+        stamp = (state.version[initiator] << 32) | state.version[responder]
+        if state.idle.get(key) == stamp:
+            return
     pushed = state.caches[initiator]
     if not protocol.global_view:
         pushed = pushed + (DataItem(initiator, now),)
     pulled = state.caches[responder]
-    state.caches[initiator] = _retain(initiator, pushed, pulled, protocol)
-    state.caches[responder] = _retain(responder, pulled, pushed, protocol)
+    changed = _store(state, initiator, *_retain(initiator, pushed, pulled, protocol))
+    changed |= _store(state, responder, *_retain(responder, pulled, pushed, protocol))
+    if memo:
+        if changed:
+            state.idle.pop(key, None)
+        else:
+            state.idle[key] = stamp
 

@@ -262,7 +262,7 @@ def test_memo_is_keyed_by_the_sources_last_ranked(small_ratings, monkeypatch):
     # afresh on the peer's next turn, whatever replaced the cache.
     config, arrays = _small_sim(small_ratings)
     state = bootstrap(config, arrays, np.random.default_rng(5))
-    caches = state.gossip.caches
+    caches, sources = state.gossip.caches, state.gossip.sources
     peer = 0
     assert len(caches[peer]) > 1
     engine._rank(state, peer)
@@ -275,6 +275,7 @@ def test_memo_is_keyed_by_the_sources_last_ranked(small_ratings, monkeypatch):
 
     monkeypatch.setattr(engine, "top_n_from_votes", counted)
     caches[peer] = caches[peer][::-1]
+    sources[peer] = sources[peer][::-1]
     engine._rank(state, peer)
     assert calls == []
     assert (state.rec_items[peer] == row).all()
@@ -282,12 +283,76 @@ def test_memo_is_keyed_by_the_sources_last_ranked(small_ratings, monkeypatch):
     held = {item.src for item in caches[peer]} | {peer}
     others = [w for w in range(state.n) if w not in held][: config.cache_size]
     caches[peer] = tuple(DataItem(w, 0) for w in others)
+    sources[peer] = tuple(others)
     items, counts = _fresh_row(config, arrays, peer, others)
     assert not (items == row).all()
     engine._rank(state, peer)
     assert len(calls) == 1
     assert (state.rec_items[peer] == items).all()
     assert (state.rec_votes[peer] == counts).all()
+
+
+def _run_counting_untouched(config, arrays, monkeypatch, forget_idle):
+    """A run's snapshots, and how many exchanges left the initiator's cache as it was.
+
+    A skipped exchange installs no cache at all; with ``forget_idle`` the
+    pair memo is cleared before every exchange, so nothing is skipped.
+    """
+    exchange = engine.run_exchange
+    untouched = 0
+
+    def observed(gossip, initiator, responder, protocol, now):
+        nonlocal untouched
+        if forget_idle:
+            gossip.idle.clear()
+        before = gossip.caches[initiator]
+        exchange(gossip, initiator, responder, protocol, now)
+        untouched += gossip.caches[initiator] is before
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "run_exchange", observed)
+        snaps = list(run_simulation(config, arrays))
+    return snaps, untouched
+
+
+@pytest.mark.parametrize(
+    "churn", [None, ChurnSpec(mode="failures", pct=40.0, at_cycle=6)], ids=["stable", "loss"]
+)
+def test_skipped_exchanges_change_no_snapshot(small_ratings, monkeypatch, churn):
+    # Under swarmix an exchange whose pair changed nothing last time, with
+    # neither side's sources moved since, is skipped.  Every snapshot must
+    # be what a run that performs every exchange gives.
+    config, arrays = _small_sim(small_ratings, cycles=16, churn=churn)
+    skipping, skipped = _run_counting_untouched(config, arrays, monkeypatch, False)
+    every, untouched = _run_counting_untouched(config, arrays, monkeypatch, True)
+    assert untouched == 0 < skipped
+    assert len(skipping) == len(every) == config.cycles + 1
+    for a, b in zip(skipping, every):
+        assert a.cycle == b.cycle
+        for name in ("indptr", "neighbors", "rec_items", "rec_votes", "receptions"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), (a.cycle, name)
+
+
+@pytest.mark.parametrize("protocol", engine.PROTOCOLS)
+def test_source_tuples_follow_the_caches(small_ratings, protocol):
+    churn = ChurnSpec(mode="failures", pct=30.0, at_cycle=5)
+    config, arrays = _small_sim(small_ratings, protocol=protocol, cycles=10, churn=churn)
+    state = bootstrap(config, arrays, np.random.default_rng(11))
+    gossip = state.gossip
+    exchanges = 0
+    for cycle in range(1, config.cycles + 1):
+        if cycle == churn.at_cycle:
+            inject_churn(state, churn)
+        exchanges += int(engine.run_cycle(state).receptions.sum())
+        for v in range(state.n):
+            assert gossip.sources[v] == tuple(item.src for item in gossip.caches[v])
+        if protocol == "swarmix":
+            # at most one entry per ordered pair whose last exchange was a no-op
+            assert len(gossip.idle) <= exchanges
+        else:
+            # timestamp orders are never skipped, so they keep no pair memo
+            assert gossip.idle == {}
+    assert bool(gossip.idle) == (protocol == "swarmix")
 
 
 def test_churn_request_beyond_alive_raises(small_ratings):

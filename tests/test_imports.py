@@ -3,10 +3,14 @@
 The project runs no linter, so this stdlib-only check stands in for the
 unused-import rule: it parses each ``src/gossipcf/*.py`` file and fails on
 an imported name the module never uses.  ``from __future__`` imports are
-exempt.
+exempt.  A second check keeps ``scipy.stats``, whose import dominated the
+library's set-up time, out of the modules the library loads.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +49,13 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_library_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_library_import_leaves_scipy_stats_unloaded():
+    # A fresh interpreter: other tests in this process may have imported it.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), *sys.path]))
+    probe = "import sys, gossipcf.cli, gossipcf.harness; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -190,7 +190,9 @@ def test_retain_equals_public_op_composition():
         merged = merge_freshest(a, b)
         if not global_view:
             merged = tuple(it for it in merged if it.src != owner)
-        assert _retain(owner, a, b, proto) == select_top_k(merged, u, k)
+        kept, srcs = _retain(owner, a, b, proto)
+        assert kept == select_top_k(merged, u, k)
+        assert srcs == tuple(it.src for it in kept)
 
 
 # --- exchanges ---------------------------------------------------------------
