@@ -21,8 +21,14 @@ without one, freshest first.
 Alongside each cache the state keeps its sources as one tuple and a
 version that moves whenever they do.  Under a rank table the sources an
 exchange retains depend on the two source sets alone, so an exchange that
-changed nothing is not repeated until one side's version moves; timestamp
-orders never skip.
+changed nothing is not repeated until one side's version moves.  Before
+any merge, each side of an exchange asks an admission test whether an
+offered source can enter its cache: into a full cache only by outranking
+its worst entry, into one with room whenever it is new.  A side that
+cannot change runs no merge.  Both shortcuts assume a state is exchanged
+under one protocol, so that a tuple with ``version > 0`` came from a merge
+and is in rank order; a version-0 tuple always merges.  Timestamp orders
+take neither shortcut.
 
 All tie-breaks are deterministic so that seeded runs reproduce exactly:
 merge ties keep the merging peer's own copy; freshest-first selection ties
@@ -168,6 +174,27 @@ def _store(state: GossipState, peer: PeerId, cache: Cache, srcs: tuple[PeerId, .
     return True
 
 
+def _admits(
+    state: GossipState, owner: PeerId, offered: tuple[PeerId, ...], protocol: ProtocolSpec
+) -> bool:
+    """False only when retaining ``offered`` leaves ``owner``'s sources as they are.
+
+    Needs a rank table.  A version-0 tuple may be out of rank order, so it
+    is always admitted; a later one came from ``_retain``, best first.
+    """
+    if not state.version[owner]:
+        return True
+    own = state.sources[owner]
+    skip = -1 if protocol.global_view else owner
+    row = protocol.rank[owner]
+    # a cache with room takes any new source, a full one only a better one
+    worst = len(row) if len(own) < protocol.cache_size else row[own[-1]]
+    for src in offered:
+        if row[src] < worst and src != skip and src not in own:
+            return True
+    return False
+
+
 def run_exchange(
     state: GossipState,
     initiator: PeerId,
@@ -185,26 +212,48 @@ def run_exchange(
 
     Under a rank table each side's retained sources are a pure function of
     the two peers and their source sets; timestamps only pick which copy of
-    an entry survives, and no output reads them.  So an ordered pair whose
-    last exchange changed no source, and whose versions have not moved
-    since, is skipped: it would change nothing again.  Freshest-first
-    selection reads timestamps and is never skipped.
-    """
-    memo = protocol.rank is not None
-    if memo:
-        key = initiator * len(state.caches) + responder
-        stamp = (state.version[initiator] << 32) | state.version[responder]
-        if state.idle.get(key) == stamp:
-            return
-    pushed = state.caches[initiator]
-    if not protocol.global_view:
-        pushed = pushed + (DataItem(initiator, now),)
-    pulled = state.caches[responder]
-    changed = _store(state, initiator, *_retain(initiator, pushed, pulled, protocol))
-    changed |= _store(state, responder, *_retain(responder, pulled, pushed, protocol))
-    if memo:
-        if changed:
-            state.idle.pop(key, None)
-        else:
-            state.idle[key] = stamp
+    an entry survives, and no output reads them.  So two shortcuts apply,
+    both exact as long as a state is exchanged under one protocol:
 
+    - an ordered pair whose last exchange changed no source, and whose
+      versions have not moved since, is skipped: it would change nothing
+      again;
+    - otherwise each side first asks :func:`_admits` whether the other
+      side's sources (plus the initiator's id, for the responder under a
+      partial view) can change its own, reading only the source tuples and
+      one rank row.  A side that cannot change keeps its cache, older
+      timestamps included, and runs neither ``_retain`` nor ``_store``.
+
+    Freshest-first selection reads timestamps and takes neither shortcut.
+    """
+    pushed = state.caches[initiator]
+    if protocol.rank is None:
+        if not protocol.global_view:
+            pushed = pushed + (DataItem(initiator, now),)
+        pulled = state.caches[responder]
+        _store(state, initiator, *_retain(initiator, pushed, pulled, protocol))
+        _store(state, responder, *_retain(responder, pulled, pushed, protocol))
+        return
+    key = initiator * len(state.caches) + responder
+    stamp = (state.version[initiator] << 32) | state.version[responder]
+    if state.idle.get(key) == stamp:
+        return
+    sources = state.sources
+    offered = sources[initiator]
+    if not protocol.global_view:
+        offered = offered + (initiator,)
+    to_initiator = _admits(state, initiator, sources[responder], protocol)
+    to_responder = _admits(state, responder, offered, protocol)
+    changed = False
+    if to_initiator or to_responder:
+        if not protocol.global_view:
+            pushed = pushed + (DataItem(initiator, now),)
+        pulled = state.caches[responder]
+        if to_initiator:
+            changed = _store(state, initiator, *_retain(initiator, pushed, pulled, protocol))
+        if to_responder:
+            changed |= _store(state, responder, *_retain(responder, pulled, pushed, protocol))
+    if changed:
+        state.idle.pop(key, None)
+    else:
+        state.idle[key] = stamp

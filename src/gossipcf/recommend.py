@@ -96,8 +96,8 @@ def build_training_arrays(matrix: RatingMatrix) -> TrainingArrays:
     binary = (values > 0).astype(np.uint8)
     rated_cols = [np.flatnonzero(binary[v]).astype(np.int32) for v in range(n)]
     norms = np.sqrt((values * values).sum(axis=1))
-    unit = values / norms[:, None]
-    similarity = unit @ unit.T
+    values /= norms[:, None]  # in place: no second users-by-items matrix
+    similarity = values @ values.T
     np.clip(similarity, 0.0, 1.0, out=similarity)
     return TrainingArrays(
         matrix=matrix,
@@ -119,7 +119,8 @@ def weighted_similarity_matrix(arrays: TrainingArrays, threshold: int) -> np.nda
         raise ValueError("threshold must be positive")
     counts = overlap_matrix(arrays)
     weight = np.minimum(counts, threshold) / float(threshold)
-    return arrays.similarity * weight
+    weight *= arrays.similarity
+    return weight
 
 
 def top_m_mean_table(similarity: np.ndarray, k: int) -> np.ndarray:
@@ -129,9 +130,12 @@ def top_m_mean_table(similarity: np.ndarray, k: int) -> np.ndarray:
     the global top-m maximizes the mean over every m-subset of candidates,
     these values bound any overlay neighborhood of matching size.
     """
-    s = similarity.copy()
-    np.fill_diagonal(s, -np.inf)
-    top = -np.sort(-s, axis=1)[:, :k]
+    # One n-by-n temporary, sorted in place: -similarity ascending is
+    # similarity descending, and the +inf diagonal sorts last.
+    s = -similarity
+    np.fill_diagonal(s, np.inf)
+    s.sort(axis=1)
+    top = -s[:, :k]
     return np.cumsum(top, axis=1) / np.arange(1, k + 1, dtype=np.float64)
 
 

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from gossipcf import engine
+from gossipcf import engine, pushpull
 from gossipcf.engine import (
     ChurnSpec,
     InvalidConfig,
@@ -292,27 +292,38 @@ def test_memo_is_keyed_by_the_sources_last_ranked(small_ratings, monkeypatch):
     assert (state.rec_votes[peer] == counts).all()
 
 
-def _run_counting_untouched(config, arrays, monkeypatch, forget_idle):
-    """A run's snapshots, and how many exchanges left the initiator's cache as it was.
+def _run_counting_shortcuts(config, arrays, monkeypatch, shortcuts):
+    """A run's snapshots, its skipped exchanges, declined sides and untouched initiators.
 
-    A skipped exchange installs no cache at all; with ``forget_idle`` the
-    pair memo is cleared before every exchange, so nothing is skipped.
+    A skipped exchange consults no admission test; a declined side keeps its
+    cache object.  Without ``shortcuts`` the pair memo is cleared before
+    every exchange and every side is admitted, so every exchange runs
+    ``_retain`` on both sides and installs both caches.
     """
-    exchange = engine.run_exchange
-    untouched = 0
+    exchange, admits = engine.run_exchange, pushpull._admits
+    counts = dict(skipped=0, declined=0, untouched=0)
+    tests = 0
+
+    def admitted(state, owner, offered, protocol):
+        nonlocal tests
+        tests += 1
+        ok = admits(state, owner, offered, protocol) if shortcuts else True
+        counts["declined"] += not ok
+        return ok
 
     def observed(gossip, initiator, responder, protocol, now):
-        nonlocal untouched
-        if forget_idle:
+        if not shortcuts:
             gossip.idle.clear()
-        before = gossip.caches[initiator]
+        before, seen = gossip.caches[initiator], tests
         exchange(gossip, initiator, responder, protocol, now)
-        untouched += gossip.caches[initiator] is before
+        counts["skipped"] += tests == seen
+        counts["untouched"] += gossip.caches[initiator] is before
 
     with monkeypatch.context() as patch:
+        patch.setattr(pushpull, "_admits", admitted)
         patch.setattr(engine, "run_exchange", observed)
         snaps = list(run_simulation(config, arrays))
-    return snaps, untouched
+    return snaps, counts
 
 
 @pytest.mark.parametrize(
@@ -320,17 +331,20 @@ def _run_counting_untouched(config, arrays, monkeypatch, forget_idle):
 )
 def test_skipped_exchanges_change_no_snapshot(small_ratings, monkeypatch, churn):
     # Under swarmix an exchange whose pair changed nothing last time, with
-    # neither side's sources moved since, is skipped.  Every snapshot must
-    # be what a run that performs every exchange gives.
+    # neither side's sources moved since, is skipped, and a side that no
+    # offered source can enter runs no merge.  Every snapshot must be what a
+    # run that performs every exchange on both sides gives.
     config, arrays = _small_sim(small_ratings, cycles=16, churn=churn)
-    skipping, skipped = _run_counting_untouched(config, arrays, monkeypatch, False)
-    every, untouched = _run_counting_untouched(config, arrays, monkeypatch, True)
-    assert untouched == 0 < skipped
-    assert len(skipping) == len(every) == config.cycles + 1
-    for a, b in zip(skipping, every):
+    shipped, taken = _run_counting_shortcuts(config, arrays, monkeypatch, True)
+    every, reference = _run_counting_shortcuts(config, arrays, monkeypatch, False)
+    assert reference == dict(skipped=0, declined=0, untouched=0)
+    assert taken["skipped"] > 0 and taken["declined"] > 0
+    assert len(shipped) == len(every) == config.cycles + 1
+    for a, b in zip(shipped, every):
         assert a.cycle == b.cycle
         for name in ("indptr", "neighbors", "rec_items", "rec_votes", "receptions"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), (a.cycle, name)
+        assert np.array_equal(a.cache_sim_mean, b.cache_sim_mean, equal_nan=True), a.cycle
 
 
 @pytest.mark.parametrize("protocol", engine.PROTOCOLS)

@@ -1,6 +1,7 @@
 """Core protocol steps against brute-force oracles and declared tie-breaks."""
 
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from gossipcf.pushpull import (
     DataItem,
     GossipState,
     ProtocolSpec,
+    _admits,
     _retain,
     run_exchange,
 )
@@ -193,6 +195,56 @@ def test_retain_equals_public_op_composition():
         kept, srcs = _retain(owner, a, b, proto)
         assert kept == select_top_k(merged, u, k)
         assert srcs == tuple(it.src for it in kept)
+
+
+def test_admission_declines_exactly_the_sides_retain_leaves_as_they_are():
+    # One side of a rank-table exchange: ``own`` is the owner's cache, and
+    # the partner offers its cache, plus a fresh entry about itself when it
+    # is the initiator of a partial-view exchange.  A tuple an exchange
+    # produced (version > 0) is in rank order, and the admission test is
+    # exact on it; a version-0 tuple, full and in any order, is always
+    # admitted.
+    rnd = random.Random(606)
+    seen = Counter()
+    for _ in range(4000):
+        owner, partner = rnd.sample(range(8), 2)
+        k = rnd.randint(1, 6)
+        global_view = rnd.random() < 0.3
+        tables = [{s: rnd.choice([0.1, 0.4, 0.4, 0.9]) for s in range(8)} for _ in range(8)]
+        proto = ProtocolSpec(
+            cache_size=k, rank=[rank_from_table(t) for t in tables], global_view=global_view
+        )
+        produced = rnd.random() < 0.7
+        if produced:
+            own, _ = _retain(owner, random_cache(rnd), random_cache(rnd), proto)
+        else:
+            # a full cache in any order, as a hand-built state may hold
+            own = tuple(item(src=s) for s in rnd.sample([s for s in range(8) if s != owner], k))
+        other = random_cache(rnd)
+        if not global_view:
+            other = tuple(it for it in other if it.src != partner)
+            if rnd.random() < 0.5:
+                other += (item(src=partner, t=9),)
+        caches = [()] * 8
+        caches[owner] = own
+        state = GossipState(caches=caches, alive=[True] * 8)
+        state.version[owner] = int(produced)
+        offered = tuple(it.src for it in other)
+        admitted = _admits(state, owner, offered, proto)
+        _, retained = _retain(owner, own, other, proto)
+        unchanged = retained == state.sources[owner]
+        if produced:
+            assert admitted != unchanged
+        else:
+            assert admitted
+        if not admitted:
+            seen["full" if len(own) == k else "room"] += 1
+            seen["owner offered"] += owner in offered
+            seen["global view"] += global_view
+        elif not produced and not unchanged and set(retained) == set(state.sources[owner]):
+            seen["version 0, reordered"] += 1
+    for case in ("full", "room", "owner offered", "global view", "version 0, reordered"):
+        assert seen[case] > 0, (case, seen)
 
 
 # --- exchanges ---------------------------------------------------------------
