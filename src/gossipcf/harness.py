@@ -158,12 +158,12 @@ class _StrictChecker:
             raise AssertionError(f"cycle {snap.cycle}: cache over capacity")
         alive_ids = np.flatnonzero(snap.alive)
         live = np.repeat(snap.alive, counts)
-        owners = np.repeat(np.arange(counts.size), counts)[live]
+        n = counts.size
+        owners = np.repeat(np.arange(n), counts)[live]
         ids = snap.neighbors[live]
-        order = np.lexsort((ids, owners))
-        owners_sorted, ids_sorted = owners[order], ids[order]
-        same = (owners_sorted[1:] == owners_sorted[:-1]) & (ids_sorted[1:] == ids_sorted[:-1])
-        duplicated = owners_sorted[1:][same]
+        # One int64 key per entry sorts by owner, then id, as a lexsort would.
+        keys = np.sort(owners * n + ids)
+        duplicated = keys[1:][keys[1:] == keys[:-1]] // n
         holds_self = owners[ids == owners]
         # Peers are checked in id order, a peer's duplicates before its self entry.
         first_dup = duplicated[0] if duplicated.size else None

@@ -11,12 +11,14 @@ symmetrized subgraph induced by live peers: mean shortest-path length over
 all ordered pairs inside the largest connected component (with the covered
 fraction reported alongside), and the mean over nodes of degree at least two
 of the realized fraction of edges among a node's neighbors.  Both run on one
-live graph per snapshot, whose adjacency is packed 64 nodes per uint64 word:
-an all-sources BFS ORs neighbors' packed reachability rows until each row
-holds its node's component, which yields the distance sums and the largest
-component at once, and a node's triangles are popcounts of its row AND-ed
-with its neighbors' rows.  That keeps exact per-cycle computation cheap at
-the thousand-peer scale.
+live graph per snapshot, whose adjacency is packed 64 nodes per uint64 word
+and stored word-major, one column per node, so that gathering neighbors and
+reducing over them streams contiguous words: an all-sources BFS ORs
+neighbors' packed reachability columns until each column holds its node's
+component (or every live node), which yields the distance sums and the
+largest component at once, and a node's triangles are popcounts of its
+column AND-ed with its neighbors' columns.  That keeps exact per-cycle
+computation cheap at the thousand-peer scale.
 """
 
 from __future__ import annotations
@@ -84,8 +86,10 @@ def hit_rate(
     """
     n = snapshot.rec_items.shape[0]
     hidden_arr = np.full(n, -2, dtype=np.int64)
-    for peer, item in hidden.items():
-        hidden_arr[peer] = item
+    count = len(hidden)
+    hidden_arr[np.fromiter(hidden.keys(), np.int64, count)] = np.fromiter(
+        hidden.values(), np.int64, count
+    )
     hits = (snapshot.rec_items == hidden_arr[:, None]).any(axis=1)
     hits &= snapshot.alive
     if mode == "failures":
@@ -102,8 +106,9 @@ class LiveGraph(NamedTuple):
     """Symmetrized live subgraph, node i being the i-th live peer by id.
 
     ``indptr``/``indices`` list each node's neighbors in CSR order; ``bits``
-    holds the same adjacency as (m, ceil(m/64)) uint64 rows, node j at bit
-    j & 63 of word j >> 6, with a zero diagonal.
+    holds the same adjacency word-major, as a (ceil(m/64), m) uint64 array
+    whose column i is node i's packed row: node j at bit j & 63 of word
+    j >> 6, with a zero diagonal.
     """
 
     indptr: np.ndarray
@@ -131,7 +136,7 @@ def live_graph(snapshot: CycleSnapshot) -> LiveGraph:
     return LiveGraph(
         indptr=np.searchsorted(flat, np.arange(m + 1) * width),
         indices=flat % width,
-        bits=np.packbits(dense, axis=1, bitorder="little").view("<u8"),
+        bits=np.ascontiguousarray(np.packbits(dense, axis=1, bitorder="little").view("<u8").T),
     )
 
 
@@ -142,44 +147,47 @@ def avg_path_length(graph: LiveGraph) -> tuple[float, float]:
     of live peers inside that component (ties: the one holding the smallest
     id); a degenerate component of fewer than two nodes reports length 0.0.
 
-    One level-synchronized BFS from all sources at once: row i of ``reach``
-    is the ball around node i, grown by OR-ing its neighbors' rows.  A row
-    that stops growing holds i's whole component, so only growing rows of
-    nodes with neighbors are expanded, and each row keeps its distance sum.
+    One level-synchronized BFS from all sources at once: column i of
+    ``reach`` is the ball around node i, grown by OR-ing its neighbors'
+    columns.  A column that stops growing holds i's whole component, and one
+    that holds all m nodes can grow no further, so only the other columns of
+    nodes with neighbors are expanded, and each column keeps its distance
+    sum.
     """
     indptr, indices, bits = graph
-    m = bits.shape[0]
+    m = bits.shape[1]
     if m == 0:
         return 0.0, 0.0
     r = np.arange(m)
     reach = bits.copy()
-    reach[r, r >> 6] |= np.uint64(1) << (r & 63).astype(np.uint64)
+    reach[r >> 6, r] |= np.uint64(1) << (r & 63).astype(np.uint64)
     degrees = np.diff(indptr)
     counts = degrees + 1
     sums = degrees.copy()
     owners = np.repeat(r, degrees)
-    active = degrees > 0
+    active = (degrees > 0) & (counts < m)
     depth = 1
     while active.any():
         depth += 1
         growing = np.flatnonzero(active)
         seg = degrees[growing]
         expanded = np.bitwise_or.reduceat(
-            np.take(reach, indices[active[owners]], axis=0), np.cumsum(seg) - seg
+            np.take(reach, indices[active[owners]], axis=1), np.cumsum(seg) - seg, axis=1
         )
-        expanded |= reach[growing]
-        grown = np.bitwise_count(expanded).sum(axis=1, dtype=np.int64)
+        expanded |= reach[:, growing]
+        grown = np.bitwise_count(expanded).sum(axis=0, dtype=np.int64)
         gained = grown - counts[growing]
         sums[growing] += depth * gained
         counts[growing] = grown
-        reach[growing] = expanded
-        active[growing] = gained > 0
+        reach[:, growing] = expanded
+        active[growing] = (gained > 0) & (grown < m)
     seed = int(np.argmax(counts))
     size = int(counts[seed])
     coverage = size / m
     if size < 2:
         return 0.0, coverage
-    members = np.unpackbits(reach[seed].view(np.uint8), bitorder="little")[:m]
+    column = np.ascontiguousarray(reach[:, seed])
+    members = np.unpackbits(column.view(np.uint8), bitorder="little")[:m]
     total = int(sums[members.view(bool)].sum())
     return total / (size * (size - 1)), coverage
 
@@ -188,15 +196,15 @@ def clustering_coefficient(graph: LiveGraph) -> float:
     """Mean local clustering over nodes with at least two neighbors.
 
     ``graph`` is a snapshot's :func:`live_graph`.  Node i's triangles are
-    half the sum, over its neighbors j, of popcount(bits[i] & bits[j]).
+    half the sum, over its neighbors j, of popcount(bits[:, i] & bits[:, j]).
     """
     indptr, indices, bits = graph
     degrees = np.diff(indptr)
     eligible = degrees >= 2
     if not eligible.any():
         raise NoEligiblePeers("no live peer has two or more neighbors")
-    shared = np.repeat(bits, degrees, axis=0) & np.take(bits, indices, axis=0)
-    common = np.bitwise_count(shared).sum(axis=1, dtype=np.int64)
+    shared = np.repeat(bits, degrees, axis=1) & np.take(bits, indices, axis=1)
+    common = np.bitwise_count(shared).sum(axis=0, dtype=np.int64)
     triangles = np.diff(np.concatenate(([0], np.cumsum(common)))[indptr]) / 2.0
     possible = degrees * (degrees - 1) / 2.0
     coeffs = triangles[eligible] / possible[eligible]

@@ -142,10 +142,16 @@ def top_m_mean_table(similarity: np.ndarray, k: int) -> np.ndarray:
 def centralized_neighborhoods(weighted: np.ndarray, k: int) -> np.ndarray:
     """Global top-k neighbors per peer by (weighted similarity desc, id asc)."""
     n = weighted.shape[0]
-    key = -weighted
-    np.fill_diagonal(key, np.inf)
-    # A stable sort keeps equal keys in ascending id order.
-    return np.argsort(key, axis=1, kind="stable")[:, : min(k, n - 1)].astype(np.int32)
+    k = min(k, n - 1)
+    out = np.empty((n, k), dtype=np.int32)
+    # Blocks of 64 rows keep the negated keys and the sort indices small.
+    for start in range(0, n, 64):
+        key = -weighted[start : start + 64]
+        rows = np.arange(key.shape[0])
+        key[rows, start + rows] = np.inf
+        # A stable sort keeps equal keys in ascending id order.
+        out[start : start + 64] = np.argsort(key, axis=1, kind="stable")[:, :k]
+    return out
 
 
 def tally_votes(arrays: TrainingArrays, neighbor_rows: Sequence[int]) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Dataset loading, split soundness, trial aggregation, churn sweeps."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,17 +243,22 @@ def test_centralized_dominates_overlay_every_cycle(small_ratings):
         assert row.avg_similarity <= trial.centralized_avg_similarity + 1e-9
 
 
-def test_strict_checker_catches_corruption(small_ratings):
+def _strict_setup(small_ratings):
+    from gossipcf.engine import run_simulation
+    from gossipcf.harness import sim_seed
+
     config = SimConfig(n_peers=80, cache_size=8, cycles=2, seed=2)
     split_rng = np.random.Generator(np.random.PCG64(split_seed(config.seed, 0)))
     split = all_but_1_split(small_ratings, split_rng)
     arrays = build_training_arrays(split.training)
     top_m = top_m_mean_table(arrays.similarity, config.cache_size)
     checker = _StrictChecker(config, arrays, top_m)
-    from gossipcf.engine import run_simulation
-    from gossipcf.harness import sim_seed
-
     snaps = list(run_simulation(config, arrays, sim_seed(config.seed, 0)))
+    return config, arrays, checker, snaps
+
+
+def test_strict_checker_catches_corruption(small_ratings):
+    _, arrays, checker, snaps = _strict_setup(small_ratings)
     good = snaps[-1]
     checker.check(good)  # sane snapshot passes
 
@@ -274,6 +281,62 @@ def test_strict_checker_catches_corruption(small_ratings):
     good.cache_sim_mean[7] = 1.5
     with pytest.raises(AssertionError):
         checker.check(good)
+
+
+def _with_lists(snap, lists, alive=None):
+    """A copy of ``snap`` whose neighborhoods are ``lists``."""
+    counts = [len(ids) for ids in lists]
+    return dataclasses.replace(
+        snap,
+        indptr=np.concatenate(([0], np.cumsum(counts))).astype(snap.indptr.dtype),
+        neighbors=np.array([v for ids in lists for v in ids], dtype=snap.neighbors.dtype),
+        alive=snap.alive.copy() if alive is None else alive,
+    )
+
+
+def test_strict_checker_reports_neighborhood_faults(small_ratings):
+    config, _, checker, snaps = _strict_setup(small_ratings)
+    snap = snaps[-1]
+    lists = [ids.tolist() for ids in snap.neighbor_ids]
+    checker.check(_with_lists(snap, lists))
+    assert snap.alive.all()
+    full = [v for v, ids in enumerate(lists) if len(ids) >= 3]
+    assert len(full) >= 3
+
+    def corrupt(edits):
+        out = [list(ids) for ids in lists]
+        for v, pos, value in edits:
+            out[v][pos] = value
+        return out
+
+    over = [list(ids) for ids in lists]
+    over[5] = [v for v in range(len(lists)) if v != 5][: config.cache_size + 1]
+    with pytest.raises(AssertionError, match="cache over capacity"):
+        checker.check(_with_lists(snap, over))
+
+    a, b, c = full[:3]
+    # Duplicates at two peers: the smaller id is reported.
+    dups = corrupt([(b, 1, lists[b][0]), (a, 2, lists[a][1])])
+    with pytest.raises(AssertionError, match=f"duplicate cache id at peer {a}$"):
+        checker.check(_with_lists(snap, dups))
+
+    with pytest.raises(AssertionError, match=f"self in neighborhood of {b}$"):
+        checker.check(_with_lists(snap, corrupt([(b, 0, b)])))
+
+    # A duplicate and a self entry at one peer: the duplicate is reported.
+    both = corrupt([(b, 0, b), (b, 2, lists[b][1])])
+    with pytest.raises(AssertionError, match=f"duplicate cache id at peer {b}$"):
+        checker.check(_with_lists(snap, both))
+
+    # A self entry at a smaller peer than a duplicate is reported first.
+    self_first = corrupt([(a, 0, a), (c, 1, lists[c][0])])
+    with pytest.raises(AssertionError, match=f"self in neighborhood of {a}$"):
+        checker.check(_with_lists(snap, self_first))
+
+    # A dead owner's duplicates are not checked.
+    alive = snap.alive.copy()
+    alive[b] = False
+    checker.check(_with_lists(snap, corrupt([(b, 1, lists[b][0])]), alive=alive))
 
 
 # --- churn sweep -------------------------------------------------------------

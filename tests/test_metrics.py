@@ -292,8 +292,42 @@ def test_graph_metrics_match_oracles_on_multiword_graphs():
     for case in range(30):
         lists, alive = random_multiword_graph(rnd)
         graph = live_graph(make_snapshot(lists, alive=alive))
-        assert graph.bits.shape[1] > 1
+        assert graph.bits.shape[0] > 1
         assert avg_path_length(graph) == oracle_path_length(lists, alive), case
+        assert clustering_coefficient(graph) == oracle_clustering(lists, alive), case
+
+
+def random_connected_multiword_graph(rnd):
+    """65-200 peers whose live peers form one component: a spanning path
+    through them plus random chords, so every ball ends up holding all live
+    nodes.  A few dead peers list anyone and are listed by no one."""
+    n = rnd.randint(65, 200)
+    order = rnd.sample(range(n), n)
+    dead = order[: rnd.randint(0, 5)]
+    members = order[len(dead) :]
+    alive = [v not in dead for v in range(n)]
+    lists = [[] for _ in range(n)]
+    pairs = list(zip(members, members[1:]))
+    pairs += [rnd.sample(members, 2) for _ in range(rnd.randint(0, 2 * n))]
+    for a, b in pairs:  # one side lists the other
+        if rnd.random() < 0.5:
+            a, b = b, a
+        lists[a].append(b)
+    for v in dead:
+        lists[v] = rnd.sample(range(n), rnd.randint(0, 10))
+    lists = [sorted(set(ids) - {v}) for v, ids in enumerate(lists)]
+    return lists, alive
+
+
+def test_graph_metrics_match_oracles_on_connected_multiword_graphs():
+    rnd = random.Random(4051)
+    for case in range(10):  # the Floyd-Warshall oracle is cubic in the peers
+        lists, alive = random_connected_multiword_graph(rnd)
+        graph = live_graph(make_snapshot(lists, alive=alive))
+        assert graph.bits.shape[0] > 1
+        apl, coverage = avg_path_length(graph)
+        assert coverage == 1.0
+        assert (apl, coverage) == oracle_path_length(lists, alive), case
         assert clustering_coefficient(graph) == oracle_clustering(lists, alive), case
 
 
