@@ -119,7 +119,8 @@ def all_but_1_split(ratings: RatingMatrix, rng: np.random.Generator) -> SplitSpe
         items = sorted(row)
         pick = items[int(rng.integers(len(items)))]
         hidden[peer] = (pick, row[pick])
-        training[key] = {item: val for item, val in row.items() if item != pick}
+        training[key] = kept = dict(row)
+        del kept[pick]
     return SplitSpec(training=RatingMatrix(training), hidden=hidden)
 
 

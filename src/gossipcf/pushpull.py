@@ -28,7 +28,10 @@ its worst entry, into one with room whenever it is new.  A side that
 cannot change runs no merge.  Both shortcuts assume a state is exchanged
 under one protocol, so that a tuple with ``version > 0`` came from a merge
 and is in rank order; a version-0 tuple always merges.  Timestamp orders
-take neither shortcut.
+take neither shortcut; instead, one merge serves both sides of their
+exchange.  Both sides merge the same two caches, and a merge tie is two
+equal entries, so the two merged sets are one set in one freshest-first
+order, from which each side cuts its own k entries.
 
 All tie-breaks are deterministic so that seeded runs reproduce exactly:
 merge ties keep the merging peer's own copy; freshest-first selection ties
@@ -124,16 +127,66 @@ class GossipState:
 def rank_table(similarity: np.ndarray) -> list[array]:
     """Per peer, every peer's position in its (similarity desc, id asc) order.
 
-    ``rank[v][w]`` is that position of w for v; one stable argsort of the
-    negated similarity rows gives the order.  Rows are compact ``array('i')``
-    so the table costs four bytes per peer pair.
+    ``rank[v][w]`` is that position of w for v.  Rows are compact
+    ``array('i')`` so the table costs four bytes per peer pair.
     """
     sim = np.asarray(similarity, dtype=np.float64)
     n = sim.shape[0]
-    order = np.argsort(-sim, axis=1, kind="stable")
     rank = np.empty((n, n), dtype=np.int32)
-    np.put_along_axis(rank, order, np.arange(n, dtype=np.int32)[None, :], axis=1)
+    positions = np.arange(n, dtype=np.int32)[None, :]
+    # Blocks of 64 rows keep the temporaries small.  An unstable argsort
+    # orders each row by key; inside each run of equal keys, one sort of
+    # the int64 composites ``run * n + id`` puts the ids in ascending order.
+    for start in range(0, n, 64):
+        key = -sim[start : start + 64]
+        order = np.argsort(key, axis=1)
+        ordered = np.take_along_axis(key, order, axis=1)
+        run = np.zeros(order.shape, dtype=np.int64)
+        np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=run[:, 1:])
+        run *= n
+        run += order
+        run.sort(axis=1)
+        np.put_along_axis(rank[start : start + 64], run % n, positions, axis=1)
     return [array("i", row.tobytes()) for row in rank]
+
+
+def _merge(own: Cache, other: Cache) -> dict[PeerId, DataItem]:
+    """The freshest entry per source of two caches, the owner's own copy on ties."""
+    merged = {item.src: item for item in other}
+    for item in own:
+        theirs = merged.get(item.src)
+        if theirs is None or item.timestamp >= theirs.timestamp:
+            merged[item.src] = item
+    return merged
+
+
+def _freshest(a: Cache, b: Cache) -> list[DataItem]:
+    """The merge of two caches, freshest first, ties to the smaller source.
+
+    Symmetric in its arguments: a merge tie is two entries with one source
+    and one timestamp, which are equal values.
+    """
+    merged = _merge(a, b)
+    # a stable sort by timestamp over the entries in source order
+    return sorted(map(merged.__getitem__, sorted(merged)), key=_timestamp, reverse=True)
+
+
+def _cut(
+    order: list[DataItem], owner: PeerId, protocol: ProtocolSpec
+) -> tuple[Cache, tuple[PeerId, ...]]:
+    """The first k entries of ``order`` that ``owner`` retains, and their sources.
+
+    Under a partial view the owner's own entry is dropped first.
+    """
+    k = protocol.cache_size
+    kept = order[: k + 1]
+    srcs = list(map(_src, kept))
+    if not protocol.global_view and owner in srcs:
+        at = srcs.index(owner)
+        del kept[at], srcs[at]
+    else:
+        del kept[k:], srcs[k:]
+    return tuple(kept), tuple(srcs)
 
 
 def _retain(
@@ -146,21 +199,12 @@ def _retain(
     the owner's own copy on ties.  The test suite pins the result to the
     composition of reference merge and select operations.
     """
-    merged = {item.src: item for item in other}
-    for item in own:
-        theirs = merged.get(item.src)
-        if theirs is None or item.timestamp >= theirs.timestamp:
-            merged[item.src] = item
+    if protocol.rank is None:
+        return _cut(_freshest(own, other), owner, protocol)
+    merged = _merge(own, other)
     if not protocol.global_view:
         merged.pop(owner, None)
-    k = protocol.cache_size
-    if protocol.rank is None:
-        # freshest first, ties to the smaller source: a stable sort by
-        # timestamp over the entries in source order
-        entries = map(merged.__getitem__, sorted(merged))
-        kept = sorted(entries, key=_timestamp, reverse=True)[:k]
-        return tuple(kept), tuple(map(_src, kept))
-    srcs = tuple(sorted(merged, key=protocol.rank[owner].__getitem__)[:k])
+    srcs = tuple(sorted(merged, key=protocol.rank[owner].__getitem__)[: protocol.cache_size])
     return tuple(map(merged.__getitem__, srcs)), srcs
 
 
@@ -225,14 +269,20 @@ def run_exchange(
       timestamps included, and runs neither ``_retain`` nor ``_store``.
 
     Freshest-first selection reads timestamps and takes neither shortcut.
+    It merges once for both sides instead: :func:`_freshest` orders the
+    union, and each side keeps its first k entries less its own.  Under a
+    global view the two sides store the same tuple.
     """
     pushed = state.caches[initiator]
     if protocol.rank is None:
         if not protocol.global_view:
             pushed = pushed + (DataItem(initiator, now),)
-        pulled = state.caches[responder]
-        _store(state, initiator, *_retain(initiator, pushed, pulled, protocol))
-        _store(state, responder, *_retain(responder, pulled, pushed, protocol))
+        order = _freshest(pushed, state.caches[responder])
+        kept = _cut(order, initiator, protocol)
+        _store(state, initiator, *kept)
+        if not protocol.global_view:
+            kept = _cut(order, responder, protocol)
+        _store(state, responder, *kept)
         return
     key = initiator * len(state.caches) + responder
     stamp = (state.version[initiator] << 32) | state.version[responder]

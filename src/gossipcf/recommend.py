@@ -40,9 +40,10 @@ class RatingMatrix:
             row = dict(by_user[key])
             if not row:
                 raise ValueError(f"user {key!r} has no ratings")
-            for item, value in row.items():
-                if not 1 <= value <= 5:
-                    raise ValueError(f"rating {value!r} outside 1..5")
+            values = row.values()
+            if not 1 <= min(values) <= max(values) <= 5:
+                bad = next(value for value in values if not 1 <= value <= 5)
+                raise ValueError(f"rating {bad!r} outside 1..5")
             self.rows.append(row)
             items.update(row)
         self.item_ids: list[int] = sorted(items)
@@ -95,7 +96,7 @@ def build_training_arrays(matrix: RatingMatrix) -> TrainingArrays:
     values = _dense_ratings(matrix, item_ids)
     binary = (values > 0).astype(np.uint8)
     rated_cols = [np.flatnonzero(binary[v]).astype(np.int32) for v in range(n)]
-    norms = np.sqrt((values * values).sum(axis=1))
+    norms = np.sqrt(np.einsum("ij,ij->i", values, values))
     values /= norms[:, None]  # in place: no second users-by-items matrix
     similarity = values @ values.T
     np.clip(similarity, 0.0, 1.0, out=similarity)
@@ -144,13 +145,19 @@ def centralized_neighborhoods(weighted: np.ndarray, k: int) -> np.ndarray:
     n = weighted.shape[0]
     k = min(k, n - 1)
     out = np.empty((n, k), dtype=np.int32)
-    # Blocks of 64 rows keep the negated keys and the sort indices small.
+    # Blocks of 64 rows keep the negated keys and the candidates small.
     for start in range(0, n, 64):
         key = -weighted[start : start + 64]
         rows = np.arange(key.shape[0])
         key[rows, start + rows] = np.inf
-        # A stable sort keeps equal keys in ascending id order.
-        out[start : start + 64] = np.argsort(key, axis=1, kind="stable")[:, :k]
+        # Every entry at or above a row's k-th key is a candidate, ties with
+        # it included; sorting the candidates by (row, key, id) puts each
+        # row's top k first.
+        kth = np.partition(key, k - 1, axis=1)[:, k - 1 : k]
+        row, col = np.nonzero(key <= kth)
+        col = col[np.lexsort((col, key[row, col], row))]
+        first = np.searchsorted(row, rows)
+        out[start : start + 64] = col[first[:, None] + np.arange(k)]
     return out
 
 

@@ -283,3 +283,55 @@ def test_exchange_capacity_never_exceeded():
         run_exchange(state, 0, 1, proto, now=7)
         assert len(state.caches[0]) <= 3
         assert len(state.caches[1]) <= 3
+
+
+def test_timestamp_exchange_equals_two_retain_calls():
+    # newscast and anti-entropy merge once per exchange and cut each side
+    # from that one order; each side must still get exactly what its own
+    # ``_retain`` call gives on the caches before the exchange
+    rnd = random.Random(707)
+    seen = Counter()
+    for _ in range(300):
+        global_view = rnd.random() < 0.5
+        state = make_state([random_cache(rnd) for _ in range(8)])
+        for step in range(6):
+            initiator, responder = rnd.sample(range(8), 2)
+            k = rnd.randint(1, 11)
+            proto = ProtocolSpec(cache_size=k, global_view=global_view)
+            caches = state.caches
+            if rnd.random() < 0.5:
+                # shared sources at equal timestamps on both sides
+                mine = {it.src for it in caches[initiator]}
+                copied = [it for it in caches[responder] if it.src not in mine]
+                caches[initiator] += tuple(copied[: rnd.randint(0, len(copied))])
+                seen["equal timestamps"] += bool(set(caches[initiator]) & set(caches[responder]))
+            if rnd.random() < 0.3:
+                # a stale entry about the initiator in the responder's cache
+                kept = tuple(it for it in caches[responder] if it.src != initiator)
+                caches[responder] = kept + (item(src=initiator, t=0),)
+                seen["stale initiator entry"] += 1
+            state.sources[initiator] = tuple(it.src for it in caches[initiator])
+            state.sources[responder] = tuple(it.src for it in caches[responder])
+            now = 6 + step
+            pushed = caches[initiator]
+            if not global_view:
+                pushed += (item(src=initiator, t=now),)
+            pulled = caches[responder]
+            union = {it.src for it in pushed + pulled}
+            seen["k over union"] += k > len(union)
+            seen["version 0"] += state.version[initiator] == state.version[responder] == 0
+            want = {
+                initiator: _retain(initiator, pushed, pulled, proto),
+                responder: _retain(responder, pulled, pushed, proto),
+            }
+            versions = list(state.version)
+            before = list(state.sources)
+            run_exchange(state, initiator, responder, proto, now=now)
+            for peer, (cache, srcs) in want.items():
+                assert state.caches[peer] == cache
+                assert state.sources[peer] == srcs
+                assert state.version[peer] == versions[peer] + (srcs != before[peer])
+            seen["anti-entropy" if global_view else "newscast"] += 1
+    for case in ("equal timestamps", "stale initiator entry", "k over union", "version 0",
+                 "anti-entropy", "newscast"):
+        assert seen[case] > 0, (case, seen)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipcf.pushpull import DataItem, GossipState
+from gossipcf.pushpull import DataItem, GossipState, rank_table
 from gossipcf.recommend import (
     RatingMatrix,
     build_training_arrays,
@@ -290,6 +290,49 @@ def test_top_m_table_dominates_every_subset_mean():
                 assert best >= np.mean([sim[v, w] for w in subset]) - 1e-12
 
 
+def tie_heavy_matrices():
+    """Square matrices whose rows are full of ties, as (name, matrix) pairs.
+
+    n = 130 leaves a partial last block of 2 rows after two blocks of 64.
+    """
+    rng = np.random.default_rng(12)
+    for n in (2, 5, 64, 130):
+        coarse = rng.choice([0.0, 0.25, 0.5, 1.0], size=(n, n))
+        yield "repeated values", coarse
+        zeros = coarse.copy()
+        zeros[rng.random(n) < 0.3] = 0.0
+        yield "all-zero rows", zeros
+        signed = coarse.copy()
+        signed[rng.random((n, n)) < 0.3] = -0.0
+        signed[rng.random((n, n)) < 0.3] = 0.0
+        yield "-0.0 next to 0.0", signed
+        yield "distinct values", rng.random((n, n))
+
+
+def test_centralized_neighborhoods_matches_stable_argsort_on_ties():
+    for name, weighted in tie_heavy_matrices():
+        n = weighted.shape[0]
+        key = -weighted
+        np.fill_diagonal(key, np.inf)
+        order = np.argsort(key, axis=1, kind="stable")
+        for k in sorted({1, 3, n // 2, n - 1, n + 4}):
+            want = order[:, : min(k, n - 1)]
+            got = centralized_neighborhoods(weighted, k)
+            assert got.dtype == np.int32
+            assert np.array_equal(got, want), (name, n, k)
+
+
+def test_rank_table_matches_stable_argsort_on_ties():
+    for name, similarity in tie_heavy_matrices():
+        n = similarity.shape[0]
+        order = np.argsort(-similarity, axis=1, kind="stable")
+        want = np.empty((n, n), dtype=np.int64)
+        np.put_along_axis(want, order, np.arange(n)[None, :], axis=1)
+        got = rank_table(similarity)
+        assert len(got) == n and all(row.typecode == "i" for row in got)
+        assert np.array_equal(np.array([row.tolist() for row in got]), want), (name, n)
+
+
 def test_rating_matrix_validation():
     with pytest.raises(ValueError):
         RatingMatrix({})
@@ -297,3 +340,6 @@ def test_rating_matrix_validation():
         RatingMatrix({1: {}})
     with pytest.raises(ValueError):
         RatingMatrix({1: {1: 9}})
+    # the message names the first rating outside the scale, in row order
+    with pytest.raises(ValueError, match=r"^rating 0 outside 1\.\.5$"):
+        RatingMatrix({1: {1: 3, 2: 0, 3: 7}, 2: {1: 9}})
