@@ -11,6 +11,19 @@ start of a configured cycle, by silencing a uniform sample of live peers;
 their cache entries linger in other peers' caches until displaced by
 selection pressure.
 
+A turn's partner is ``candidates[j]`` for an index j drawn uniformly below
+the candidate count.  When every turn's count is fixed before the cycle
+starts, all of the cycle's indices are drawn in one call: under a global
+view the candidates are every live peer but the initiator, and under a
+partial view, when every peer is alive and every cache is full, they are
+the initiator's k cached sources.  The second case holds because a
+partial-view exchange never shrinks a cache: each side keeps
+min(k, |union - owner|) sources, no fewer than it held, and a side that
+declines keeps its cache.  NumPy's ``integers(c, size=t)`` gives the values
+of t scalar ``integers(c)`` calls and leaves the generator in the same
+state, so the two ways of drawing yield the same run; the test suite pins
+that equivalence and the invariant.
+
 Everything is driven by one numpy Generator, so the full snapshot sequence is
 a pure function of the configuration (seed included) and the training data.
 """
@@ -18,7 +31,7 @@ a pure function of the configuration (seed included) and the training data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterator
 
 import numpy as np
@@ -301,11 +314,12 @@ def inject_churn(state: SimState, spec: ChurnSpec) -> list[int]:
 
 
 def _rank(state: SimState, peer: int) -> None:
-    """Bring ``peer``'s memoised top-N row up to date with its cache."""
+    """Bring ``peer``'s memoised top-N row up to date with its cache.
+
+    Callers skip a peer whose sources are still the tuple it last ranked.
+    """
     sources = state.gossip.sources[peer]
     last = state.ranked[peer]
-    if last is sources:
-        return
     state.ranked[peer] = sources
     if last is not None and set(sources) == set(last):
         return
@@ -353,42 +367,56 @@ def _take_snapshot(state: SimState, receptions: np.ndarray, skipped: int) -> Cyc
 
 
 def run_cycle(state: SimState) -> CycleSnapshot:
-    """Advance the simulation by one full cycle and snapshot the result."""
+    """Advance the simulation by one full cycle and snapshot the result.
+
+    A cycle whose candidate counts are all fixed before it starts draws
+    every turn's partner index in one call; see the module docstring.
+    """
     state.cycle += 1
+    now = state.cycle
     n = state.n
     gossip = state.gossip
     sources = gossip.sources
     alive = gossip.alive
+    ranked = state.ranked
+    protocol = state.protocol
+    global_view = protocol.global_view
     rng = state.rng
-    global_view = state.protocol.global_view
-    receptions = np.zeros(n, dtype=np.int32)
+    partners: list[int] = []
     skipped = 0
 
     participants = np.flatnonzero(np.asarray(alive, dtype=bool))
+    everyone = participants.size == n
     if global_view:
         # Nobody joins or leaves mid-cycle, so the live set is fixed.
         live = participants.tolist()
         position = {p: j for j, p in enumerate(live)}
+        count = len(live) - 1
+        fixed = count > 0
+    else:
+        # A partial-view exchange never shrinks a cache, so caches that are
+        # all full at the start stay full through the cycle.
+        count = protocol.cache_size
+        fixed = everyone and all(len(own) == count for own in sources)
     order = rng.permutation(participants).tolist()
-    for p in order:
-        if global_view:
-            # Every live peer but p: index j skips p's own slot.
-            count = len(live) - 1
-            if count:
-                j = int(rng.integers(count))
-                w = live[j + (j >= position[p])]
-        else:
-            candidates = [src for src in sources[p] if alive[src]]
+    drawn = rng.integers(count, size=len(order)).tolist() if fixed else repeat(None)
+    for p, j in zip(order, drawn):
+        if not global_view:
+            candidates = sources[p] if everyone else [src for src in sources[p] if alive[src]]
             count = len(candidates)
-            if count:
-                w = candidates[int(rng.integers(count))]
         if count:
-            run_exchange(gossip, p, w, state.protocol, now=state.cycle)
-            receptions[w] += 1
+            if j is None:
+                j = int(rng.integers(count))
+            # Under a global view, index j skips p's own slot.
+            w = live[j + (j >= position[p])] if global_view else candidates[j]
+            run_exchange(gossip, p, w, protocol, now=now)
+            partners.append(w)
         else:
             skipped += 1
-        _rank(state, p)
-    return _take_snapshot(state, receptions, skipped)
+        if sources[p] is not ranked[p]:
+            _rank(state, p)
+    receptions = np.bincount(np.array(partners, dtype=np.intp), minlength=n)
+    return _take_snapshot(state, receptions.astype(np.int32), skipped)
 
 
 def run_simulation(

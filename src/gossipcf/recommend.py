@@ -13,6 +13,7 @@ paths against reference implementations over sparse per-user dicts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping, Sequence
@@ -41,7 +42,8 @@ class RatingMatrix:
             if not row:
                 raise ValueError(f"user {key!r} has no ratings")
             values = row.values()
-            if not 1 <= min(values) <= max(values) <= 5:
+            # min and max pass over a NaN that is not first; it makes the sum NaN
+            if not 1 <= min(values) <= max(values) <= 5 or math.isnan(sum(values)):
                 bad = next(value for value in values if not 1 <= value <= 5)
                 raise ValueError(f"rating {bad!r} outside 1..5")
             self.rows.append(row)

@@ -4,8 +4,10 @@ Each function spells out one step on plain Python values, with no concern
 for speed: the protocol's merge and select steps over source-keyed
 :class:`~gossipcf.pushpull.DataItem` caches, cosine and significance-weighted
 similarity over sparse rating profiles, and majority-vote recommendation over
-per-user rating dicts.  The package's fast paths (the rank-table exchange,
-the similarity matrices, the vote tally) must agree with them.
+per-user rating dicts, and a simulation cycle whose every turn draws its
+own partner.  The package's fast paths (the rank-table exchange, the
+similarity matrices, the vote tally, the cycle-level partner draw) must
+agree with them.
 """
 
 from __future__ import annotations
@@ -14,7 +16,10 @@ import math
 from collections import Counter
 from typing import Callable, Iterable, Mapping
 
-from gossipcf.pushpull import Cache, DataItem, GossipState, PeerId
+import numpy as np
+
+from gossipcf.engine import CycleSnapshot, SimState, _rank, _take_snapshot
+from gossipcf.pushpull import Cache, DataItem, GossipState, PeerId, run_exchange
 from gossipcf.recommend import RatingMatrix, RecommendationList
 
 # Utility of a single entry, evaluated from one peer's perspective.
@@ -211,3 +216,44 @@ def overlay_recommend(
         raise DeadPeer(f"peer {active} is not alive")
     neighbors = [item.src for item in state.caches[active]]
     return most_frequent_items(active, neighbors, ratings, n_top)
+
+
+# --- simulation cycle --------------------------------------------------------
+
+def run_cycle(state: SimState) -> CycleSnapshot:
+    """Reference cycle: each turn builds its candidate list and draws its partner."""
+    state.cycle += 1
+    n = state.n
+    gossip = state.gossip
+    sources = gossip.sources
+    alive = gossip.alive
+    rng = state.rng
+    global_view = state.protocol.global_view
+    receptions = np.zeros(n, dtype=np.int32)
+    skipped = 0
+
+    participants = np.flatnonzero(np.asarray(alive, dtype=bool))
+    if global_view:
+        # Nobody joins or leaves mid-cycle, so the live set is fixed.
+        live = participants.tolist()
+        position = {p: j for j, p in enumerate(live)}
+    order = rng.permutation(participants).tolist()
+    for p in order:
+        if global_view:
+            # Every live peer but p: index j skips p's own slot.
+            count = len(live) - 1
+            if count:
+                j = int(rng.integers(count))
+                w = live[j + (j >= position[p])]
+        else:
+            candidates = [src for src in sources[p] if alive[src]]
+            count = len(candidates)
+            if count:
+                w = candidates[int(rng.integers(count))]
+        if count:
+            run_exchange(gossip, p, w, state.protocol, now=state.cycle)
+            receptions[w] += 1
+        else:
+            skipped += 1
+        _rank(state, p)
+    return _take_snapshot(state, receptions, skipped)

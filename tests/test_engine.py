@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
+import oracles
 from gossipcf import engine, pushpull
 from gossipcf.engine import (
     ChurnSpec,
@@ -367,6 +368,81 @@ def test_source_tuples_follow_the_caches(small_ratings, protocol):
             # timestamp orders are never skipped, so they keep no pair memo
             assert gossip.idle == {}
     assert bool(gossip.idle) == (protocol == "swarmix")
+
+
+@pytest.mark.parametrize("high", [1, 2, 20, 942, 2**31 + 5])
+def test_one_sized_draw_equals_as_many_scalar_draws(high):
+    # run_cycle may draw a cycle's partner indices in one call: NumPy must
+    # give the values, and leave the generator in the state, that one
+    # scalar call per turn does
+    for seed in (0, 101):
+        batched = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        single = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        assert batched.integers(high, size=943).tolist() == [
+            int(single.integers(high)) for _ in range(943)
+        ]
+        assert batched.integers(high) == single.integers(high)
+        assert batched.random() == single.random()
+
+
+class CountingRng:
+    """A generator that counts its sized and scalar ``integers`` calls."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.sized = self.scalar = 0
+
+    def integers(self, *args, size=None, **kwargs):
+        if size is None:
+            self.scalar += 1
+        else:
+            self.sized += 1
+        return self._rng.integers(*args, size=size, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def _cycles(config, arrays, cycle):
+    """Every cycle's snapshot from ``cycle``, and its (sized, scalar) draws."""
+    rng = CountingRng(config.seed)
+    state = bootstrap(config, arrays, rng)
+    for p in range(state.n):
+        engine._rank(state, p)
+    snaps, draws = [], []
+    for at in range(1, config.cycles + 1):
+        if config.churn is not None and at == config.churn.at_cycle:
+            inject_churn(state, config.churn)
+        rng.sized = rng.scalar = 0
+        snaps.append(cycle(state))
+        draws.append((rng.sized, rng.scalar))
+    return snaps, draws
+
+
+@pytest.mark.parametrize("mode", [None, "failures", "leavings"])
+@pytest.mark.parametrize("protocol", engine.PROTOCOLS)
+def test_cycle_level_draw_equals_per_turn_draws(small_ratings, protocol, mode):
+    churn = None if mode is None else ChurnSpec(mode=mode, pct=30.0, at_cycle=6)
+    config, arrays = _small_sim(small_ratings, protocol=protocol, churn=churn)
+    shipped, draws = _cycles(config, arrays, engine.run_cycle)
+    reference, scalar = _cycles(config, arrays, oracles.run_cycle)
+    assert all(sized == 0 for sized, _ in scalar)
+    for a, b in zip(shipped, reference, strict=True):
+        assert a.cycle == b.cycle and a.skipped == b.skipped
+        for name in ("indptr", "neighbors", "rec_items", "rec_votes", "receptions"):
+            got, want = getattr(a, name), getattr(b, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (a.cycle, name)
+        assert np.array_equal(a.cache_sim_mean, b.cache_sim_mean, equal_nan=True), a.cycle
+    if protocol == "anti-entropy":
+        # a global view always knows its candidate count up front
+        assert set(draws) == {(1, 0)}
+    else:
+        # the bootstrap leaves caches short of full, and after a loss not
+        # every peer is alive: those cycles draw turn by turn
+        assert (1, 0) in draws
+        assert any(sized == 0 and single > 0 for sized, single in draws)
+        if churn is not None:
+            assert all(sized == 0 for sized, _ in draws[churn.at_cycle - 1 :])
 
 
 def test_churn_request_beyond_alive_raises(small_ratings):

@@ -3,7 +3,7 @@
 import random
 from collections import Counter
 
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from gossipcf.pushpull import (
@@ -245,6 +245,63 @@ def test_admission_declines_exactly_the_sides_retain_leaves_as_they_are():
             seen["version 0, reordered"] += 1
     for case in ("full", "room", "owner offered", "global view", "version 0, reordered"):
         assert seen[case] > 0, (case, seen)
+
+
+@st.composite
+def partial_view_exchanges(draw):
+    """A swarmix or newscast exchange between two live peers of a small state.
+
+    Under swarmix a cache with ``version > 0`` is in rank order, as an
+    exchange leaves it; a version-0 cache is in any order.
+    """
+    n = draw(st.integers(3, 8))
+    k = draw(st.integers(1, n - 1))
+    swarmix = draw(st.booleans())
+    rank = None
+    if swarmix:
+        utility = st.sampled_from([0.1, 0.4, 0.9])
+        tables = draw(st.lists(st.lists(utility, min_size=n, max_size=n), min_size=n, max_size=n))
+        rank = [rank_from_table(table, n) for table in tables]
+    caches, versions = [], []
+    for v in range(n):
+        srcs = draw(st.lists(st.sampled_from([w for w in range(n) if w != v]), unique=True,
+                             max_size=k))
+        version = draw(st.integers(0, 2))
+        if swarmix and version:
+            srcs.sort(key=rank[v].__getitem__)
+        caches.append(tuple(item(src=s, t=draw(st.integers(0, 4))) for s in srcs))
+        versions.append(version)
+    initiator, responder = draw(st.permutations(range(n)))[:2]
+    return ProtocolSpec(cache_size=k, rank=rank), caches, versions, initiator, responder
+
+
+@given(partial_view_exchanges())
+@example((  # a full responder that nothing offered outranks declines
+    ProtocolSpec(cache_size=1, rank=[[0, 1, 2], [0, 1, 2], [0, 1, 2]]),
+    [(item(src=1),), (item(src=0),), (item(src=0),)], [1, 1, 1], 1, 2,
+))
+@example((  # version 0 everywhere, as the bootstrap leaves it
+    ProtocolSpec(cache_size=2), [(item(src=1),), (item(src=2), item(src=0)), ()], [0, 0, 0], 2, 1,
+))
+@settings(max_examples=300, deadline=None)
+def test_partial_view_exchange_never_shrinks_a_cache(case):
+    # The engine draws a whole cycle's partners up front when every peer is
+    # alive and every cache is full; that needs each cache to stay full.
+    protocol, caches, versions, initiator, responder = case
+    state = GossipState(caches=list(caches), alive=[True] * len(caches))
+    state.version[:] = versions
+    before = {peer: state.caches[peer] for peer in (initiator, responder)}
+    run_exchange(state, initiator, responder, protocol, now=5)
+    k = protocol.cache_size
+    for peer, cache in before.items():
+        after = state.sources[peer]
+        assert len(after) >= len(cache)
+        if len(cache) == k:
+            assert len(after) == k
+        if state.caches[peer] is cache:
+            event("a declined side")
+        if not versions[peer]:
+            event("a version-0 side")
 
 
 # --- exchanges ---------------------------------------------------------------

@@ -343,3 +343,14 @@ def test_rating_matrix_validation():
     # the message names the first rating outside the scale, in row order
     with pytest.raises(ValueError, match=r"^rating 0 outside 1\.\.5$"):
         RatingMatrix({1: {1: 3, 2: 0, 3: 7}, 2: {1: 9}})
+
+
+@pytest.mark.parametrize(
+    "row",
+    [{10: float("nan"), 11: 3}, {10: 3, 11: float("nan")}, {10: 3, 11: float("nan"), 12: 5}],
+    ids=["first", "last", "middle"],
+)
+def test_rating_matrix_rejects_nan_anywhere_in_a_row(row):
+    # min() and max() skip over a NaN that is not the first value
+    with pytest.raises(ValueError, match=r"^rating nan outside 1\.\.5$"):
+        RatingMatrix({1: row, 2: {10: 4}})
