@@ -4,15 +4,15 @@ Subcommands:
 
 * ``run``           one experiment (per-cycle metrics over several trials)
 * ``sweep-churn``   disturbance sweep, end-of-run hit rates per loss level
-* ``baseline``      centralized reference numbers only
+* ``baseline``      centralized reference only
 * ``validate-data`` parse a ratings file and report its shape
 
-Settings resolve in precedence order: command-line flags, then environment
-variables prefixed ``GOSSIPCF_`` (e.g. ``GOSSIPCF_CACHE_SIZE``), then a flat
-``key=value`` config file given via ``--config``, then defaults matching the
-evaluated setup.  Every emitted number is reproducible from the manifest
-written next to the CSVs: same config plus master seed gives byte-identical
-files.
+Each setting is one field of :class:`Settings`, and resolves in precedence
+order: command-line flags, then environment variables prefixed ``GOSSIPCF_``
+(e.g. ``GOSSIPCF_CACHE_SIZE``), then a flat ``key=value`` config file given
+via ``--config``, then defaults matching the evaluated setup.  Every emitted
+number is reproducible from the manifest written next to the CSVs: same
+config plus master seed gives byte-identical files.
 """
 
 from __future__ import annotations
@@ -22,15 +22,13 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence, get_args, get_type_hints
 
 import numpy as np
 
-from .engine import (
-    CHURN_MODES, DEFAULT_CHURN_PERCENTAGES, PROTOCOLS, ChurnSpec, InvalidConfig, SimConfig,
-)
+from .engine import CHURN_MODES, PROTOCOLS, ChurnSpec, InvalidConfig, SimConfig
 from .harness import (
     ChurnRow,
     ExperimentResult,
@@ -49,28 +47,15 @@ from . import __version__
 
 ENV_PREFIX = "GOSSIPCF_"
 
-_INT_KEYS = {"seed", "trials", "cycles", "cache_size", "top_n", "churn_cycle",
-             "significance_threshold"}
-_FLOAT_KEYS = {"churn_pct", "bootstrap_degree"}
-_STR_KEYS = {"data", "protocol", "churn_mode", "out", "churn_pcts"}
-KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
-
-DEFAULTS: dict[str, Any] = {
-    "data": None,
-    "seed": 0,
-    "trials": 5,
-    "cycles": 100,
-    "cache_size": 20,
-    "top_n": 10,
-    "protocol": "swarmix",
-    "churn_pct": None,
-    "churn_mode": "failures",
-    "churn_cycle": 50,
-    "significance_threshold": 50,
-    "bootstrap_degree": 2.494,
-    "out": "results",
-    "churn_pcts": ",".join(str(p) for p in DEFAULT_CHURN_PERCENTAGES),
+COMMANDS = {
+    "run": "run one experiment and emit metrics.csv",
+    "sweep-churn": "loss sweep, emits churn.csv",
+    "baseline": "centralized reference only",
+    "validate-data": "parse and describe a ratings file",
 }
+_SIMULATING = ("run", "sweep-churn", "baseline")
+
+DEFAULT_CHURN_PERCENTAGES = (5.0, 10.0, 20.0, 40.0, 60.0, 80.0)
 
 METRICS_COLUMNS = (
     "trial",
@@ -96,31 +81,52 @@ class IoError(Exception):
     """Result files could not be written."""
 
 
+def _setting(
+    default: Any,
+    doc: str | None = None,
+    commands: Sequence[str] = _SIMULATING,
+    choices: Sequence[str] | None = None,
+) -> Any:
+    """One :class:`Settings` field, taken as a flag by each of ``commands``."""
+    return field(default=default, metadata={"doc": doc, "commands": commands, "choices": choices})
+
+
 @dataclass(frozen=True)
 class Settings:
-    """Fully resolved run settings (flags over env over file over defaults)."""
+    """Fully resolved run settings (flags over env over file over defaults).
 
-    data: str | None
-    seed: int
-    trials: int
-    cycles: int
-    cache_size: int
-    top_n: int
-    protocol: str
-    churn_pct: float | None
-    churn_mode: str
-    churn_cycle: int
-    significance_threshold: int
-    bootstrap_degree: float
-    out: str
-    churn_pcts: str
+    Each field is one setting.  Its name is the config-file key, the name
+    upper-cased after ``GOSSIPCF_`` is its environment variable, and the
+    name dashed is its flag on the commands listed for it.  Its annotation
+    parses a raw value (``float | None`` as ``float``) and its default is the
+    default.  A command reads only the settings it takes a flag for; the
+    others keep their defaults.
+    """
+
+    data: str | None = _setting(None, "ratings file (tab-separated user/item/rating)", COMMANDS)
+    seed: int = _setting(SimConfig.seed, "master seed")
+    trials: int = _setting(5, "independent trials")
+    cycles: int = _setting(SimConfig.cycles, "protocol cycles per trial")
+    cache_size: int = _setting(SimConfig.cache_size, "cache capacity k")
+    top_n: int = _setting(SimConfig.top_n, "recommendation list length")
+    protocol: str = _setting(SimConfig.protocol, None, _SIMULATING, PROTOCOLS)
+    significance_threshold: int = _setting(SimConfig.significance_threshold)
+    bootstrap_degree: float = _setting(SimConfig.bootstrap_degree)
+    out: str = _setting("results", "output directory")
+    churn_pct: float | None = _setting(None, "loss percentage", ("run",))
+    churn_mode: str = _setting(ChurnSpec.mode, None, ("run",), CHURN_MODES)
+    churn_cycle: int = _setting(
+        ChurnSpec.at_cycle, "cycle the loss strikes at", ("run", "sweep-churn")
+    )
+    churn_pcts: str = _setting(
+        ",".join(map(str, DEFAULT_CHURN_PERCENTAGES)), "loss percentages, comma-separated",
+        ("sweep-churn",),
+    )
 
     def sim_config(self, n_peers: int) -> SimConfig:
         churn = None
         if self.churn_pct is not None:
-            churn = ChurnSpec(
-                mode=self.churn_mode, pct=self.churn_pct, at_cycle=self.churn_cycle
-            )
+            churn = ChurnSpec(self.churn_mode, self.churn_pct, self.churn_cycle)
         return SimConfig(
             n_peers=n_peers,
             cache_size=self.cache_size,
@@ -140,17 +146,20 @@ class Settings:
             raise InvalidConfig(f"bad churn_pcts list: {self.churn_pcts!r}") from exc
 
 
-def _coerce(key: str, raw: Any) -> Any:
-    if raw is None or not isinstance(raw, str):
-        return raw
+_FIELDS = {f.name: f for f in fields(Settings)}
+# The type a raw string parses to: ``float`` for ``float | None``.
+_PARSERS = {
+    name: next((t for t in get_args(hint) if t is not type(None)), hint)
+    for name, hint in get_type_hints(Settings).items()
+}
+KNOWN_KEYS = frozenset(_FIELDS)
+
+
+def _coerce(key: str, raw: str) -> Any:
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
+        return _PARSERS[key](raw)
     except ValueError as exc:
         raise InvalidConfig(f"config key {key!r}: cannot parse {raw!r}") from exc
-    return raw
 
 
 def read_config_file(path: str | Path) -> dict[str, Any]:
@@ -173,12 +182,8 @@ def read_config_file(path: str | Path) -> dict[str, Any]:
 
 def read_env(environ: Mapping[str, str] | None = None) -> dict[str, Any]:
     env = os.environ if environ is None else environ
-    values: dict[str, Any] = {}
-    for key in KNOWN_KEYS:
-        raw = env.get(ENV_PREFIX + key.upper())
-        if raw is not None:
-            values[key] = _coerce(key, raw)
-    return values
+    names = {key: ENV_PREFIX + key.upper() for key in KNOWN_KEYS}
+    return {key: _coerce(key, env[name]) for key, name in names.items() if name in env}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -188,53 +193,34 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, churn: bool = False) -> None:
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--data", help="ratings file (tab-separated user/item/rating)")
-        p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--trials", type=int, help="independent trials")
-        p.add_argument("--cycles", type=int, help="protocol cycles per trial")
-        p.add_argument("--cache-size", dest="cache_size", type=int, help="cache capacity k")
-        p.add_argument("--top-n", dest="top_n", type=int, help="recommendation list length")
-        p.add_argument("--protocol", choices=PROTOCOLS)
-        p.add_argument("--significance-threshold", dest="significance_threshold", type=int)
-        p.add_argument("--bootstrap-degree", dest="bootstrap_degree", type=float)
-        p.add_argument("--out", help="output directory")
-        if churn:
-            p.add_argument("--churn-pct", dest="churn_pct", type=float)
-            p.add_argument("--churn-mode", dest="churn_mode", choices=CHURN_MODES)
-            p.add_argument("--churn-cycle", dest="churn_cycle", type=int)
-
-    run_p = sub.add_parser("run", help="run one experiment and emit metrics.csv")
-    add_common(run_p, churn=True)
-    sweep_p = sub.add_parser("sweep-churn", help="loss sweep, emits churn.csv")
-    add_common(sweep_p, churn=True)
-    sweep_p.add_argument("--churn-pcts", dest="churn_pcts",
-                         help="comma-separated loss percentages")
-    base_p = sub.add_parser("baseline", help="centralized reference only")
-    add_common(base_p)
-    val_p = sub.add_parser("validate-data", help="parse and describe a ratings file")
-    val_p.add_argument("--config", help="flat key=value config file")
-    val_p.add_argument("--data", help="ratings file")
+    # No abbreviations: on sweep-churn, --churn-pct would abbreviate --churn-pcts.
+    commands = {
+        name: sub.add_parser(name, help=doc, allow_abbrev=False) for name, doc in COMMANDS.items()
+    }
+    for command in commands.values():
+        command.add_argument("--config", help="flat key=value config file")
+    for name, f in _FIELDS.items():
+        for command in f.metadata["commands"]:
+            commands[command].add_argument(
+                "--" + name.replace("_", "-"),
+                type=_PARSERS[name],
+                choices=f.metadata["choices"],
+                help=f.metadata["doc"],
+            )
     return parser
 
 
 def parse_config(argv: Sequence[str], environ=None) -> tuple[str, Settings]:
     """Resolve the command and settings with flags > env > file > defaults."""
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    resolved = dict(DEFAULTS)
-    if getattr(ns, "config", None):
-        resolved.update(read_config_file(ns.config))
-    resolved.update(read_env(environ))
-    for key in KNOWN_KEYS:
-        value = getattr(ns, key, None)
-        if value is not None:
-            resolved[key] = value
-    settings = Settings(**resolved)
-    if settings.churn_mode not in CHURN_MODES:
-        raise InvalidConfig(f"unknown churn mode: {settings.churn_mode!r}")
+    ns = _build_parser().parse_args(argv)
+    takes = [name for name, f in _FIELDS.items() if ns.command in f.metadata["commands"]]
+    flags = {key: value for key, value in vars(ns).items() if value is not None}
+    layers = (read_config_file(ns.config) if ns.config else {}, read_env(environ), flags)
+    settings = Settings(**{key: layer[key] for layer in layers for key in takes if key in layer})
+    for name in takes:
+        choices, value = _FIELDS[name].metadata["choices"], getattr(settings, name)
+        if choices is not None and value not in choices:
+            raise InvalidConfig(f"unknown {name.replace('_', ' ')}: {value!r}")
     # Surface bound violations now rather than mid-run.  The peer count is
     # known only once the data is loaded, so probe with the fewest peers the
     # cache size allows.
@@ -271,7 +257,12 @@ def _sha256(path: str | Path) -> str:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Everything needed to bit-reproduce the emitted numbers."""
+    """Everything needed to bit-reproduce the emitted numbers.
+
+    ``sweep`` is None except for ``sweep-churn``, whose base config has no
+    churn: there it records the loss levels (``churn_pcts``) and the cycle
+    they strike at (``churn_cycle``).
+    """
 
     tool: str
     version: str
@@ -283,6 +274,7 @@ class RunManifest:
     seed_scheme: str
     per_trial: list[dict[str, Any]]
     outputs: list[str]
+    sweep: dict[str, Any] | None
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
@@ -294,6 +286,7 @@ def build_manifest(
     trials: int,
     data_path: str,
     outputs: list[str],
+    sweep: dict[str, Any] | None = None,
 ) -> RunManifest:
     cfg = asdict(config)
     return RunManifest(
@@ -310,6 +303,7 @@ def build_manifest(
             for t in range(trials)
         ],
         outputs=outputs,
+        sweep=sweep,
     )
 
 
@@ -384,10 +378,12 @@ def _run_and_write(
     command: str,
     compute: Callable[[SimConfig, RatingMatrix], Any],
     emit: Callable[[Any, Path], Path],
+    sweep: dict[str, Any] | None = None,
 ) -> tuple[Any, Path]:
     """Load the ratings, compute, then write the CSV and ``manifest.json``.
 
-    Nothing is written unless ``compute`` returns.
+    Nothing is written unless ``compute`` returns.  ``sweep`` is what the
+    manifest records of a loss sweep beyond its base config.
     """
     path = _require_data(settings)
     matrix = load_ratings(path)
@@ -396,7 +392,7 @@ def _run_and_write(
     out_dir = Path(settings.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = emit(result, out_dir)
-    manifest = build_manifest(command, config, settings.trials, path, [written.name])
+    manifest = build_manifest(command, config, settings.trials, path, [written.name], sweep)
     (out_dir / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
     return result, written
 
@@ -412,13 +408,13 @@ def _cmd_run(settings: Settings) -> int:
 
 
 def _cmd_sweep(settings: Settings) -> int:
+    levels, at_cycle = settings.sweep_percentages(), settings.churn_cycle
     rows, churn_path = _run_and_write(
         settings,
         "sweep-churn",
-        lambda c, m: churn_sweep(
-            c, m, settings.sweep_percentages(), settings.trials, at_cycle=settings.churn_cycle
-        ),
+        lambda c, m: churn_sweep(c, m, levels, settings.trials, at_cycle=at_cycle),
         emit_churn_csv,
+        sweep={"churn_pcts": levels, "churn_cycle": at_cycle},
     )
     print(f"wrote {churn_path} ({len(rows)} rows)")
     return 0
@@ -433,19 +429,19 @@ def _cmd_baseline(settings: Settings) -> int:
     return 0
 
 
+_HANDLERS = {
+    "run": _cmd_run,
+    "sweep-churn": _cmd_sweep,
+    "baseline": _cmd_baseline,
+    "validate-data": _cmd_validate,
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         command, settings = parse_config(argv)
-        if command == "validate-data":
-            return _cmd_validate(settings)
-        if command == "run":
-            return _cmd_run(settings)
-        if command == "sweep-churn":
-            return _cmd_sweep(settings)
-        if command == "baseline":
-            return _cmd_baseline(settings)
-        raise InvalidConfig(f"unknown command {command!r}")
+        return _HANDLERS[command](settings)
     except (
         InvalidConfig, NoEligiblePeers, ParseError, RangeError, UserTooSparse, IoError,
         FileNotFoundError,

@@ -41,7 +41,6 @@ from .recommend import TrainingArrays, tally_votes, top_n_from_votes
 
 PROTOCOLS = ("swarmix", "newscast", "anti-entropy")
 CHURN_MODES = ("failures", "leavings")
-DEFAULT_CHURN_PERCENTAGES = (5.0, 10.0, 20.0, 40.0, 60.0, 80.0)
 
 
 class InvalidConfig(Exception):
@@ -215,12 +214,14 @@ def bootstrap_topology(
     cache_size: int,
     rng: np.random.Generator,
 ) -> list[list[int]]:
-    """Initial directed overlay: connected, unbalanced, caches not full.
+    """Initial directed overlay: connected, unbalanced, caches within capacity.
 
     A uniform random spanning tree (oriented both ways) guarantees weak
     connectivity; additional random directed edges are added until the mean
-    out-degree reaches the target.  No peer's cache is filled: out-degrees
-    stay strictly below the cache size.
+    out-degree reaches the target.  The extra edges fill no cache: they go
+    only to peers whose out-degree is below ``cache_size - 1``.  The tree is
+    not capped and may fill a cache; one that gives some peer more than
+    ``cache_size`` sources is a config error.
     """
     if n < 2:
         raise InvalidConfig("need at least two peers")
@@ -231,6 +232,12 @@ def bootstrap_topology(
     for u, v in _random_tree_edges(n, rng):
         out[u].add(v)
         out[v].add(u)
+    degree, peer = max((len(s), v) for v, s in enumerate(out))
+    if degree > cache_size:
+        raise InvalidConfig(
+            f"the bootstrap tree gives peer {peer} {degree} sources, more than "
+            f"cache_size {cache_size}"
+        )
 
     budget = int(round(target_avg_degree * n))
     existing = sum(len(s) for s in out)

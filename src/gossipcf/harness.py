@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .engine import ChurnSpec, CycleSnapshot, InvalidConfig, SimConfig, run_simulation
 from .metrics import CycleMetrics, compute_cycle_metrics
@@ -54,7 +53,7 @@ class UserTooSparse(Exception):
     """A user has too few ratings to split."""
 
 
-def load_ratings(path: str | Path, min_ratings_per_user: int = 1) -> RatingMatrix:
+def load_ratings(path: str | Path) -> RatingMatrix:
     """Parse a tab-separated user/item/rating[/timestamp] file.
 
     The trailing timestamp field is ignored.  Duplicate (user, item) pairs
@@ -85,11 +84,6 @@ def load_ratings(path: str | Path, min_ratings_per_user: int = 1) -> RatingMatri
             count += 1
     if count == 0:
         raise ParseError(f"{path}: no ratings found")
-    for user, row in by_user.items():
-        if len(row) < min_ratings_per_user:
-            raise UserTooSparse(
-                f"user {user} has {len(row)} ratings, need {min_ratings_per_user}"
-            )
     return RatingMatrix(by_user)
 
 
@@ -310,8 +304,11 @@ def ci95_half_width(samples: np.ndarray) -> np.ndarray:
     """Student-t 95% confidence half-width of the mean over axis 0.
 
     ``stdtrit`` gives the same quantile as ``scipy.stats.t.ppf`` without
-    importing ``scipy.stats``, which took most of the library's import time.
+    importing ``scipy.stats``.  It is imported on first use: importing SciPy
+    took much of the library's set-up time, and a single trial needs none.
     """
+    from scipy.special import stdtrit
+
     n = samples.shape[0]
     return float(stdtrit(n - 1, 0.975)) * samples.std(axis=0, ddof=1) / np.sqrt(n)
 
@@ -344,14 +341,13 @@ def run_experiment(
     ratings: RatingMatrix,
     trials: int,
     structural: bool = True,
-    strict: bool = True,
 ) -> ExperimentResult:
     """Independent trials with derived seeds, aggregated per cycle."""
     config.validate()
     if trials < 2:
         raise InvalidConfig("need at least 2 trials for confidence intervals")
     results = [
-        run_trial(config, ratings, trial, structural=structural, strict=strict)
+        run_trial(config, ratings, trial, structural=structural)
         for trial in range(trials)
     ]
     mean, ci_half = _aggregate(results)
@@ -389,7 +385,7 @@ def churn_sweep(
     ratings: RatingMatrix,
     percentages: Sequence[float],
     trials: int,
-    at_cycle: int | None = None,
+    at_cycle: int,
 ) -> list[ChurnRow]:
     """Disturb the overlay at ``at_cycle`` and read end-of-run hit rates.
 
@@ -403,8 +399,6 @@ def churn_sweep(
         raise InvalidConfig("no churn percentages to sweep")
     if len({float(p) for p in percentages}) < len(percentages):
         raise InvalidConfig(f"repeated churn percentage in {list(percentages)}")
-    if at_cycle is None:
-        at_cycle = base_config.churn.at_cycle if base_config.churn is not None else 50
     configs = [
         replace(base_config, churn=ChurnSpec(mode="leavings", pct=float(pct), at_cycle=at_cycle))
         for pct in percentages

@@ -16,7 +16,7 @@ neither, so its cache may keep the owner's own entry.  Under every protocol
 a peer's neighborhood is its cache's sources other than itself: the engine
 leaves the owner out of what it snapshots.  Selection orders either by a
 per-owner rank table (swarmix: ``rank[owner][src]``, smaller is better) or,
-without one, freshest first.
+without one, freshest first.  A rank table implies a partial view.
 
 Alongside each cache the state keeps its sources as one tuple and a
 version that moves whenever they do.  Under a rank table the sources an
@@ -36,8 +36,8 @@ order, from which each side cuts its own k entries.
 All tie-breaks are deterministic so that seeded runs reproduce exactly:
 merge ties keep the merging peer's own copy; freshest-first selection ties
 fall back to the smaller source id.  Step-by-step reference versions of
-merge and select live with the test suite, which pins :func:`_retain` to
-their composition.
+merge and select live with the test suite, which pins :func:`_retain` and
+``_cut(_freshest(...))`` to their composition.
 """
 
 from __future__ import annotations
@@ -87,7 +87,8 @@ class ProtocolSpec:
     what the owner retains; the entry still transits through other peers'
     caches.  A ``global_view`` protocol lets its peers contact any live
     peer and filters nothing, so a cache may keep the owner's own entry; the
-    engine still leaves it out of the owner's neighborhood.
+    engine still leaves it out of the owner's neighborhood.  A rank table
+    implies a partial view: ``global_view`` is set only without one.
     """
 
     cache_size: int
@@ -192,18 +193,15 @@ def _cut(
 def _retain(
     owner: PeerId, own: Cache, other: Cache, protocol: ProtocolSpec
 ) -> tuple[Cache, tuple[PeerId, ...]]:
-    """Merge, own-entry filter and select for one side of an exchange.
+    """Merge, own-entry filter and rank-table select for one side of an exchange.
 
     Returns the retained cache and its sources, in cache order.  Expects
     source-unique caches.  The merge keeps the freshest entry per source,
     the owner's own copy on ties.  The test suite pins the result to the
     composition of reference merge and select operations.
     """
-    if protocol.rank is None:
-        return _cut(_freshest(own, other), owner, protocol)
     merged = _merge(own, other)
-    if not protocol.global_view:
-        merged.pop(owner, None)
+    merged.pop(owner, None)
     srcs = tuple(sorted(merged, key=protocol.rank[owner].__getitem__)[: protocol.cache_size])
     return tuple(map(merged.__getitem__, srcs)), srcs
 
@@ -229,12 +227,11 @@ def _admits(
     if not state.version[owner]:
         return True
     own = state.sources[owner]
-    skip = -1 if protocol.global_view else owner
     row = protocol.rank[owner]
     # a cache with room takes any new source, a full one only a better one
     worst = len(row) if len(own) < protocol.cache_size else row[own[-1]]
     for src in offered:
-        if row[src] < worst and src != skip and src not in own:
+        if row[src] < worst and src != owner and src not in own:
             return True
     return False
 
@@ -263,10 +260,10 @@ def run_exchange(
       versions have not moved since, is skipped: it would change nothing
       again;
     - otherwise each side first asks :func:`_admits` whether the other
-      side's sources (plus the initiator's id, for the responder under a
-      partial view) can change its own, reading only the source tuples and
-      one rank row.  A side that cannot change keeps its cache, older
-      timestamps included, and runs neither ``_retain`` nor ``_store``.
+      side's sources (plus the initiator's id, for the responder) can change
+      its own, reading only the source tuples and one rank row.  A side
+      that cannot change keeps its cache, older timestamps included, and
+      runs neither ``_retain`` nor ``_store``.
 
     Freshest-first selection reads timestamps and takes neither shortcut.
     It merges once for both sides instead: :func:`_freshest` orders the
@@ -289,15 +286,11 @@ def run_exchange(
     if state.idle.get(key) == stamp:
         return
     sources = state.sources
-    offered = sources[initiator]
-    if not protocol.global_view:
-        offered = offered + (initiator,)
     to_initiator = _admits(state, initiator, sources[responder], protocol)
-    to_responder = _admits(state, responder, offered, protocol)
+    to_responder = _admits(state, responder, sources[initiator] + (initiator,), protocol)
     changed = False
     if to_initiator or to_responder:
-        if not protocol.global_view:
-            pushed = pushed + (DataItem(initiator, now),)
+        pushed = pushed + (DataItem(initiator, now),)
         pulled = state.caches[responder]
         if to_initiator:
             changed = _store(state, initiator, *_retain(initiator, pushed, pulled, protocol))

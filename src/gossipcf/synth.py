@@ -14,13 +14,14 @@ from pathlib import Path
 
 import numpy as np
 
+N_GENRES = 12  # genres behind item vectors and user tastes
+
 
 def generate_ratings(
     n_users: int = 943,
     n_items: int = 1682,
     target_ratings: int = 100_000,
     seed: int = 20240101,
-    n_genres: int = 12,
 ) -> dict[int, dict[int, int]]:
     """Ratings keyed by 1-based user id, then 1-based item id."""
     if n_users < 2 or n_items < 10:
@@ -32,11 +33,11 @@ def generate_ratings(
         raise ValueError("target_ratings exceeds one rating per user and item")
     rng = np.random.default_rng(seed)
 
-    genre_pop = 1.0 / (np.arange(n_genres) + 1.5)
+    genre_pop = 1.0 / (np.arange(N_GENRES) + 1.5)
     genre_pop /= genre_pop.sum()
 
-    item_genre = rng.choice(n_genres, size=n_items, p=genre_pop)
-    item_vec = rng.dirichlet(np.full(n_genres, 0.25), size=n_items)
+    item_genre = rng.choice(N_GENRES, size=n_items, p=genre_pop)
+    item_vec = rng.dirichlet(np.full(N_GENRES, 0.25), size=n_items)
     item_vec = 0.25 * item_vec
     item_vec[np.arange(n_items), item_genre] += 0.75
 
@@ -48,10 +49,10 @@ def generate_ratings(
     # global genre popularity (the "mainstream" component).
     fav_counts = rng.integers(1, 4, size=n_users)
     mainstream = rng.beta(2.0, 2.5, size=n_users) * 0.85
-    taste = np.empty((n_users, n_genres))
+    taste = np.empty((n_users, N_GENRES))
     for u in range(n_users):
-        favorites = rng.choice(n_genres, size=fav_counts[u], replace=False, p=genre_pop)
-        personal = np.zeros(n_genres)
+        favorites = rng.choice(N_GENRES, size=fav_counts[u], replace=False, p=genre_pop)
+        personal = np.zeros(N_GENRES)
         personal[favorites] = rng.dirichlet(np.full(fav_counts[u], 1.0))
         taste[u] = mainstream[u] * genre_pop + (1.0 - mainstream[u]) * personal
 

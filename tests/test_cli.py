@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from gossipcf.cli import (
     read_config_file,
 )
 from gossipcf.engine import ChurnSpec, InvalidConfig, SimConfig
-from gossipcf.harness import centralized_baseline, churn_sweep, run_experiment
+from gossipcf.harness import centralized_baseline, churn_sweep, load_ratings, run_experiment
 from gossipcf.synth import generate_ratings, write_ratings_file
 
 
@@ -40,6 +41,62 @@ def test_defaults_follow_evaluated_setup():
     assert settings.trials == 5
     assert settings.bootstrap_degree == 2.494
     assert settings.protocol == "swarmix"
+
+
+# Per setting: a raw value other than the default, and what it parses to.
+SETTING_SAMPLES = {
+    "data": ("ratings.data", "ratings.data"),
+    "seed": ("7", 7),
+    "trials": ("3", 3),
+    "cycles": ("9", 9),
+    "cache_size": ("7", 7),
+    "top_n": ("4", 4),
+    "protocol": ("newscast", "newscast"),
+    "significance_threshold": ("25", 25),
+    "bootstrap_degree": ("3.5", 3.5),
+    "out": ("elsewhere", "elsewhere"),
+    "churn_pct": ("20", 20.0),
+    "churn_mode": ("leavings", "leavings"),
+    "churn_cycle": ("4", 4),
+    "churn_pcts": ("10,40", "10,40"),
+}
+
+
+@pytest.mark.parametrize("setting", fields(Settings), ids=lambda f: f.name)
+def test_every_setting_is_settable_from_file_env_and_flag(setting, tmp_path):
+    raw, parsed = SETTING_SAMPLES[setting.name]
+    assert parsed != setting.default
+    command = next(iter(setting.metadata["commands"]))  # run, but for churn_pcts
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{setting.name}={raw}\n", encoding="utf-8")
+    flag = "--" + setting.name.replace("_", "-")
+    for argv, environ in (
+        ([command, "--config", str(cfg)], {}),
+        ([command], {"GOSSIPCF_" + setting.name.upper(): raw}),
+        ([command, flag, raw], {}),
+    ):
+        _, settings = parse_config(argv, environ=environ)
+        assert getattr(settings, setting.name) == parsed, (argv, environ)
+
+
+def test_setting_defaults_are_the_library_defaults():
+    library = {f.name: f.default for f in fields(SimConfig)}
+    library.update(churn_mode=ChurnSpec.mode, churn_cycle=ChurnSpec.at_cycle)
+    shared = [f for f in fields(Settings) if f.name in library]
+    assert len(shared) == 9
+    for setting in shared:
+        assert setting.default == library[setting.name], setting.name
+
+
+def test_a_command_ignores_settings_it_takes_no_flag_for(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("churn_pct=20\nchurn_mode=leavings\n", encoding="utf-8")
+    env = {"GOSSIPCF_CHURN_PCT": "30", "GOSSIPCF_CHURN_MODE": "bogus"}
+    _, settings = parse_config(["sweep-churn", "--config", str(cfg)], environ=env)
+    assert settings.churn_pct is None and settings.churn_mode == ChurnSpec.mode
+    assert settings.sim_config(n_peers=60).churn is None
+    with pytest.raises(SystemExit):
+        parse_config(["sweep-churn", "--churn-pct", "20"], environ={})
 
 
 def test_flags_override_env_override_file(tmp_path):
@@ -126,6 +183,29 @@ def test_metrics_csv_schema_and_determinism(data_file, tmp_path):
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 3
     assert manifest["data_sha256"] == json.loads((out2 / "manifest.json").read_text())["data_sha256"]
+
+
+def test_sweep_manifest_reproduces_churn_csv(data_file, tmp_path, monkeypatch):
+    # churn values from the environment are no part of a sweep
+    monkeypatch.setenv("GOSSIPCF_CHURN_PCT", "20")
+    out = tmp_path / "sweep"
+    assert main(
+        ["sweep-churn", "--data", str(data_file), "--trials", "2", "--cycles", "6",
+         "--seed", "3", "--cache-size", "8", "--churn-cycle", "3",
+         "--churn-pcts", "10,40", "--out", str(out)]
+    ) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["churn"] is None
+    assert manifest["sweep"] == {"churn_pcts": [10.0, 40.0], "churn_cycle": 3}
+    rows = churn_sweep(
+        sim_config_from_mapping(manifest["config"]),
+        load_ratings(manifest["data_path"]),
+        manifest["sweep"]["churn_pcts"],
+        manifest["trials"],
+        at_cycle=manifest["sweep"]["churn_cycle"],
+    )
+    rebuilt = emit_churn_csv(rows, tmp_path)
+    assert rebuilt.read_bytes() == (out / "churn.csv").read_bytes()
 
 
 def test_sweep_churn_csv_rows(data_file, tmp_path):
@@ -298,6 +378,19 @@ def test_cache_size_of_all_peers_is_a_config_error(
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "cache_size" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_bootstrap_tree_over_cache_size_is_a_config_error(data_file, tmp_path, capsys):
+    # With k=3 the bootstrap tree gives some peer of these 60 more than 3 sources.
+    out = tmp_path / "run"
+    code = main(["run", "--data", str(data_file), "--cache-size", "3",
+                 "--bootstrap-degree", "2", "--trials", "2", "--cycles", "2",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bootstrap tree" in err
     assert "Traceback" not in err
     assert not out.exists()
 

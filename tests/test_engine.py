@@ -67,6 +67,10 @@ def test_bootstrap_topology_rejects_bad_degree():
         bootstrap_topology(10, 0.5, 20, rng)
     with pytest.raises(InvalidConfig):
         bootstrap_topology(10, 25.0, 20, rng)
+    # the tree is not capped: one that gives a peer more sources than its
+    # cache holds is rejected
+    with pytest.raises(InvalidConfig, match="bootstrap tree gives peer"):
+        bootstrap_topology(943, 2.0, 3, np.random.default_rng(1))
 
 
 def test_config_validation():

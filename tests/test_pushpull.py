@@ -12,6 +12,8 @@ from gossipcf.pushpull import (
     GossipState,
     ProtocolSpec,
     _admits,
+    _cut,
+    _freshest,
     _retain,
     run_exchange,
 )
@@ -171,60 +173,63 @@ def rank_from_table(table, n=8):
     return row
 
 
+def freshest_side(owner, own, other, proto):
+    """One side of a timestamp-protocol exchange, by the reference merge and select."""
+    merged = merge_freshest(own, other)
+    if not proto.global_view:
+        merged = tuple(it for it in merged if it.src != owner)
+    kept = select_top_k(merged, lambda it: float(it.timestamp), proto.cache_size)
+    return kept, tuple(it.src for it in kept)
+
+
 def test_retain_equals_public_op_composition():
+    # Each side of an exchange against the reference merge and select: a
+    # rank-table side (always a partial view) through ``_retain``, and a
+    # freshest-first side through ``_cut(_freshest(...))``, as the exchange
+    # runs them.
     rnd = random.Random(505)
     for _ in range(2000):
         owner = rnd.randrange(8)
         k = rnd.randint(1, 6)
-        global_view = rnd.random() < 0.5
         a, b = random_cache(rnd), random_cache(rnd)
         if rnd.random() < 0.5:
             # rank table from a random utility table: the k most useful sources
             tables = [{s: rnd.choice([0.1, 0.4, 0.4, 0.9]) for s in range(8)} for _ in range(8)]
             u = utility_from_table(tables[owner])
-            proto = ProtocolSpec(
-                cache_size=k, rank=[rank_from_table(t) for t in tables], global_view=global_view
-            )
+            proto = ProtocolSpec(cache_size=k, rank=[rank_from_table(t) for t in tables])
+            merged = tuple(it for it in merge_freshest(a, b) if it.src != owner)
+            kept, srcs = _retain(owner, a, b, proto)
+            assert kept == select_top_k(merged, u, k)
+            assert srcs == tuple(it.src for it in kept)
         else:
             # no rank table: the k freshest
-            u = lambda it: float(it.timestamp)
-            proto = ProtocolSpec(cache_size=k, global_view=global_view)
-        merged = merge_freshest(a, b)
-        if not global_view:
-            merged = tuple(it for it in merged if it.src != owner)
-        kept, srcs = _retain(owner, a, b, proto)
-        assert kept == select_top_k(merged, u, k)
-        assert srcs == tuple(it.src for it in kept)
+            proto = ProtocolSpec(cache_size=k, global_view=rnd.random() < 0.5)
+            assert _cut(_freshest(a, b), owner, proto) == freshest_side(owner, a, b, proto)
 
 
 def test_admission_declines_exactly_the_sides_retain_leaves_as_they_are():
-    # One side of a rank-table exchange: ``own`` is the owner's cache, and
-    # the partner offers its cache, plus a fresh entry about itself when it
-    # is the initiator of a partial-view exchange.  A tuple an exchange
-    # produced (version > 0) is in rank order, and the admission test is
-    # exact on it; a version-0 tuple, full and in any order, is always
-    # admitted.
+    # One side of a rank-table exchange, which is always a partial-view
+    # one: ``own`` is the owner's cache, and the partner offers its cache,
+    # plus a fresh entry about itself when it is the initiator.  A tuple an
+    # exchange produced (version > 0) is in rank order, and the admission
+    # test is exact on it; a version-0 tuple, full and in any order, is
+    # always admitted.
     rnd = random.Random(606)
     seen = Counter()
     for _ in range(4000):
         owner, partner = rnd.sample(range(8), 2)
         k = rnd.randint(1, 6)
-        global_view = rnd.random() < 0.3
         tables = [{s: rnd.choice([0.1, 0.4, 0.4, 0.9]) for s in range(8)} for _ in range(8)]
-        proto = ProtocolSpec(
-            cache_size=k, rank=[rank_from_table(t) for t in tables], global_view=global_view
-        )
+        proto = ProtocolSpec(cache_size=k, rank=[rank_from_table(t) for t in tables])
         produced = rnd.random() < 0.7
         if produced:
             own, _ = _retain(owner, random_cache(rnd), random_cache(rnd), proto)
         else:
             # a full cache in any order, as a hand-built state may hold
             own = tuple(item(src=s) for s in rnd.sample([s for s in range(8) if s != owner], k))
-        other = random_cache(rnd)
-        if not global_view:
-            other = tuple(it for it in other if it.src != partner)
-            if rnd.random() < 0.5:
-                other += (item(src=partner, t=9),)
+        other = tuple(it for it in random_cache(rnd) if it.src != partner)
+        if rnd.random() < 0.5:
+            other += (item(src=partner, t=9),)
         caches = [()] * 8
         caches[owner] = own
         state = GossipState(caches=caches, alive=[True] * 8)
@@ -240,10 +245,9 @@ def test_admission_declines_exactly_the_sides_retain_leaves_as_they_are():
         if not admitted:
             seen["full" if len(own) == k else "room"] += 1
             seen["owner offered"] += owner in offered
-            seen["global view"] += global_view
         elif not produced and not unchanged and set(retained) == set(state.sources[owner]):
             seen["version 0, reordered"] += 1
-    for case in ("full", "room", "owner offered", "global view", "version 0, reordered"):
+    for case in ("full", "room", "owner offered", "version 0, reordered"):
         assert seen[case] > 0, (case, seen)
 
 
@@ -344,8 +348,8 @@ def test_exchange_capacity_never_exceeded():
 
 def test_timestamp_exchange_equals_two_retain_calls():
     # newscast and anti-entropy merge once per exchange and cut each side
-    # from that one order; each side must still get exactly what its own
-    # ``_retain`` call gives on the caches before the exchange
+    # from that one order; each side must still get exactly what the
+    # reference merge and select give it on the caches before the exchange
     rnd = random.Random(707)
     seen = Counter()
     for _ in range(300):
@@ -378,8 +382,8 @@ def test_timestamp_exchange_equals_two_retain_calls():
             seen["k over union"] += k > len(union)
             seen["version 0"] += state.version[initiator] == state.version[responder] == 0
             want = {
-                initiator: _retain(initiator, pushed, pulled, proto),
-                responder: _retain(responder, pulled, pushed, proto),
+                initiator: freshest_side(initiator, pushed, pulled, proto),
+                responder: freshest_side(responder, pulled, pushed, proto),
             }
             versions = list(state.version)
             before = list(state.sources)
