@@ -105,7 +105,7 @@ def all_but_1_split(ratings: RatingMatrix, rng: np.random.Generator) -> SplitSpe
     so the training matrix has the same users in the same order.
     """
     hidden: dict[int, tuple[int, int]] = {}
-    training: dict[int, dict[int, int]] = {}
+    rows: list[dict[int, int]] = []
     for peer, key in enumerate(ratings.user_keys):
         row = ratings.rows[peer]
         if len(row) < 2:
@@ -113,9 +113,9 @@ def all_but_1_split(ratings: RatingMatrix, rng: np.random.Generator) -> SplitSpe
         items = sorted(row)
         pick = items[int(rng.integers(len(items)))]
         hidden[peer] = (pick, row[pick])
-        training[key] = kept = dict(row)
+        rows.append(kept := dict(row))
         del kept[pick]
-    return SplitSpec(training=RatingMatrix(training), hidden=hidden)
+    return SplitSpec(training=RatingMatrix._adopt(list(ratings.user_keys), rows), hidden=hidden)
 
 
 @dataclass

@@ -20,18 +20,18 @@ without one, freshest first.  A rank table implies a partial view.
 
 Alongside each cache the state keeps its sources as one tuple and a
 version that moves whenever they do.  Under a rank table the sources an
-exchange retains depend on the two source sets alone, so an exchange that
-changed nothing is not repeated until one side's version moves.  Before
-any merge, each side of an exchange asks an admission test whether an
-offered source can enter its cache: into a full cache only by outranking
-its worst entry, into one with room whenever it is new.  A side that
-cannot change runs no merge.  Both shortcuts assume a state is exchanged
-under one protocol, so that a tuple with ``version > 0`` came from a merge
-and is in rank order; a version-0 tuple always merges.  Timestamp orders
-take neither shortcut; instead, one merge serves both sides of their
-exchange.  Both sides merge the same two caches, and a merge tie is two
-equal entries, so the two merged sets are one set in one freshest-first
-order, from which each side cuts its own k entries.
+exchange retains depend on the two source sets alone.  Before any merge,
+each side of an exchange asks an admission test whether an offered source
+can enter its cache: into a full cache only by outranking its worst entry,
+into one with room whenever it is new.  A side that cannot change runs no
+merge, and records for its version the bitset of every source that could
+enter, so that one AND decides the side until that version moves.  Both
+assume a state is exchanged under one protocol, so that a tuple with
+``version > 0`` came from a merge and is in rank order; a version-0 tuple
+always merges.  Timestamp orders take neither shortcut; instead, one merge
+serves both sides of their exchange.  Both sides merge the same two
+caches, and a merge tie is two equal entries, so the two merged sets are
+one set in one freshest-first order, from which each side keeps its first k.
 
 All tie-breaks are deterministic so that seeded runs reproduce exactly:
 merge ties keep the merging peer's own copy; freshest-first selection ties
@@ -101,28 +101,30 @@ class GossipState:
     """Mutable per-peer protocol state shared by all variants.
 
     ``run_exchange`` mutates exactly the two participants' caches; entries
-    themselves are immutable values.  Three fields are derived from the
+    themselves are immutable values.  The other fields are derived from the
     caches and kept in step by ``run_exchange``:
 
     - ``sources[v]``: the tuple of v's cache sources, in cache order.  The
       exchange replaces it only when the ordered sources differ, so an
       unchanged cache keeps the very same tuple object;
     - ``version[v]``: bumped whenever ``sources[v]`` is replaced;
-    - ``idle``: under a rank table only, for each ordered pair whose last
-      exchange changed nothing, keyed ``initiator * n + responder``, the two
-      versions it saw, packed ``(version[initiator] << 32) | version[responder]``.
+    - under a rank table only, ``admissible[v]`` and ``held[v]``: ``None`` or
+      ``(x, bits)``, valid while ``version[v]`` is x: :func:`_admissible`'s
+      bits, recorded when v's side declines, and bit s per source s of v.
     """
 
     caches: list[Cache]
     alive: list[bool]
     sources: list[tuple[PeerId, ...]] = field(init=False)
     version: list[int] = field(init=False)
-    idle: dict[int, int] = field(init=False)
+    admissible: list[tuple[int, int] | None] = field(init=False)
+    held: list[tuple[int, int] | None] = field(init=False)
 
     def __post_init__(self) -> None:
         self.sources = [tuple(item.src for item in cache) for cache in self.caches]
         self.version = [0] * len(self.caches)
-        self.idle = {}
+        self.admissible = [None] * len(self.caches)
+        self.held = [None] * len(self.caches)
 
 
 def rank_table(similarity: np.ndarray) -> list[array]:
@@ -206,14 +208,12 @@ def _retain(
     return tuple(map(merged.__getitem__, srcs)), srcs
 
 
-def _store(state: GossipState, peer: PeerId, cache: Cache, srcs: tuple[PeerId, ...]) -> bool:
-    """Install ``peer``'s new cache; True when its ordered sources changed."""
+def _store(state: GossipState, peer: PeerId, cache: Cache, srcs: tuple[PeerId, ...]) -> None:
+    """Install ``peer``'s new cache, and a new version when its ordered sources changed."""
     state.caches[peer] = cache
-    if srcs == state.sources[peer]:
-        return False
-    state.sources[peer] = srcs
-    state.version[peer] += 1
-    return True
+    if srcs != state.sources[peer]:
+        state.sources[peer] = srcs
+        state.version[peer] += 1
 
 
 def _admits(
@@ -236,6 +236,42 @@ def _admits(
     return False
 
 
+def _held(state: GossipState, peer: PeerId) -> int:
+    """``peer``'s sources as a bitset, bit s for source s, built once per version."""
+    memo = state.held[peer]
+    if memo is None or memo[0] != state.version[peer]:
+        bits = 0
+        for src in state.sources[peer]:
+            bits |= 1 << src
+        memo = state.held[peer] = (state.version[peer], bits)
+    return memo[1]
+
+
+def _admissible(state: GossipState, owner: PeerId, protocol: ProtocolSpec) -> int:
+    """Bit s per source s neither held nor ``owner`` that, in a full cache, ranks before
+    its worst entry: on rank-ordered sources, ``bits & offered`` decides as :func:`_admits`."""
+    own = state.sources[owner]
+    row = np.asarray(protocol.rank[owner], dtype=np.int32)
+    better = row < row[own[-1]] if len(own) == protocol.cache_size else np.ones(len(row), bool)
+    bits = int.from_bytes(np.packbits(better, bitorder="little").tobytes(), "little")
+    return bits & ~(_held(state, owner) | 1 << owner)
+
+
+def _can_change(
+    state: GossipState, owner: PeerId, partner: PeerId, pushes: bool, protocol: ProtocolSpec
+) -> bool:
+    """Whether ``partner``'s sources (and id, if it ``pushes`` it) can change ``owner``'s:
+    by the bitset recorded at ``owner``'s version, else by :func:`_admits`."""
+    version = state.version[owner]
+    memo = state.admissible[owner]
+    if memo is not None and memo[0] == version:
+        return memo[1] & (_held(state, partner) | pushes << partner) != 0
+    if _admits(state, owner, state.sources[partner] + (partner,) * pushes, protocol):
+        return True
+    state.admissible[owner] = (version, _admissible(state, owner, protocol))
+    return False
+
+
 def run_exchange(
     state: GossipState,
     initiator: PeerId,
@@ -253,17 +289,14 @@ def run_exchange(
 
     Under a rank table each side's retained sources are a pure function of
     the two peers and their source sets; timestamps only pick which copy of
-    an entry survives, and no output reads them.  So two shortcuts apply,
-    both exact as long as a state is exchanged under one protocol:
-
-    - an ordered pair whose last exchange changed no source, and whose
-      versions have not moved since, is skipped: it would change nothing
-      again;
-    - otherwise each side first asks :func:`_admits` whether the other
-      side's sources (plus the initiator's id, for the responder) can change
-      its own, reading only the source tuples and one rank row.  A side
-      that cannot change keeps its cache, older timestamps included, and
-      runs neither ``_retain`` nor ``_store``.
+    an entry survives, and no output reads them.  So each side first asks
+    whether the other side's sources (plus the initiator's id, for the
+    responder) can change its own, exactly as long as a state is exchanged
+    under one protocol: by one AND with the bitset recorded at its version,
+    else by :func:`_admits`, which reads only the source tuples and one rank
+    row and records that bitset when it declines.  A side that cannot change
+    keeps its cache, older timestamps included, and runs neither ``_retain``
+    nor ``_store``.
 
     Freshest-first selection reads timestamps and takes neither shortcut.
     It merges once for both sides instead: :func:`_freshest` orders the
@@ -281,22 +314,12 @@ def run_exchange(
             kept = _cut(order, responder, protocol)
         _store(state, responder, *kept)
         return
-    key = initiator * len(state.caches) + responder
-    stamp = (state.version[initiator] << 32) | state.version[responder]
-    if state.idle.get(key) == stamp:
-        return
-    sources = state.sources
-    to_initiator = _admits(state, initiator, sources[responder], protocol)
-    to_responder = _admits(state, responder, sources[initiator] + (initiator,), protocol)
-    changed = False
+    to_initiator = _can_change(state, initiator, responder, False, protocol)
+    to_responder = _can_change(state, responder, initiator, True, protocol)
     if to_initiator or to_responder:
         pushed = pushed + (DataItem(initiator, now),)
         pulled = state.caches[responder]
         if to_initiator:
-            changed = _store(state, initiator, *_retain(initiator, pushed, pulled, protocol))
+            _store(state, initiator, *_retain(initiator, pushed, pulled, protocol))
         if to_responder:
-            changed |= _store(state, responder, *_retain(responder, pulled, pushed, protocol))
-    if changed:
-        state.idle.pop(key, None)
-    else:
-        state.idle[key] = stamp
+            _store(state, responder, *_retain(responder, pulled, pushed, protocol))

@@ -50,6 +50,13 @@ class RatingMatrix:
             items.update(row)
         self.item_ids: list[int] = sorted(items)
 
+    @classmethod
+    def _adopt(cls, user_keys: list[int], rows: list[dict[int, int]]) -> RatingMatrix:
+        """A matrix over sorted keys and checked rows, which it keeps without a copy."""
+        matrix = cls.__new__(cls)
+        matrix.user_keys, matrix.rows, matrix.item_ids = user_keys, rows, sorted(set().union(*rows))
+        return matrix
+
     @property
     def n_users(self) -> int:
         return len(self.rows)

@@ -298,15 +298,15 @@ def test_memo_is_keyed_by_the_sources_last_ranked(small_ratings, monkeypatch):
 
 
 def _run_counting_shortcuts(config, arrays, monkeypatch, shortcuts):
-    """A run's snapshots, its skipped exchanges, declined sides and untouched initiators.
+    """A run's snapshots, with counts of bitset-decided and declined sides and untouched initiators.
 
-    A skipped exchange consults no admission test; a declined side keeps its
-    cache object.  Without ``shortcuts`` the pair memo is cleared before
-    every exchange and every side is admitted, so every exchange runs
-    ``_retain`` on both sides and installs both caches.
+    A side decided by a recorded bitset consults no admission test; a declined
+    side keeps its cache object.  Without ``shortcuts`` every side is admitted,
+    so no bitset is recorded, and every exchange runs ``_retain`` on both sides
+    and installs both caches.
     """
     exchange, admits = engine.run_exchange, pushpull._admits
-    counts = dict(skipped=0, declined=0, untouched=0)
+    counts = dict(bitset=0, declined=0, untouched=0)
     tests = 0
 
     def admitted(state, owner, offered, protocol):
@@ -317,11 +317,9 @@ def _run_counting_shortcuts(config, arrays, monkeypatch, shortcuts):
         return ok
 
     def observed(gossip, initiator, responder, protocol, now):
-        if not shortcuts:
-            gossip.idle.clear()
         before, seen = gossip.caches[initiator], tests
         exchange(gossip, initiator, responder, protocol, now)
-        counts["skipped"] += tests == seen
+        counts["bitset"] += 2 - (tests - seen)
         counts["untouched"] += gossip.caches[initiator] is before
 
     with monkeypatch.context() as patch:
@@ -335,15 +333,15 @@ def _run_counting_shortcuts(config, arrays, monkeypatch, shortcuts):
     "churn", [None, ChurnSpec(mode="failures", pct=40.0, at_cycle=6)], ids=["stable", "loss"]
 )
 def test_skipped_exchanges_change_no_snapshot(small_ratings, monkeypatch, churn):
-    # Under swarmix an exchange whose pair changed nothing last time, with
-    # neither side's sources moved since, is skipped, and a side that no
-    # offered source can enter runs no merge.  Every snapshot must be what a
-    # run that performs every exchange on both sides gives.
+    # Under swarmix a side that no offered source can enter runs no merge,
+    # and once a side declines, a bitset recorded for its version decides it
+    # until that version moves.  Every snapshot must be what a run that
+    # performs every exchange on both sides gives.
     config, arrays = _small_sim(small_ratings, cycles=16, churn=churn)
     shipped, taken = _run_counting_shortcuts(config, arrays, monkeypatch, True)
     every, reference = _run_counting_shortcuts(config, arrays, monkeypatch, False)
-    assert reference == dict(skipped=0, declined=0, untouched=0)
-    assert taken["skipped"] > 0 and taken["declined"] > 0
+    assert reference == dict(bitset=0, declined=0, untouched=0)
+    assert taken["bitset"] > 0 and taken["declined"] > 0
     assert len(shipped) == len(every) == config.cycles + 1
     for a, b in zip(shipped, every):
         assert a.cycle == b.cycle
@@ -358,20 +356,25 @@ def test_source_tuples_follow_the_caches(small_ratings, protocol):
     config, arrays = _small_sim(small_ratings, protocol=protocol, cycles=10, churn=churn)
     state = bootstrap(config, arrays, np.random.default_rng(11))
     gossip = state.gossip
-    exchanges = 0
+    current = 0
     for cycle in range(1, config.cycles + 1):
         if cycle == churn.at_cycle:
             inject_churn(state, churn)
-        exchanges += int(engine.run_cycle(state).receptions.sum())
+        engine.run_cycle(state)
         for v in range(state.n):
             assert gossip.sources[v] == tuple(item.src for item in gossip.caches[v])
-        if protocol == "swarmix":
-            # at most one entry per ordered pair whose last exchange was a no-op
-            assert len(gossip.idle) <= exchanges
-        else:
-            # timestamp orders are never skipped, so they keep no pair memo
-            assert gossip.idle == {}
-    assert bool(gossip.idle) == (protocol == "swarmix")
+            # a bitset recorded at v's current version is what a fresh build gives
+            memo = gossip.admissible[v]
+            if memo is not None and memo[0] == gossip.version[v]:
+                assert memo[1] == pushpull._admissible(gossip, v, state.protocol)
+                current += 1
+            memo = gossip.held[v]
+            if memo is not None and memo[0] == gossip.version[v]:
+                assert memo[1] == sum(1 << src for src in gossip.sources[v])
+    # timestamp orders take no admission test, so they record no bitset
+    assert (current > 0) == (protocol == "swarmix")
+    if protocol != "swarmix":
+        assert gossip.admissible == gossip.held == [None] * state.n
 
 
 @pytest.mark.parametrize("high", [1, 2, 20, 942, 2**31 + 5])

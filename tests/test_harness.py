@@ -103,11 +103,34 @@ def test_split_user_with_two_ratings_keeps_one():
     split = all_but_1_split(matrix, np.random.default_rng(0))
     assert len(split.training.rows[0]) == 1
     assert len(split.hidden) == 1
+    # the hidden item was rated by no one else, so it drops out of the items
+    assert split.training.item_ids == list(split.training.rows[0])
 
 
 def test_split_hidden_size_equals_user_count(small_ratings):
     split = all_but_1_split(small_ratings, np.random.default_rng(1))
     assert len(split.hidden) == small_ratings.n_users
+
+
+def test_split_training_equals_a_matrix_of_the_kept_rows(small_ratings):
+    # The split copies each row once and the training matrix keeps those
+    # copies: it must equal a matrix built from the rows less their hidden
+    # items, share no row with the source matrix, and leave that untouched.
+    rows = [dict(row) for row in small_ratings.rows]
+    keys, items = list(small_ratings.user_keys), list(small_ratings.item_ids)
+    split = all_but_1_split(small_ratings, np.random.default_rng(3))
+    want = RatingMatrix({
+        key: {item: r for item, r in rows[peer].items() if item != split.hidden[peer][0]}
+        for peer, key in enumerate(keys)
+    })
+    training = split.training
+    assert training.user_keys == want.user_keys
+    assert training.rows == want.rows
+    assert training.item_ids == want.item_ids
+    assert small_ratings.rows == rows
+    assert small_ratings.user_keys == keys and small_ratings.item_ids == items
+    assert not any(ours is theirs for ours, theirs in zip(training.rows, small_ratings.rows))
+    assert training.user_keys is not small_ratings.user_keys
 
 
 def test_split_too_sparse_user_raises():

@@ -1,6 +1,7 @@
 """Core protocol steps against brute-force oracles and declared tie-breaks."""
 
 import random
+from array import array
 from collections import Counter
 
 from hypothesis import event, example, given, settings
@@ -11,6 +12,7 @@ from gossipcf.pushpull import (
     DataItem,
     GossipState,
     ProtocolSpec,
+    _admissible,
     _admits,
     _cut,
     _freshest,
@@ -252,7 +254,7 @@ def test_admission_declines_exactly_the_sides_retain_leaves_as_they_are():
 
 
 @st.composite
-def partial_view_exchanges(draw):
+def partial_view_exchanges(draw, rank_tables=st.booleans()):
     """A swarmix or newscast exchange between two live peers of a small state.
 
     Under swarmix a cache with ``version > 0`` is in rank order, as an
@@ -260,7 +262,7 @@ def partial_view_exchanges(draw):
     """
     n = draw(st.integers(3, 8))
     k = draw(st.integers(1, n - 1))
-    swarmix = draw(st.booleans())
+    swarmix = draw(rank_tables)
     rank = None
     if swarmix:
         utility = st.sampled_from([0.1, 0.4, 0.9])
@@ -306,6 +308,78 @@ def test_partial_view_exchange_never_shrinks_a_cache(case):
             event("a declined side")
         if not versions[peer]:
             event("a version-0 side")
+
+
+@st.composite
+def admission_cases(draw):
+    """One owner at ``version > 0`` of a rank-table state, and an offered tuple.
+
+    The owner's sources are in rank order, as an exchange leaves them, and
+    fill its cache or leave room; the offered ids may include the owner.
+    The rank rows are ``array('i')``, as ``rank_table`` builds them, or lists.
+    """
+    n = draw(st.integers(2, 20))
+    k = draw(st.integers(1, n - 1))
+    owner = draw(st.integers(0, n - 1))
+    utility = st.sampled_from([0.1, 0.4, 0.9])
+    row = rank_from_table(draw(st.lists(utility, min_size=n, max_size=n)), n)
+    if draw(st.booleans()):
+        row = array("i", row)
+    size = draw(st.integers(0, k))
+    own = draw(st.lists(st.sampled_from([w for w in range(n) if w != owner]), unique=True,
+                        min_size=size, max_size=size))
+    own.sort(key=row.__getitem__)
+    offered = draw(st.lists(st.integers(0, n - 1), unique=True))
+    caches = [()] * n
+    caches[owner] = tuple(item(src=s) for s in own)
+    state = GossipState(caches=caches, alive=[True] * n)
+    state.version[owner] = draw(st.integers(1, 3))
+    return ProtocolSpec(cache_size=k, rank=[row] * n), state, owner, tuple(offered)
+
+
+@given(admission_cases())
+@settings(max_examples=400, deadline=None)
+def test_admissible_bitset_decides_as_admits(case):
+    # A side's recorded bitset, ANDed with the offered sources' bitset,
+    # must give the admission test's answer on every rank-ordered tuple.
+    protocol, state, owner, offered = case
+    bits = _admissible(state, owner, protocol)
+    admitted = _admits(state, owner, offered, protocol)
+    assert bool(bits & sum(1 << src for src in offered)) == admitted
+    event("full" if len(state.sources[owner]) == protocol.cache_size else "room")
+    event("owner offered" if owner in offered else "owner not offered")
+    event("array rows" if isinstance(protocol.rank[owner], array) else "list rows")
+    event("admitted" if admitted else "declined")
+
+
+@given(partial_view_exchanges(st.just(True)), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_exchange_decided_by_recorded_bitsets_equals_one_decided_by_admits(case, arrays):
+    # The same swarmix exchange on two copies of a state: in one, every side
+    # at ``version > 0`` has its bitset recorded, and a version-0 side an
+    # empty one for another version; in the other, none has.  Both must
+    # leave the same caches, sources and versions.
+    protocol, caches, versions, initiator, responder = case
+    if arrays:
+        protocol = ProtocolSpec(protocol.cache_size, [array("i", row) for row in protocol.rank])
+    states = []
+    for record in (True, False):
+        state = GossipState(caches=list(caches), alive=[True] * len(caches))
+        state.version[:] = versions
+        for peer in (initiator, responder):
+            if record and versions[peer]:
+                state.admissible[peer] = (versions[peer], _admissible(state, peer, protocol))
+                event("a side decided by a recorded bitset")
+            elif record:
+                state.admissible[peer] = (1, 0)
+        run_exchange(state, initiator, responder, protocol, now=5)
+        states.append(state)
+    recorded, tested = states
+    assert recorded.caches == tested.caches
+    assert recorded.sources == tested.sources
+    assert recorded.version == tested.version
+    if any(versions[p] and recorded.caches[p] is caches[p] for p in (initiator, responder)):
+        event("a recorded side declined")
 
 
 # --- exchanges ---------------------------------------------------------------
