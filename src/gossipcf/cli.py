@@ -77,10 +77,6 @@ CHURN_COLUMNS = ("pct", "mode", "hit_rate_mean", "ci_low", "ci_high")
 BASELINE_COLUMNS = ("trial", "centralized_avg_similarity", "centralized_hit_rate")
 
 
-class IoError(Exception):
-    """Result files could not be written."""
-
-
 def _setting(
     default: Any,
     doc: str | None = None,
@@ -223,9 +219,8 @@ def parse_config(argv: Sequence[str], environ=None) -> tuple[str, Settings]:
             raise InvalidConfig(f"unknown {name.replace('_', ' ')}: {value!r}")
     # Surface bound violations now rather than mid-run.  The peer count is
     # known only once the data is loaded, so probe with the fewest peers the
-    # cache size allows.
-    probe = settings.sim_config(n_peers=max(2, settings.cache_size + 1))
-    probe.validate()
+    # cache size allows: the config validates itself on construction.
+    settings.sim_config(n_peers=max(2, settings.cache_size + 1))
     return ns.command, settings
 
 
@@ -238,13 +233,10 @@ def _fmt(value: Any) -> str:
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: list[Sequence[Any]]) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(cell) for cell in row) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(cell) for cell in row) + "\n")
 
 
 def _sha256(path: str | Path) -> str:
@@ -442,10 +434,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         command, settings = parse_config(argv)
         return _HANDLERS[command](settings)
-    except (
-        InvalidConfig, NoEligiblePeers, ParseError, RangeError, UserTooSparse, IoError,
-        FileNotFoundError,
-    ) as exc:
+    # An OSError's message names the path it failed on.
+    except (InvalidConfig, NoEligiblePeers, ParseError, RangeError, UserTooSparse, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -78,7 +78,11 @@ def churn_count(pct: float, n_peers: int) -> int:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Parameters of one simulation run (defaults follow the evaluated setup)."""
+    """Parameters of one simulation run (defaults follow the evaluated setup).
+
+    A config validates itself on construction, ``dataclasses.replace``
+    included, so every ``SimConfig`` in hand is a valid one.
+    """
 
     n_peers: int
     cache_size: int = 20
@@ -89,6 +93,9 @@ class SimConfig:
     top_n: int = 10
     significance_threshold: int = 50
     bootstrap_degree: float = 2.494
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if self.n_peers < 2:
@@ -437,7 +444,6 @@ def run_simulation(
     computed from the initial caches.  Churn, when configured, is injected at
     the start of its cycle.
     """
-    config.validate()
     if seed_seq is None:
         seed_seq = np.random.SeedSequence(config.seed)
     rng = np.random.Generator(np.random.PCG64(seed_seq))

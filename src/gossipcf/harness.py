@@ -19,7 +19,7 @@ so a violation can only be an implementation bug).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -247,7 +247,6 @@ def run_trial(
     strict: bool = True,
 ) -> TrialResult:
     """One split plus one simulation, folded into metric rows."""
-    config.validate()
     if config.n_peers != ratings.n_users:
         raise InvalidConfig(
             f"config expects {config.n_peers} peers, dataset has {ratings.n_users} users"
@@ -277,17 +276,7 @@ def run_trial(
     )
 
 
-AGGREGATED_FIELDS = (
-    "avg_similarity",
-    "similarity_variance",
-    "hit_rate",
-    "hit_rate_voluntary",
-    "in_degree_mean",
-    "in_degree_variance",
-    "avg_path_length",
-    "path_coverage",
-    "clustering_coefficient",
-)
+AGGREGATED_FIELDS = tuple(f.name for f in fields(CycleMetrics) if f.name != "cycle")
 
 
 @dataclass
@@ -317,14 +306,9 @@ def _aggregate(trials: list[TrialResult]) -> tuple[dict[str, np.ndarray], dict[s
     mean: dict[str, np.ndarray] = {}
     ci: dict[str, np.ndarray] = {}
     for name in AGGREGATED_FIELDS:
+        # a structural field skipped by the run is None, which becomes NaN
         series = np.array(
-            [
-                [
-                    np.nan if getattr(row, name) is None else getattr(row, name)
-                    for row in trial.metrics
-                ]
-                for trial in trials
-            ],
+            [[getattr(row, name) for row in trial.metrics] for trial in trials],
             dtype=np.float64,
         )
         mean[name] = series.mean(axis=0)
@@ -343,7 +327,6 @@ def run_experiment(
     structural: bool = True,
 ) -> ExperimentResult:
     """Independent trials with derived seeds, aggregated per cycle."""
-    config.validate()
     if trials < 2:
         raise InvalidConfig("need at least 2 trials for confidence intervals")
     results = [
@@ -362,7 +345,6 @@ def centralized_baseline(
     Uses the same per-trial splits as the full experiment, so numbers line up
     with run_experiment output for the same master seed.
     """
-    config.validate()
     if trials < 1:
         raise InvalidConfig("need at least 1 trial")
     refs = (_reference(config, ratings, trial) for trial in range(trials))
@@ -403,8 +385,6 @@ def churn_sweep(
         replace(base_config, churn=ChurnSpec(mode="leavings", pct=float(pct), at_cycle=at_cycle))
         for pct in percentages
     ]
-    for cfg in configs:
-        cfg.validate()
     rows: list[ChurnRow] = []
     for cfg in configs:
         result = run_experiment(cfg, ratings, trials, structural=False)

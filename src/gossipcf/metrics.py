@@ -129,14 +129,17 @@ def live_graph(snapshot: CycleSnapshot) -> LiveGraph:
     owners = np.repeat(compact, np.diff(snapshot.indptr))
     targets = compact[snapshot.neighbors]
     live = (owners >= 0) & (targets >= 0)
-    width = 64 * ((m + 63) // 64)
     rows, cols = owners[live], targets[live]
-    dense = np.zeros((m, width), dtype=bool)
+    # One int64 key ``row * m + col`` per edge direction, sorted and
+    # de-duplicated, is the CSR layout in row-major order.
+    keys = np.concatenate((rows * m + cols, cols * m + rows))
+    keys.sort()
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    dense = np.zeros((m, 64 * ((m + 63) // 64)), dtype=bool)
     dense[rows, cols] = dense[cols, rows] = True
-    flat = np.flatnonzero(dense)
     return LiveGraph(
-        indptr=np.searchsorted(flat, np.arange(m + 1) * width),
-        indices=flat % width,
+        indptr=np.searchsorted(keys, np.arange(m + 1) * m),
+        indices=keys % m,
         bits=np.ascontiguousarray(np.packbits(dense, axis=1, bitorder="little").view("<u8").T),
     )
 

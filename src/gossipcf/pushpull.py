@@ -24,14 +24,15 @@ exchange retains depend on the two source sets alone.  Before any merge,
 each side of an exchange asks an admission test whether an offered source
 can enter its cache: into a full cache only by outranking its worst entry,
 into one with room whenever it is new.  A side that cannot change runs no
-merge, and records for its version the bitset of every source that could
-enter, so that one AND decides the side until that version moves.  Both
-assume a state is exchanged under one protocol, so that a tuple with
-``version > 0`` came from a merge and is in rank order; a version-0 tuple
-always merges.  Timestamp orders take neither shortcut; instead, one merge
-serves both sides of their exchange.  Both sides merge the same two
-caches, and a merge tie is two equal entries, so the two merged sets are
-one set in one freshest-first order, from which each side keeps its first k.
+merge, and records the bitset of every source that could enter, so that
+one AND decides the side until its sources move and :func:`_store` resets
+the record.  Both assume a state is exchanged under one protocol, so that
+a tuple with ``version > 0`` came from a merge and is in rank order; a
+version-0 tuple always merges.  Timestamp orders take neither shortcut;
+instead, one merge serves both sides of their exchange.  Both sides merge
+the same two caches, and a merge tie is two equal entries, so the two
+merged sets are one set in one freshest-first order, from which each side
+keeps its first k.
 
 All tie-breaks are deterministic so that seeded runs reproduce exactly:
 merge ties keep the merging peer's own copy; freshest-first selection ties
@@ -108,17 +109,18 @@ class GossipState:
       exchange replaces it only when the ordered sources differ, so an
       unchanged cache keeps the very same tuple object;
     - ``version[v]``: bumped whenever ``sources[v]`` is replaced;
-    - under a rank table only, ``admissible[v]`` and ``held[v]``: ``None`` or
-      ``(x, bits)``, valid while ``version[v]`` is x: :func:`_admissible`'s
-      bits, recorded when v's side declines, and bit s per source s of v.
+    - under a rank table only, ``admissible[v]`` and ``held[v]``: ``None``,
+      or a bitset about v's current sources: :func:`_admissible`'s bits,
+      recorded when v's side declines, and bit s per source s of v.
+      :func:`_store` resets both to ``None`` where it bumps ``version[v]``.
     """
 
     caches: list[Cache]
     alive: list[bool]
     sources: list[tuple[PeerId, ...]] = field(init=False)
     version: list[int] = field(init=False)
-    admissible: list[tuple[int, int] | None] = field(init=False)
-    held: list[tuple[int, int] | None] = field(init=False)
+    admissible: list[int | None] = field(init=False)
+    held: list[int | None] = field(init=False)
 
     def __post_init__(self) -> None:
         self.sources = [tuple(item.src for item in cache) for cache in self.caches]
@@ -209,11 +211,13 @@ def _retain(
 
 
 def _store(state: GossipState, peer: PeerId, cache: Cache, srcs: tuple[PeerId, ...]) -> None:
-    """Install ``peer``'s new cache, and a new version when its ordered sources changed."""
+    """Install ``peer``'s new cache, and when its ordered sources changed, a new
+    version and no admission memos: they described the old sources."""
     state.caches[peer] = cache
     if srcs != state.sources[peer]:
         state.sources[peer] = srcs
         state.version[peer] += 1
+        state.admissible[peer] = state.held[peer] = None
 
 
 def _admits(
@@ -238,13 +242,13 @@ def _admits(
 
 def _held(state: GossipState, peer: PeerId) -> int:
     """``peer``'s sources as a bitset, bit s for source s, built once per version."""
-    memo = state.held[peer]
-    if memo is None or memo[0] != state.version[peer]:
+    bits = state.held[peer]
+    if bits is None:
         bits = 0
         for src in state.sources[peer]:
             bits |= 1 << src
-        memo = state.held[peer] = (state.version[peer], bits)
-    return memo[1]
+        state.held[peer] = bits
+    return bits
 
 
 def _admissible(state: GossipState, owner: PeerId, protocol: ProtocolSpec) -> int:
@@ -261,14 +265,13 @@ def _can_change(
     state: GossipState, owner: PeerId, partner: PeerId, pushes: bool, protocol: ProtocolSpec
 ) -> bool:
     """Whether ``partner``'s sources (and id, if it ``pushes`` it) can change ``owner``'s:
-    by the bitset recorded at ``owner``'s version, else by :func:`_admits`."""
-    version = state.version[owner]
-    memo = state.admissible[owner]
-    if memo is not None and memo[0] == version:
-        return memo[1] & (_held(state, partner) | pushes << partner) != 0
+    by the bitset recorded since ``owner``'s sources last moved, else by :func:`_admits`."""
+    bits = state.admissible[owner]
+    if bits is not None:
+        return bits & (_held(state, partner) | pushes << partner) != 0
     if _admits(state, owner, state.sources[partner] + (partner,) * pushes, protocol):
         return True
-    state.admissible[owner] = (version, _admissible(state, owner, protocol))
+    state.admissible[owner] = _admissible(state, owner, protocol)
     return False
 
 
@@ -292,8 +295,8 @@ def run_exchange(
     an entry survives, and no output reads them.  So each side first asks
     whether the other side's sources (plus the initiator's id, for the
     responder) can change its own, exactly as long as a state is exchanged
-    under one protocol: by one AND with the bitset recorded at its version,
-    else by :func:`_admits`, which reads only the source tuples and one rank
+    under one protocol: by one AND with the bitset recorded since its
+    sources last moved, else by :func:`_admits`, which reads only the source tuples and one rank
     row and records that bitset when it declines.  A side that cannot change
     keeps its cache, older timestamps included, and runs neither ``_retain``
     nor ``_store``.

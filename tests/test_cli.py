@@ -134,7 +134,7 @@ def test_zero_cache_size_rejected():
 def test_protocol_variant_switch():
     _, settings = parse_config(["run", "--protocol", "newscast"], environ={})
     assert settings.protocol == "newscast"
-    config = settings.sim_config(n_peers=10)
+    config = settings.sim_config(n_peers=21)
     assert config.protocol == "newscast"
 
 
@@ -411,6 +411,45 @@ def test_malformed_data_file_reported(tmp_path, capsys):
     bad.write_text("1\t10\t9\t0\n", encoding="utf-8")
     assert main(["validate-data", "--data", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+OS_ERROR_CASES = (
+    "out is a regular file",
+    "out below a regular file",
+    "run data is a directory",
+    "validate data is a directory",
+    "config is a directory",
+    "manifest is a directory",
+)
+
+
+@pytest.mark.parametrize("case", OS_ERROR_CASES)
+def test_os_errors_are_reported_without_a_traceback(case, data_file, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    (tmp_path / "out" / "manifest.json").mkdir(parents=True)
+    run = ["run", "--trials", "2", "--cycles", "2", "--cache-size", "8", "--out"]
+    data = ["--data", str(data_file)]
+    # per case: the path the system refuses, and the command line
+    named, argv = {
+        "out is a regular file": (taken, [*run, str(taken), *data]),
+        "out below a regular file": (taken / "sub", [*run, str(taken / "sub"), *data]),
+        "run data is a directory": (
+            tmp_path, [*run, str(tmp_path / "out"), "--data", str(tmp_path)]
+        ),
+        "validate data is a directory": (tmp_path, ["validate-data", "--data", str(tmp_path)]),
+        "config is a directory": (
+            tmp_path, [*run, str(tmp_path), *data, "--config", str(tmp_path)]
+        ),
+        "manifest is a directory": (
+            tmp_path / "out" / "manifest.json", [*run, str(tmp_path / "out"), *data]
+        ),
+    }[case]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and str(named) in err
+    assert "Traceback" not in err
 
 
 def test_empty_rows_write_header_only_csv(tmp_path):

@@ -1,5 +1,7 @@
 """Bootstrap topology, cycle mechanics, churn injection, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -93,10 +95,16 @@ def test_config_validation():
     with pytest.raises(InvalidConfig, match="silence all"):
         SimConfig(**base, churn=ChurnSpec(pct=100.0, at_cycle=5)).validate()
     # a neighborhood never holds its owner, so it holds at most n - 1 peers
-    SimConfig(n_peers=10, cache_size=9).validate()
+    valid = SimConfig(n_peers=10, cache_size=9)
+    valid.validate()
     for cache_size in (10, 11, 20):
         with pytest.raises(InvalidConfig, match="cache_size"):
             SimConfig(n_peers=10, cache_size=cache_size).validate()
+    # a config validates itself on construction, dataclasses.replace included
+    with pytest.raises(InvalidConfig, match="cache_size"):
+        replace(valid, cache_size=valid.n_peers)
+    with pytest.raises(InvalidConfig, match="churn mode"):
+        SimConfig(**base, churn=ChurnSpec(mode="evaporation", at_cycle=5))
 
 
 def _small_sim(small_ratings, **kwargs):
@@ -356,23 +364,21 @@ def test_source_tuples_follow_the_caches(small_ratings, protocol):
     config, arrays = _small_sim(small_ratings, protocol=protocol, cycles=10, churn=churn)
     state = bootstrap(config, arrays, np.random.default_rng(11))
     gossip = state.gossip
-    current = 0
+    recorded = 0
     for cycle in range(1, config.cycles + 1):
         if cycle == churn.at_cycle:
             inject_churn(state, churn)
         engine.run_cycle(state)
         for v in range(state.n):
             assert gossip.sources[v] == tuple(item.src for item in gossip.caches[v])
-            # a bitset recorded at v's current version is what a fresh build gives
-            memo = gossip.admissible[v]
-            if memo is not None and memo[0] == gossip.version[v]:
-                assert memo[1] == pushpull._admissible(gossip, v, state.protocol)
-                current += 1
-            memo = gossip.held[v]
-            if memo is not None and memo[0] == gossip.version[v]:
-                assert memo[1] == sum(1 << src for src in gossip.sources[v])
+            # every recorded bitset is what a fresh build from v's sources gives
+            if gossip.admissible[v] is not None:
+                assert gossip.admissible[v] == pushpull._admissible(gossip, v, state.protocol)
+                recorded += 1
+            if gossip.held[v] is not None:
+                assert gossip.held[v] == sum(1 << src for src in gossip.sources[v])
     # timestamp orders take no admission test, so they record no bitset
-    assert (current > 0) == (protocol == "swarmix")
+    assert (recorded > 0) == (protocol == "swarmix")
     if protocol != "swarmix":
         assert gossip.admissible == gossip.held == [None] * state.n
 

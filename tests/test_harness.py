@@ -183,9 +183,8 @@ def test_run_trial_series_lengths(small_ratings):
 
 
 def test_run_trial_rejects_a_cache_of_every_peer(small_ratings):
-    config = SimConfig(n_peers=80, cache_size=80, cycles=2, seed=2)
     with pytest.raises(InvalidConfig, match="cache_size"):
-        run_trial(config, small_ratings, trial=0)
+        run_trial(SimConfig(n_peers=80, cache_size=80, cycles=2, seed=2), small_ratings, trial=0)
 
 
 def test_experiment_requires_two_trials(small_ratings):

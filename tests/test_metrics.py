@@ -231,18 +231,45 @@ def test_clustering_triangle_with_pendant():
     assert clustering_coefficient(live_graph(snap)) == pytest.approx(7 / 9)
 
 
+def assert_csr_lists_the_live_neighbors(graph, neighbor_lists, alive):
+    """Node i of ``graph`` is the i-th live peer; its CSR row must list the
+    sorted live neighbours of that peer in the symmetrized graph."""
+    live = [v for v in range(len(neighbor_lists)) if alive[v]]
+    node = {v: i for i, v in enumerate(live)}
+    adjacency = [set() for _ in live]
+    for v in live:
+        for u in neighbor_lists[v]:
+            if alive[u]:
+                adjacency[node[v]].add(node[u])
+                adjacency[node[u]].add(node[v])
+    want = [sorted(ids) for ids in adjacency]
+    assert graph.indptr.tolist() == np.cumsum([0, *map(len, want)]).tolist()
+    assert graph.indices.tolist() == [i for ids in want for i in ids]
+    assert graph.indptr.dtype == graph.indices.dtype == np.intp
+
+
+def random_small_graph(rnd):
+    """2-8 peers, each listing a random subset of the others and dead with
+    probability 0.2 (all live when fewer than two would be)."""
+    n = rnd.randint(2, 8)
+    lists = []
+    for v in range(n):
+        others = [u for u in range(n) if u != v]
+        lists.append(rnd.sample(others, rnd.randint(0, len(others))))
+    alive = [rnd.random() > 0.2 for v in range(n)]
+    if sum(alive) < 2:
+        alive = [True] * n
+    return lists, alive
+
+
 def test_graph_metrics_match_oracles_randomized():
     rnd = random.Random(77)
-    for case in range(1200):
-        n = rnd.randint(2, 8)
-        lists = []
-        for v in range(n):
-            others = [u for u in range(n) if u != v]
-            lists.append(rnd.sample(others, rnd.randint(0, len(others))))
-        alive = [rnd.random() > 0.2 for v in range(n)]
-        if sum(alive) < 2:
-            alive = [True] * n
+    # first, live peers that list only a dead one or nobody: no edge at all
+    graphs = [([[2], [], [0, 1], []], [True, True, False, True])]
+    graphs += [random_small_graph(rnd) for _ in range(1200)]
+    for case, (lists, alive) in enumerate(graphs):
         graph = live_graph(make_snapshot(lists, alive=alive))
+        assert_csr_lists_the_live_neighbors(graph, lists, alive)
         got_apl, got_cov = avg_path_length(graph)
         want_apl, want_cov = oracle_path_length(lists, alive)
         assert got_apl == want_apl, (case, lists, alive)
@@ -293,6 +320,7 @@ def test_graph_metrics_match_oracles_on_multiword_graphs():
         lists, alive = random_multiword_graph(rnd)
         graph = live_graph(make_snapshot(lists, alive=alive))
         assert graph.bits.shape[0] > 1
+        assert_csr_lists_the_live_neighbors(graph, lists, alive)
         assert avg_path_length(graph) == oracle_path_length(lists, alive), case
         assert clustering_coefficient(graph) == oracle_clustering(lists, alive), case
 

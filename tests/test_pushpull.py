@@ -356,9 +356,9 @@ def test_admissible_bitset_decides_as_admits(case):
 @settings(max_examples=300, deadline=None)
 def test_exchange_decided_by_recorded_bitsets_equals_one_decided_by_admits(case, arrays):
     # The same swarmix exchange on two copies of a state: in one, every side
-    # at ``version > 0`` has its bitset recorded, and a version-0 side an
-    # empty one for another version; in the other, none has.  Both must
-    # leave the same caches, sources and versions.
+    # at ``version > 0`` has its bitset recorded; in the other, none has.
+    # Both must leave the same caches, sources and versions, and a side
+    # whose version moved must keep no memo of its old sources.
     protocol, caches, versions, initiator, responder = case
     if arrays:
         protocol = ProtocolSpec(protocol.cache_size, [array("i", row) for row in protocol.rank])
@@ -368,16 +368,19 @@ def test_exchange_decided_by_recorded_bitsets_equals_one_decided_by_admits(case,
         state.version[:] = versions
         for peer in (initiator, responder):
             if record and versions[peer]:
-                state.admissible[peer] = (versions[peer], _admissible(state, peer, protocol))
+                state.admissible[peer] = _admissible(state, peer, protocol)
                 event("a side decided by a recorded bitset")
-            elif record:
-                state.admissible[peer] = (1, 0)
         run_exchange(state, initiator, responder, protocol, now=5)
         states.append(state)
     recorded, tested = states
     assert recorded.caches == tested.caches
     assert recorded.sources == tested.sources
     assert recorded.version == tested.version
+    for state in states:
+        for p in (initiator, responder):
+            if state.version[p] != versions[p]:
+                assert state.admissible[p] is None and state.held[p] is None
+                event("a side's version moved")
     if any(versions[p] and recorded.caches[p] is caches[p] for p in (initiator, responder)):
         event("a recorded side declined")
 
