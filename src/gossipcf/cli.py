@@ -22,6 +22,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence, get_args, get_type_hints
@@ -374,8 +375,9 @@ def _run_and_write(
 ) -> tuple[Any, Path]:
     """Load the ratings, compute, then write the CSV and ``manifest.json``.
 
-    Nothing is written unless ``compute`` returns.  ``sweep`` is what the
-    manifest records of a loss sweep beyond its base config.
+    Nothing is written unless ``compute`` returns, and the CSV takes its
+    name only once the manifest is written.  ``sweep`` is what the manifest
+    records of a loss sweep beyond its base config.
     """
     path = _require_data(settings)
     matrix = load_ratings(path)
@@ -383,9 +385,12 @@ def _run_and_write(
     result = compute(config, matrix)
     out_dir = Path(settings.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = emit(result, out_dir)
-    manifest = build_manifest(command, config, settings.trials, path, [written.name], sweep)
-    (out_dir / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
+    with tempfile.TemporaryDirectory(dir=out_dir) as staging:
+        staged = emit(result, Path(staging))
+        manifest = build_manifest(command, config, settings.trials, path, [staged.name], sweep)
+        (out_dir / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
+        written = out_dir / staged.name
+        os.replace(staged, written)
     return result, written
 
 

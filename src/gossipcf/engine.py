@@ -342,12 +342,8 @@ def _rank(state: SimState, peer: int) -> None:
     top = top_n_from_votes(
         votes, arrays.rated_cols[peer], state.config.top_n, arrays.item_ids
     )
-    items, counts = state.rec_items[peer], state.rec_votes[peer]
-    items.fill(-1)
-    counts.fill(0)
-    for j, (item, count) in enumerate(top):
-        items[j] = item
-        counts[j] = count
+    pad = [(-1, 0)] * (state.config.top_n - len(top))
+    state.rec_items[peer], state.rec_votes[peer] = zip(*top, *pad)
 
 
 def _take_snapshot(state: SimState, receptions: np.ndarray, skipped: int) -> CycleSnapshot:

@@ -19,9 +19,11 @@ so a violation can only be an implementation bug).
 
 from __future__ import annotations
 
+import io
+import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -58,30 +60,71 @@ def load_ratings(path: str | Path) -> RatingMatrix:
 
     The trailing timestamp field is ignored.  Duplicate (user, item) pairs
     and malformed lines raise ParseError with the offending line number;
-    ratings outside 1..5 raise RangeError.
+    ratings outside 1..5 raise RangeError.  A plain ASCII file of integer
+    fields is read by NumPy's parser; anything else goes through the line
+    parser (``_parse_lines``), with the same results and errors.
     """
     path = Path(path)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    table = _int_table(text)
+    if table is None:
+        return _parse_lines(path, io.StringIO(text))
+    # A stable sort keeps each user's items in file order, as the line parser does.
+    order = np.argsort(table[:, 0], kind="stable")
+    keys, starts = np.unique(table[order, 0], return_index=True)
+    items, ratings = table[order, 1].tolist(), table[order, 2].tolist()
+    del table, order
+    bounds = [*starts.tolist(), len(items)]
+    rows = [dict(zip(items[a:b], ratings[a:b])) for a, b in zip(bounds, bounds[1:])]
+    if sum(map(len, rows)) < len(items):  # a (user, item) pair repeats
+        return _parse_lines(path, io.StringIO(text))
+    return RatingMatrix._adopt(keys.tolist(), rows)
+
+
+def _int_table(text: str) -> np.ndarray | None:
+    """The text as int64 rows of 3 or 4 fields with ratings in 1..5, or None
+    where NumPy's parser might not read it as the line parser does."""
+    # Plain ASCII only: NumPy's parser has crashed on some code points
+    # beyond the BMP, and it skips \x1c-\x1f around a number; int() does not.
+    if not text.isascii() or any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # An empty file warns, and so does a float-as-int on older NumPy.
+            warnings.simplefilter("error")
+            table = np.loadtxt(io.StringIO(text), np.int64, delimiter="\t", comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if not len(table) or table.shape[1] not in (3, 4):
+        return None
+    ratings = table[:, 2]
+    return table if 1 <= ratings.min() <= ratings.max() <= 5 else None
+
+
+def _parse_lines(path: Path, lines: Iterable[str]) -> RatingMatrix:
+    """The line parser over the lines of the file at ``path``: the reference
+    reading, and the only source of ParseError and RangeError."""
     by_user: dict[int, dict[int, int]] = {}
     count = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) not in (3, 4):
-                raise ParseError(f"{path}:{lineno}: expected 3 or 4 tab-separated fields")
-            try:
-                user, item, rating = int(fields[0]), int(fields[1]), int(fields[2])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-integer field") from exc
-            if not 1 <= rating <= 5:
-                raise RangeError(f"{path}:{lineno}: rating {rating} outside 1..5")
-            row = by_user.setdefault(user, {})
-            if item in row:
-                raise ParseError(f"{path}:{lineno}: duplicate rating for user {user}, item {item}")
-            row[item] = rating
-            count += 1
+    for lineno, line in enumerate(lines, start=1):
+        line = line.rstrip("\n").rstrip("\r")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) not in (3, 4):
+            raise ParseError(f"{path}:{lineno}: expected 3 or 4 tab-separated fields")
+        try:
+            user, item, rating = int(fields[0]), int(fields[1]), int(fields[2])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-integer field") from exc
+        if not 1 <= rating <= 5:
+            raise RangeError(f"{path}:{lineno}: rating {rating} outside 1..5")
+        row = by_user.setdefault(user, {})
+        if item in row:
+            raise ParseError(f"{path}:{lineno}: duplicate rating for user {user}, item {item}")
+        row[item] = rating
+        count += 1
     if count == 0:
         raise ParseError(f"{path}: no ratings found")
     return RatingMatrix(by_user)

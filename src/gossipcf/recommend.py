@@ -76,7 +76,8 @@ class TrainingArrays:
 
     ``similarity[v, w]`` is the plain cosine between full rating rows (self
     similarity on the diagonal).  ``binary`` is the rated/unrated indicator
-    used for vote tallies, ``rated_cols[v]`` the column indices peer v rated.
+    used for vote tallies, ``rated_cols[v]`` the column indices peer v rated,
+    as a C-contiguous int32 array (``tally_votes`` joins their buffers).
     """
 
     matrix: RatingMatrix
@@ -172,8 +173,7 @@ def centralized_neighborhoods(weighted: np.ndarray, k: int) -> np.ndarray:
 
 def tally_votes(arrays: TrainingArrays, neighbor_rows: Sequence[int]) -> np.ndarray:
     """One vote per neighbor per training item it rated."""
-    cols = [arrays.rated_cols[v] for v in neighbor_rows]
-    flat = np.concatenate(cols) if cols else np.empty(0, dtype=np.int32)
+    flat = np.frombuffer(b"".join([arrays.rated_cols[v] for v in neighbor_rows]), dtype=np.int32)
     return np.bincount(flat, minlength=arrays.item_ids.shape[0])
 
 
@@ -188,8 +188,8 @@ def top_n_from_votes(
     # Ascending key = descending votes; a stable sort keeps ties in column
     # order.  Keys fit in the fewest bits that hold ``most``, and NumPy's
     # stable sort of 8- and 16-bit keys is a radix sort.
-    key = (most - votes).astype(np.min_scalar_type(most))
+    key = np.subtract(most, votes, dtype=np.min_scalar_type(most), casting="unsafe")
     key[exclude_cols] = most
-    order = np.argsort(key, kind="stable")[:n_top]
+    order = key.argsort(kind="stable")[:n_top]
     order = order[key[order] < most]
     return list(zip(item_ids[order].tolist(), votes[order].tolist()))

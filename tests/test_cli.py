@@ -452,6 +452,23 @@ def test_os_errors_are_reported_without_a_traceback(case, data_file, tmp_path, c
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep-churn", "baseline"])
+def test_unwritable_manifest_leaves_no_csv(command, data_file, tmp_path, capsys):
+    # A CSV without the manifest that reproduces it is no result.
+    out = tmp_path / "out"
+    (out / "manifest.json").mkdir(parents=True)
+    extra = {
+        "run": ["--cycles", "2"],
+        "sweep-churn": ["--cycles", "4", "--churn-cycle", "2", "--churn-pcts", "10"],
+        "baseline": [],
+    }[command]
+    argv = [command, "--data", str(data_file), "--trials", "2", "--cache-size", "8",
+            "--out", str(out), *extra]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert [path.name for path in out.iterdir()] == ["manifest.json"]
+
+
 def test_empty_rows_write_header_only_csv(tmp_path):
     path = emit_churn_csv([], tmp_path)
     assert path.read_text() == ",".join(CHURN_COLUMNS) + "\n"

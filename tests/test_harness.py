@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from gossipcf import harness
 from gossipcf.engine import ChurnSpec, InvalidConfig, SimConfig
 from gossipcf.harness import (
     ParseError,
@@ -23,6 +24,7 @@ from gossipcf.harness import (
     split_seed,
 )
 from gossipcf.recommend import RatingMatrix, build_training_arrays, top_m_mean_table
+from gossipcf.synth import write_ratings_file
 
 
 # --- loading -----------------------------------------------------------------
@@ -72,6 +74,73 @@ def test_load_ratings_duplicate_cell_raises(tmp_path):
     path.write_text("1\t10\t5\t0\n1\t10\t4\t0\n", encoding="utf-8")
     with pytest.raises(ParseError):
         load_ratings(path)
+
+
+def _line_parser(path):
+    """The line parser over the file as a text-mode handle iterates it."""
+    with open(path, encoding="utf-8") as fh:
+        return harness._parse_lines(path, fh)
+
+
+def _loaded(load, path):
+    """What a loader makes of ``path``: the matrix's parts, or its error."""
+    try:
+        matrix = load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return matrix.user_keys, [list(row.items()) for row in matrix.rows], matrix.item_ids
+
+
+# Users interleaved, each user's items out of order: a reordering sort shows.
+_INTERLEAVED = "".join(
+    f"{user}\t{(7 * i) % 101}\t{1 + i % 5}\t0\n" for i in range(60) for user in (3, 1, 2)
+)
+
+PARSER_CASES = {
+    "three fields": "1\t10\t5\n2\t10\t4\n1\t11\t3\n",
+    "four fields": "2\t10\t4\t7\n1\t10\t5\t0\n2\t12\t1\t7\n",
+    "mixed three and four fields": "1\t10\t5\t0\n1\t11\t3\n",
+    "blank lines": "\n1\t10\t5\t0\n\n\n2\t10\t4\t0\n\n",
+    "crlf": "1\t10\t5\t0\r\n2\t10\t4\t0\r\n",
+    "lone cr": "1\t10\t5\t0\r2\t10\t4\t0\r",
+    "spaces and plus": " 1\t+10 \t 5\t0\n2\t\x0b10\x0c\t+4\t0\n",
+    "underscore": "1_0\t10\t5\t0\n",
+    "non-integer fourth field": "1\t10\t5\tnoon\n",
+    "two fields": "1\t10\n",
+    "five fields": "1\t10\t5\t0\t0\n2\t10\t4\t0\t0\n",
+    "whitespace-only line": "1\t10\t5\t0\n   \n",
+    "float rating": "1\t10\t5.0\t0\n",
+    "rating 0": "1\t10\t5\t0\n1\t11\t0\t0\n",
+    "rating 6": "1\t10\t6\t0\n",
+    "duplicate pair on lines 2 and 7": "2\t10\t5\t0\n1\t10\t3\t0\n1\t11\t4\t0\n"
+    "2\t11\t4\t0\n3\t10\t1\t0\n3\t11\t2\t0\n1\t10\t4\t0\n",
+    "empty file": "",
+    "byte order mark": "\ufeff1\t10\t5\t0\n",
+    "separator control": "1\x1c\t10\t5\t0\n",
+    "interleaved users": _INTERLEAVED,
+}
+
+
+@pytest.mark.parametrize("case", PARSER_CASES)
+def test_load_ratings_agrees_with_the_line_parser(case, tmp_path):
+    path = tmp_path / "r.data"
+    path.write_bytes(PARSER_CASES[case].encode("utf-8"))
+    assert _loaded(load_ratings, path) == _loaded(_line_parser, path)
+
+
+def test_plain_integer_files_take_numpy_parser(full_scale_ratings, tmp_path, monkeypatch):
+    twin = tmp_path / "twin.data"
+    write_ratings_file(twin, dict(zip(full_scale_ratings.user_keys, full_scale_ratings.rows)))
+    expected = _loaded(_line_parser, twin)
+    small = tmp_path / "small.data"
+    small.write_text("1\t10\t5\t0\n1\t11\t3\t0\n2\t10\t4\t99\n", encoding="utf-8")
+
+    def refuse(path, lines):
+        raise AssertionError(f"{path} went to the line parser")
+
+    monkeypatch.setattr(harness, "_parse_lines", refuse)
+    assert _loaded(load_ratings, twin) == expected
+    assert load_ratings(small).rows == [{10: 5, 11: 3}, {10: 4}]
 
 
 def _real_dataset():
