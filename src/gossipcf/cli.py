@@ -39,7 +39,7 @@ from .harness import (
     centralized_baseline,
     churn_sweep,
     ci95_half_width,
-    load_ratings,
+    parse_ratings,
     run_experiment,
 )
 from .metrics import NoEligiblePeers
@@ -240,14 +240,6 @@ def _write_csv(path: Path, header: Sequence[str], rows: list[Sequence[Any]]) -> 
             fh.write(",".join(_fmt(cell) for cell in row) + "\n")
 
 
-def _sha256(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 @dataclass(frozen=True)
 class RunManifest:
     """Everything needed to bit-reproduce the emitted numbers.
@@ -278,6 +270,7 @@ def build_manifest(
     config: SimConfig,
     trials: int,
     data_path: str,
+    data_sha256: str,
     outputs: list[str],
     sweep: dict[str, Any] | None = None,
 ) -> RunManifest:
@@ -289,7 +282,7 @@ def build_manifest(
         config=cfg,
         trials=trials,
         data_path=str(data_path),
-        data_sha256=_sha256(data_path),
+        data_sha256=data_sha256,
         seed_scheme="numpy SeedSequence(master_seed, spawn_key=(trial, role)); role 0=split, 1=sim",
         per_trial=[
             {"trial": t, "split_spawn_key": [t, 0], "sim_spawn_key": [t, 1]}
@@ -349,15 +342,18 @@ def emit_baseline_csv(
     return path
 
 
-def _require_data(settings: Settings) -> str:
-    if not settings.data:
+def _load(settings: Settings) -> tuple[str, RatingMatrix, str]:
+    """The ratings path, the matrix parsed from it and the sha256 of its
+    bytes, which are read once: a pipe cannot be read a second time."""
+    path = settings.data
+    if not path:
         raise InvalidConfig("a ratings file is required: pass --data PATH")
-    return settings.data
+    data = Path(path).read_bytes()
+    return path, parse_ratings(data, path), hashlib.sha256(data).hexdigest()
 
 
 def _cmd_validate(settings: Settings) -> int:
-    path = _require_data(settings)
-    matrix = load_ratings(path)
+    path, matrix, _ = _load(settings)
     per_user = [len(r) for r in matrix.rows]
     print(f"{path}: {matrix.n_users} users, {matrix.n_items} items, "
           f"{matrix.n_ratings} ratings")
@@ -379,15 +375,16 @@ def _run_and_write(
     name only once the manifest is written.  ``sweep`` is what the manifest
     records of a loss sweep beyond its base config.
     """
-    path = _require_data(settings)
-    matrix = load_ratings(path)
+    path, matrix, data_sha256 = _load(settings)
     config = settings.sim_config(matrix.n_users)
     result = compute(config, matrix)
     out_dir = Path(settings.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=out_dir) as staging:
         staged = emit(result, Path(staging))
-        manifest = build_manifest(command, config, settings.trials, path, [staged.name], sweep)
+        manifest = build_manifest(
+            command, config, settings.trials, path, data_sha256, [staged.name], sweep
+        )
         (out_dir / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
         written = out_dir / staged.name
         os.replace(staged, written)

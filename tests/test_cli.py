@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import threading
 from dataclasses import fields
 from pathlib import Path
 
@@ -161,7 +163,7 @@ def test_manifest_config_roundtrip(data_file):
         environ={},
     )
     config = settings.sim_config(n_peers=60)
-    manifest = build_manifest("run", config, settings.trials, str(data_file), [])
+    manifest = build_manifest("run", config, settings.trials, str(data_file), "0" * 64, [])
     echoed = json.loads(manifest.to_json())["config"]
     assert sim_config_from_mapping(echoed) == config
 
@@ -288,11 +290,13 @@ def test_run_reports_undefined_structural_metric(data_file, tmp_path, capsys):
 # were recorded before the rank-table exchange and the ranking memo replaced
 # the per-item utility path: both must leave every output byte unchanged.
 # The anti-entropy hash was recorded when neighborhoods stopped holding their
-# owner's entry.
+# owner's entry.  All three were re-recorded when the t multiplier of the
+# ci95 rows became the correctly rounded quantile, which moved only those
+# rows, each field by a few ulps.
 GOLDEN_METRICS_SHA256 = {
-    "swarmix": "fc67b166b5fef9ba2661d85770d585d867e2a5d9ae255497c73c4fdf5ba9a0b3",
-    "newscast": "a3215f5fd0fbdfc804d5957a6a1a79ea7081f72783d5bd2fe2c26e7b48122459",
-    "anti-entropy": "1d91e09b38ce7daac5132afeee8dfaf0dfefd21c17a2da4d8d5f2cef56ad3641",
+    "swarmix": "990d19abd1455c8763d20d3e7b983221acdf923abf02b0095c9277988a11b687",
+    "newscast": "26bbb7f0fb2f1e31b4f7d2334e36e6187f1079860004148477e0c87b0f9090d9",
+    "anti-entropy": "d6b5e4399feae1610e70d64daf65b3e1146684e7ab96ace7a2d87a451c147be0",
 }
 
 
@@ -310,9 +314,11 @@ def test_metrics_csv_golden_bytes(protocol, small_ratings, tmp_path):
 # sha256 of churn.csv (a 10% and a 40% loss at cycle 6 of 12) and of
 # baseline.csv (3 trials) for the 80-user dataset, k=8, master seed 31.
 # Both were recorded before snapshots became flat arrays and before the
-# centralized reference ranked all rows with one stable argsort.
-GOLDEN_CHURN_SHA256 = "b9770fc2bebab5ac10ba0be329b8471d49eae05416041345168f71d5d919c737"
-GOLDEN_BASELINE_SHA256 = "4b8c06ed6d0b9dcca56842577a7bad4c52276448742248ad2a79da723070e9ce"
+# centralized reference ranked all rows with one stable argsort, then again
+# when the t multiplier became the correctly rounded quantile: that moved
+# the ci_low and ci_high fields and the ci95 row, and no other byte.
+GOLDEN_CHURN_SHA256 = "1facb3cd43d7c2dbe885c438f6d47025cf2dd9410e1dfa8fe9d054d3ebe86f5a"
+GOLDEN_BASELINE_SHA256 = "1d68338f0704c821b8b319897374b4be3832d05d75ce64c05cd8c02abb4bc0bc"
 
 
 def test_churn_csv_golden_bytes(small_ratings, tmp_path):
@@ -411,6 +417,47 @@ def test_malformed_data_file_reported(tmp_path, capsys):
     bad.write_text("1\t10\t9\t0\n", encoding="utf-8")
     assert main(["validate-data", "--data", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate-data", "run"])
+def test_data_file_that_is_not_utf8_reported(command, data_file, tmp_path, capsys):
+    data = bytearray(data_file.read_bytes())
+    data[20000] = 0xFF
+    bad = tmp_path / "bad.data"
+    bad.write_bytes(data)
+    argv = [command, "--data", str(bad)]
+    if command == "run":
+        argv += ["--trials", "2", "--cycles", "2", "--cache-size", "8",
+                 "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: byte 20000: not UTF-8")
+    assert "Traceback" not in err
+
+
+def _write_and_close(fd: int, content: bytes) -> None:
+    with os.fdopen(fd, "wb") as fh:
+        fh.write(content)
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd")
+def test_manifest_hashes_the_bytes_read_from_a_pipe(data_file, tmp_path):
+    # As with --data <(cat file): a drained pipe reopened reads as empty, so
+    # the hash must come from the bytes that were parsed.
+    content = data_file.read_bytes()
+    read_end, write_end = os.pipe()
+    writer = threading.Thread(target=_write_and_close, args=(write_end, content))
+    writer.start()
+    out = tmp_path / "out"
+    try:
+        code = main(["run", "--data", f"/dev/fd/{read_end}", "--trials", "2", "--cycles", "2",
+                     "--cache-size", "8", "--out", str(out)])
+    finally:
+        writer.join()
+        os.close(read_end)
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["data_sha256"] == hashlib.sha256(content).hexdigest()
 
 
 OS_ERROR_CASES = (

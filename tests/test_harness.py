@@ -1,6 +1,7 @@
 """Dataset loading, split soundness, trial aggregation, churn sweeps."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -239,7 +240,43 @@ def test_split_deterministic_per_seed(small_ratings):
 # --- trials and aggregation --------------------------------------------------
 
 def test_t_multiplier_for_five_trials():
-    assert stats.t.ppf(0.975, 4) == pytest.approx(2.776, abs=5e-4)
+    assert harness.t975(4) == pytest.approx(2.776, abs=5e-4)
+
+
+# The 0.975 quantiles correctly rounded from 60-digit values (mpmath).
+# SciPy 1.17.1's stdtrit lands 6, 2, 4 and 2 ulps off for dof 1 to 4.
+T975_REFERENCE = {
+    1: 12.706204736174705,
+    2: 4.302652729749464,
+    3: 3.1824463052837095,
+    4: 2.7764451051977943,
+    9: 2.2621571627982053,
+    29: 2.0452296421327043,
+}
+
+
+@pytest.mark.parametrize("dof", sorted(T975_REFERENCE))
+def test_t975_is_within_four_ulps_of_the_rounded_quantile(dof):
+    want = T975_REFERENCE[dof]
+    assert abs(harness.t975(dof) - want) <= 4 * math.ulp(want)
+
+
+def test_t975_agrees_with_scipy():
+    dofs = np.arange(1, 201)
+    got = np.array([harness.t975(int(dof)) for dof in dofs])
+    np.testing.assert_allclose(got, stats.t.ppf(0.975, dofs), rtol=1e-14, atol=0)
+
+
+def test_t975_falls_with_dof_and_stays_above_the_normal_quantile():
+    quantiles = [harness.t975(dof) for dof in range(1, 201)]
+    assert all(a > b for a, b in zip(quantiles, quantiles[1:]))
+    assert quantiles[-1] > 1.959963984540054
+
+
+@pytest.mark.parametrize("dof", [0, -1])
+def test_t975_needs_a_degree_of_freedom(dof):
+    with pytest.raises(InvalidConfig, match="degree of freedom"):
+        harness.t975(dof)
 
 
 def test_run_trial_series_lengths(small_ratings):
