@@ -21,6 +21,7 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
 import tempfile
 from dataclasses import asdict, dataclass, field, fields
@@ -41,6 +42,8 @@ from .harness import (
     ci95_half_width,
     parse_ratings,
     run_experiment,
+    sim_seed,
+    split_seed,
 )
 from .metrics import NoEligiblePeers
 from .recommend import RatingMatrix
@@ -244,13 +247,17 @@ def _write_csv(path: Path, header: Sequence[str], rows: list[Sequence[Any]]) -> 
 class RunManifest:
     """Everything needed to bit-reproduce the emitted numbers.
 
-    ``sweep`` is None except for ``sweep-churn``, whose base config has no
-    churn: there it records the loss levels (``churn_pcts``) and the cycle
-    they strike at (``churn_cycle``).
+    NumPy does not keep its random streams stable across versions, so the
+    NumPy and Python versions are recorded.  ``sweep`` is None except for
+    ``sweep-churn``, whose base config has no churn: there it records the
+    loss levels (``churn_pcts``) and the cycle they strike at
+    (``churn_cycle``).
     """
 
     tool: str
     version: str
+    numpy_version: str
+    python_version: str
     command: str
     config: dict[str, Any]
     trials: int
@@ -278,6 +285,8 @@ def build_manifest(
     return RunManifest(
         tool="gossipcf",
         version=__version__,
+        numpy_version=np.__version__,
+        python_version=platform.python_version(),
         command=command,
         config=cfg,
         trials=trials,
@@ -285,7 +294,8 @@ def build_manifest(
         data_sha256=data_sha256,
         seed_scheme="numpy SeedSequence(master_seed, spawn_key=(trial, role)); role 0=split, 1=sim",
         per_trial=[
-            {"trial": t, "split_spawn_key": [t, 0], "sim_spawn_key": [t, 1]}
+            {"trial": t, "split_spawn_key": list(split_seed(config.seed, t).spawn_key),
+             "sim_spawn_key": list(sim_seed(config.seed, t).spawn_key)}
             for t in range(trials)
         ],
         outputs=outputs,

@@ -164,6 +164,10 @@ class CycleSnapshot:
 class SimState:
     """Mutable state of a running simulation.
 
+    ``alive`` flags the peers churn has not silenced and ``left`` those that
+    left voluntarily; the engine draws only live partners, so the protocol
+    never reads liveness.
+
     The ranking memo is ``rec_items``/``rec_votes``, each peer's latest top-N
     row, keyed by ``ranked[v]``: the tuple ``gossip.sources[v]`` held when
     v's row was last brought up to date, ``None`` before v is first ranked.
@@ -173,6 +177,7 @@ class SimState:
 
     config: SimConfig
     gossip: GossipState
+    alive: list[bool]
     left: list[bool]
     arrays: TrainingArrays
     protocol: ProtocolSpec
@@ -289,14 +294,13 @@ def bootstrap(
         )
     topology = bootstrap_topology(n, config.bootstrap_degree, config.cache_size, rng)
     caches = [tuple(DataItem(u, 0) for u in topology[v]) for v in range(n)]
-    gossip = GossipState(caches=caches, alive=[True] * n)
-    protocol = make_protocol(config, arrays)
     return SimState(
         config=config,
-        gossip=gossip,
+        gossip=GossipState(caches=caches),
+        alive=[True] * n,
         left=[False] * n,
         arrays=arrays,
-        protocol=protocol,
+        protocol=make_protocol(config, arrays),
         rng=rng,
         rec_items=np.full((n, config.top_n), -1, dtype=np.int64),
         rec_votes=np.zeros((n, config.top_n), dtype=np.int32),
@@ -314,14 +318,14 @@ def inject_churn(state: SimState, spec: ChurnSpec) -> list[int]:
     count = churn_count(spec.pct, state.n)
     if count == 0:
         return []
-    alive_ids = [p for p in range(state.n) if state.gossip.alive[p]]
+    alive_ids = [p for p in range(state.n) if state.alive[p]]
     if count > len(alive_ids):
         raise InvalidConfig("churn would remove more peers than are alive")
     chosen = state.rng.choice(len(alive_ids), size=count, replace=False)
     silenced = sorted(alive_ids[int(i)] for i in chosen)
     leaving = spec.mode == "leavings"
     for p in silenced:
-        state.gossip.alive[p] = False
+        state.alive[p] = False
         if leaving:
             state.left[p] = True
     return silenced
@@ -359,7 +363,7 @@ def _take_snapshot(state: SimState, receptions: np.ndarray, skipped: int) -> Cyc
     sums = np.bincount(owners, weights=state.arrays.similarity[owners, flat], minlength=n)
     with np.errstate(invalid="ignore"):
         mean = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    alive = np.array(state.gossip.alive, dtype=bool)
+    alive = np.array(state.alive, dtype=bool)
     # Every peer alive at the start of the cycle was ranked, and nobody is
     # silenced mid-cycle, so the memo holds exactly the live peers' rows.
     return CycleSnapshot(
@@ -387,7 +391,7 @@ def run_cycle(state: SimState) -> CycleSnapshot:
     n = state.n
     gossip = state.gossip
     sources = gossip.sources
-    alive = gossip.alive
+    alive = state.alive
     ranked = state.ranked
     protocol = state.protocol
     global_view = protocol.global_view

@@ -42,6 +42,8 @@ from .recommend import (
 )
 
 DOMINANCE_EPS = 1e-9
+# The strict checker maps item ids to columns through a table indexed by id.
+MAX_ITEM_ID = 2**24 - 1
 
 
 class ParseError(Exception):
@@ -49,7 +51,7 @@ class ParseError(Exception):
 
 
 class RangeError(Exception):
-    """A parsed rating falls outside the 1..5 scale."""
+    """A parsed rating falls outside 1..5, or an item id outside 0..MAX_ITEM_ID."""
 
 
 class UserTooSparse(Exception):
@@ -61,9 +63,10 @@ def load_ratings(path: str | Path) -> RatingMatrix:
 
     The trailing timestamp field is ignored.  Duplicate (user, item) pairs
     and malformed lines raise ParseError with the offending line number;
-    ratings outside 1..5 raise RangeError.  A plain ASCII file of integer
-    fields is read by NumPy's parser; anything else goes through the line
-    parser (``_parse_lines``), with the same results and errors.
+    ratings outside 1..5 and item ids outside 0..MAX_ITEM_ID raise
+    RangeError.  A plain ASCII file of integer fields is read by NumPy's
+    parser; anything else goes through the line parser (``_parse_lines``),
+    with the same results and errors.
     """
     return parse_ratings(Path(path).read_bytes(), path)
 
@@ -97,8 +100,8 @@ def parse_ratings(data: bytes, path: str | Path) -> RatingMatrix:
 
 
 def _int_table(text: str) -> np.ndarray | None:
-    """The text as int64 rows of 3 or 4 fields with ratings in 1..5, or None
-    where NumPy's parser might not read it as the line parser does."""
+    """The text as int64 rows of 3 or 4 fields with ratings in 1..5 and item
+    ids in 0..MAX_ITEM_ID, or None where the line parser must read it."""
     # Plain ASCII only: NumPy's parser has crashed on some code points
     # beyond the BMP, and it skips \x1c-\x1f around a number; int() does not.
     if not text.isascii() or any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
@@ -112,8 +115,10 @@ def _int_table(text: str) -> np.ndarray | None:
         return None
     if not len(table) or table.shape[1] not in (3, 4):
         return None
-    ratings = table[:, 2]
-    return table if 1 <= ratings.min() <= ratings.max() <= 5 else None
+    items, ratings = table[:, 1], table[:, 2]
+    if not 1 <= ratings.min() <= ratings.max() <= 5:
+        return None
+    return table if 0 <= items.min() <= items.max() <= MAX_ITEM_ID else None
 
 
 def _parse_lines(path: Path, lines: Iterable[str]) -> RatingMatrix:
@@ -134,6 +139,8 @@ def _parse_lines(path: Path, lines: Iterable[str]) -> RatingMatrix:
             raise ParseError(f"{path}:{lineno}: non-integer field") from exc
         if not 1 <= rating <= 5:
             raise RangeError(f"{path}:{lineno}: rating {rating} outside 1..5")
+        if not 0 <= item <= MAX_ITEM_ID:
+            raise RangeError(f"{path}:{lineno}: item id {item} outside 0..{MAX_ITEM_ID}")
         row = by_user.setdefault(user, {})
         if item in row:
             raise ParseError(f"{path}:{lineno}: duplicate rating for user {user}, item {item}")
@@ -146,13 +153,11 @@ def _parse_lines(path: Path, lines: Iterable[str]) -> RatingMatrix:
 
 @dataclass
 class SplitSpec:
-    """One all-but-1 partition: training matrix plus the hidden cell per peer."""
+    """One all-but-1 partition: the training matrix, and ``hidden[v]``, the
+    item id of peer v's hidden rating (int64, one per peer)."""
 
     training: RatingMatrix
-    hidden: dict[int, tuple[int, int]]  # peer -> (item id, rating)
-
-    def hidden_items(self) -> dict[int, int]:
-        return {peer: item for peer, (item, _) in self.hidden.items()}
+    hidden: np.ndarray
 
 
 def all_but_1_split(ratings: RatingMatrix, rng: np.random.Generator) -> SplitSpec:
@@ -161,7 +166,7 @@ def all_but_1_split(ratings: RatingMatrix, rng: np.random.Generator) -> SplitSpe
     Peer indices are preserved: every user keeps at least one training rating,
     so the training matrix has the same users in the same order.
     """
-    hidden: dict[int, tuple[int, int]] = {}
+    hidden = np.empty(ratings.n_users, dtype=np.int64)
     rows: list[dict[int, int]] = []
     for peer, key in enumerate(ratings.user_keys):
         row = ratings.rows[peer]
@@ -169,7 +174,7 @@ def all_but_1_split(ratings: RatingMatrix, rng: np.random.Generator) -> SplitSpe
             raise UserTooSparse(f"user {key} has {len(row)} ratings, need at least 2")
         items = sorted(row)
         pick = items[int(rng.integers(len(items)))]
-        hidden[peer] = (pick, row[pick])
+        hidden[peer] = pick
         rows.append(kept := dict(row))
         del kept[pick]
     return SplitSpec(training=RatingMatrix._adopt(list(ratings.user_keys), rows), hidden=hidden)
@@ -200,7 +205,7 @@ class _StrictChecker:
         self.arrays = arrays
         self.top_m_means = top_m_means
         max_id = int(arrays.item_ids.max())
-        self.col_of_id = np.full(max_id + 2, -1, dtype=np.int64)
+        self.col_of_id = np.full(max_id + 2, -1, dtype=np.int32)
         self.col_of_id[arrays.item_ids] = np.arange(arrays.item_ids.size)
 
     def check(self, snap: CycleSnapshot) -> None:
@@ -247,16 +252,15 @@ class _StrictChecker:
 def _centralized_hit_rate(
     arrays: TrainingArrays,
     neighborhoods: np.ndarray,
-    hidden: dict[int, int],
+    hidden: np.ndarray,
     top_n: int,
 ) -> float:
     hits = 0
-    for peer in range(arrays.binary.shape[0]):
+    for peer, held_out in enumerate(hidden.tolist()):
         votes = tally_votes(arrays, neighborhoods[peer])
         ranked = top_n_from_votes(votes, arrays.rated_cols[peer], top_n, arrays.item_ids)
-        if any(item == hidden[peer] for item, _ in ranked):
-            hits += 1
-    return hits / arrays.binary.shape[0]
+        hits += any(item == held_out for item, _ in ranked)
+    return hits / hidden.size
 
 
 def split_seed(master_seed: int, trial: int) -> np.random.SeedSequence:
@@ -271,7 +275,7 @@ def sim_seed(master_seed: int, trial: int) -> np.random.SeedSequence:
 class _Reference:
     """One trial's split, its training arrays and the centralized reference."""
 
-    hidden: dict[int, int]
+    hidden: np.ndarray
     arrays: TrainingArrays
     top_m: np.ndarray
     avg_similarity: float
@@ -282,17 +286,16 @@ def _reference(config: SimConfig, ratings: RatingMatrix, trial: int) -> _Referen
     """Draw trial ``trial``'s split and score the centralized reference on it."""
     split_rng = np.random.Generator(np.random.PCG64(split_seed(config.seed, trial)))
     split = all_but_1_split(ratings, split_rng)
-    hidden = split.hidden_items()
     arrays = build_training_arrays(split.training)
     top_m = top_m_mean_table(arrays.similarity, config.cache_size)
     weighted = weighted_similarity_matrix(arrays, config.significance_threshold)
     neighborhoods = centralized_neighborhoods(weighted, config.cache_size)
     return _Reference(
-        hidden=hidden,
+        hidden=split.hidden,
         arrays=arrays,
         top_m=top_m,
         avg_similarity=float(top_m[:, -1].mean()),
-        hit_rate=_centralized_hit_rate(arrays, neighborhoods, hidden, config.top_n),
+        hit_rate=_centralized_hit_rate(arrays, neighborhoods, split.hidden, config.top_n),
     )
 
 

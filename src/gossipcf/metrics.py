@@ -2,9 +2,9 @@
 
 Similarity statistics aggregate each live peer's mean similarity to its cache
 members.  Hit rate checks whether a peer's held-out item appears in its
-recommendation list, with two accountings for disturbed runs: failures keep
-every original peer in the denominator (silenced peers score zero), voluntary
-leavings restrict the denominator to peers that did not leave.
+recommendation list, with two accountings from one pass over a snapshot:
+failures keep every original peer in the denominator (silenced peers score
+zero), voluntary leavings restrict it to peers that did not leave.
 
 Path length and clustering follow the usual small-world definitions on the
 symmetrized subgraph induced by live peers: mean shortest-path length over
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,33 +74,14 @@ def similarity_variance(snapshot: CycleSnapshot) -> float:
     return float(_eligible_similarities(snapshot).var())
 
 
-def hit_rate(
-    snapshot: CycleSnapshot,
-    hidden: Mapping[int, int],
-    mode: str = "failures",
-) -> float:
-    """Fraction of peers whose hidden item made their recommendation list.
-
-    ``failures`` divides by every original peer (a silenced peer cannot
-    receive its list, so it scores zero); ``voluntary`` divides by the peers
-    that did not leave.
-    """
-    n = snapshot.rec_items.shape[0]
-    hidden_arr = np.full(n, -2, dtype=np.int64)
-    count = len(hidden)
-    hidden_arr[np.fromiter(hidden.keys(), np.int64, count)] = np.fromiter(
-        hidden.values(), np.int64, count
-    )
-    hits = (snapshot.rec_items == hidden_arr[:, None]).any(axis=1)
-    hits &= snapshot.alive
-    if mode == "failures":
-        return float(hits.sum() / n)
-    if mode == "voluntary":
-        remaining = int((~snapshot.left).sum())
-        if remaining == 0:
-            return 0.0
-        return float(hits.sum() / remaining)
-    raise ValueError(f"unknown hit-rate mode: {mode!r}")
+def hit_rates(snapshot: CycleSnapshot, hidden: np.ndarray) -> tuple[float, float]:
+    """The failures and voluntary-leavings hit rates: the fraction of peers
+    whose held-out item ``hidden[v]`` (never negative, so never the -1
+    padding) made their list, over every original peer (a silenced peer
+    scores zero) and over the peers that did not leave."""
+    hits = int(((snapshot.rec_items == hidden[:, None]).any(axis=1) & snapshot.alive).sum())
+    remaining = int((~snapshot.left).sum())
+    return hits / hidden.size, hits / remaining if remaining else 0.0
 
 
 class LiveGraph(NamedTuple):
@@ -236,11 +217,12 @@ def in_degree_stats(snapshot: CycleSnapshot) -> tuple[float, float]:
 
 def compute_cycle_metrics(
     snapshot: CycleSnapshot,
-    hidden: Mapping[int, int],
+    hidden: np.ndarray,
     structural: bool = True,
 ) -> CycleMetrics:
-    """Assemble the full metrics row for one snapshot."""
+    """Assemble the full metrics row for one snapshot (``hidden`` as in :func:`hit_rates`)."""
     in_mean, in_var = in_degree_stats(snapshot)
+    hit_rate, hit_rate_voluntary = hit_rates(snapshot, hidden)
     if structural:
         graph = live_graph(snapshot)
         apl, coverage = avg_path_length(graph)
@@ -251,8 +233,8 @@ def compute_cycle_metrics(
         cycle=snapshot.cycle,
         avg_similarity=avg_similarity(snapshot),
         similarity_variance=similarity_variance(snapshot),
-        hit_rate=hit_rate(snapshot, hidden, "failures"),
-        hit_rate_voluntary=hit_rate(snapshot, hidden, "voluntary"),
+        hit_rate=hit_rate,
+        hit_rate_voluntary=hit_rate_voluntary,
         in_degree_mean=in_mean,
         in_degree_variance=in_var,
         avg_path_length=apl,

@@ -43,7 +43,6 @@ merge and select live with the test suite, which pins :func:`_retain` and
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple, Sequence
@@ -116,7 +115,6 @@ class GossipState:
     """
 
     caches: list[Cache]
-    alive: list[bool]
     sources: list[tuple[PeerId, ...]] = field(init=False)
     version: list[int] = field(init=False)
     admissible: list[int | None] = field(init=False)
@@ -129,11 +127,12 @@ class GossipState:
         self.held = [None] * len(self.caches)
 
 
-def rank_table(similarity: np.ndarray) -> list[array]:
+def rank_table(similarity: np.ndarray) -> list[memoryview]:
     """Per peer, every peer's position in its (similarity desc, id asc) order.
 
-    ``rank[v][w]`` is that position of w for v.  Rows are compact
-    ``array('i')`` so the table costs four bytes per peer pair.
+    ``rank[v][w]`` is that position of w for v.  Row v is a memoryview of
+    row v of one n-by-n int32 matrix: the table costs four bytes per peer
+    pair, and ``np.asarray`` of a row copies nothing.
     """
     sim = np.asarray(similarity, dtype=np.float64)
     n = sim.shape[0]
@@ -152,7 +151,7 @@ def rank_table(similarity: np.ndarray) -> list[array]:
         run += order
         run.sort(axis=1)
         np.put_along_axis(rank[start : start + 64], run % n, positions, axis=1)
-    return [array("i", row.tobytes()) for row in rank]
+    return [memoryview(row) for row in rank]
 
 
 def _merge(own: Cache, other: Cache) -> dict[PeerId, DataItem]:

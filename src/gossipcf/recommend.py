@@ -80,7 +80,6 @@ class TrainingArrays:
     as a C-contiguous int32 array (``tally_votes`` joins their buffers).
     """
 
-    matrix: RatingMatrix
     item_ids: np.ndarray
     binary: np.ndarray
     rated_cols: list[np.ndarray]
@@ -111,7 +110,6 @@ def build_training_arrays(matrix: RatingMatrix) -> TrainingArrays:
     similarity = values @ values.T
     np.clip(similarity, 0.0, 1.0, out=similarity)
     return TrainingArrays(
-        matrix=matrix,
         item_ids=item_ids,
         binary=binary,
         rated_cols=rated_cols,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -209,10 +209,10 @@ def centralized_recommend(
 
 
 def overlay_recommend(
-    active: PeerId, state: GossipState, ratings: RatingMatrix, n_top: int
+    active: PeerId, state: GossipState, alive: Sequence[bool], ratings: RatingMatrix, n_top: int
 ) -> RecommendationList:
     """Recommendations from the peer's current cache, local knowledge only."""
-    if not state.alive[active]:
+    if not alive[active]:
         raise DeadPeer(f"peer {active} is not alive")
     neighbors = [item.src for item in state.caches[active]]
     return most_frequent_items(active, neighbors, ratings, n_top)
@@ -226,7 +226,7 @@ def run_cycle(state: SimState) -> CycleSnapshot:
     n = state.n
     gossip = state.gossip
     sources = gossip.sources
-    alive = gossip.alive
+    alive = state.alive
     rng = state.rng
     global_view = state.protocol.global_view
     receptions = np.zeros(n, dtype=np.int32)

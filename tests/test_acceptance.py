@@ -22,6 +22,7 @@ import test_pushpull as pushpull_oracles
 from gossipcf.engine import PROTOCOLS, SimConfig, run_simulation
 from gossipcf.harness import all_but_1_split, churn_sweep, sim_seed, split_seed
 from gossipcf.metrics import avg_path_length, clustering_coefficient, live_graph
+from gossipcf.pushpull import ProtocolSpec, _cut, _freshest, _retain, rank_table
 from gossipcf.recommend import build_training_arrays
 from gossipcf.synth import generate_ratings, write_ratings_file
 from conftest import ACCEPTANCE_SEED
@@ -40,7 +41,11 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 def test_criterion_1_merge_select_neighbors_oracle_equivalence():
     # a partial-view cache is its neighborhood, so merge and select are the
-    # whole neighborhood step
+    # whole neighborhood step.  The library's two sides of an exchange, the
+    # rank-table ``_retain`` and the freshest-first ``_cut(_freshest(...))``,
+    # must equal the brute-force merge and select, as the reference ones do.
+    oracle_select = pushpull_oracles.oracle_select
+    freshest = lambda it: float(it.timestamp)
     rnd = random.Random(11)
     for _ in range(CASES):
         a = pushpull_oracles.random_cache(rnd)
@@ -48,12 +53,21 @@ def test_criterion_1_merge_select_neighbors_oracle_equivalence():
         table = {s: rnd.choice([0.1, 0.3, 0.3, 0.7, 0.9]) for s in range(8)}
         u = lambda it: table[it.src]
         k = rnd.randint(1, 9)
+        owner = rnd.randrange(8)
         merged = merge_freshest(a, b)
-        assert set(merged) == pushpull_oracles.oracle_merge(
-            a, b, key=lambda it, side: (it.timestamp, side)
-        )
-        assert select_top_k(merged, u, k) == pushpull_oracles.oracle_select(merged, u, k)
-    report("1a", True, f"merge/select equal brute force on {CASES} cases")
+        brute = pushpull_oracles.oracle_merge(a, b, key=lambda it, side: (it.timestamp, side))
+        assert set(merged) == brute
+        assert select_top_k(merged, u, k) == oracle_select(merged, u, k)
+        others = tuple(it for it in brute if it.src != owner)
+        rank = rank_table(np.tile([table[s] for s in range(8)], (8, 1)))
+        kept, srcs = _retain(owner, a, b, ProtocolSpec(k, rank=rank))
+        assert kept == oracle_select(others, u, k)
+        assert srcs == tuple(it.src for it in kept)
+        for global_view, pool in ((False, others), (True, tuple(brute))):
+            want = oracle_select(pool, freshest, k)
+            got = _cut(_freshest(a, b), owner, ProtocolSpec(k, global_view=global_view))
+            assert got == (want, tuple(it.src for it in want))
+    report("1a", True, f"library and reference merge/select equal brute force on {CASES} cases")
 
 
 def test_criterion_1_graph_metrics_oracle_equivalence():

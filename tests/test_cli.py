@@ -3,10 +3,12 @@
 import hashlib
 import json
 import os
+import platform
 import threading
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gossipcf.cli import (
@@ -164,8 +166,12 @@ def test_manifest_config_roundtrip(data_file):
     )
     config = settings.sim_config(n_peers=60)
     manifest = build_manifest("run", config, settings.trials, str(data_file), "0" * 64, [])
-    echoed = json.loads(manifest.to_json())["config"]
-    assert sim_config_from_mapping(echoed) == config
+    recorded = json.loads(manifest.to_json())
+    assert sim_config_from_mapping(recorded["config"]) == config
+    # NumPy keeps no random stream stable across versions
+    assert recorded["numpy_version"] == np.__version__
+    assert recorded["python_version"] == platform.python_version()
+    assert recorded["per_trial"][4] == {"trial": 4, "split_spawn_key": [4, 0], "sim_spawn_key": [4, 1]}
 
 
 def test_metrics_csv_schema_and_determinism(data_file, tmp_path):
@@ -433,6 +439,25 @@ def test_data_file_that_is_not_utf8_reported(command, data_file, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: byte 20000: not UTF-8")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("item", [-1, 2**62])
+@pytest.mark.parametrize("command", ["validate-data", "run"])
+def test_item_id_the_pipeline_cannot_hold_reported(command, item, data_file, tmp_path, capsys):
+    # -1 is the padding of a recommendation list, and the strict checker
+    # would size a table by 2**62.
+    data = data_file.read_bytes() + f"1\t{item}\t5\t0\n".encode()
+    bad = tmp_path / "bad.data"
+    bad.write_bytes(data)
+    argv = [command, "--data", str(bad)]
+    if command == "run":
+        argv += ["--trials", "2", "--cycles", "2", "--cache-size", "8",
+                 "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    lineno = data.count(b"\n")
+    assert err.startswith(f"error: {bad}:{lineno}: item id {item} outside 0..{2**24 - 1}")
+    assert not (tmp_path / "out").exists()
 
 
 def _write_and_close(fd: int, content: bytes) -> None:

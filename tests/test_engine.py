@@ -107,13 +107,17 @@ def test_config_validation():
         SimConfig(**base, churn=ChurnSpec(mode="evaporation", at_cycle=5))
 
 
+def _training(small_ratings, seed):
+    """The training matrix of trial 0 under master seed ``seed``."""
+    split_rng = np.random.Generator(np.random.PCG64(split_seed(seed, 0)))
+    return all_but_1_split(small_ratings, split_rng).training
+
+
 def _small_sim(small_ratings, **kwargs):
     defaults = dict(n_peers=80, cache_size=8, cycles=12, seed=3)
     defaults.update(kwargs)
     config = SimConfig(**defaults)
-    split_rng = np.random.Generator(np.random.PCG64(split_seed(config.seed, 0)))
-    arrays = _arrays(all_but_1_split(small_ratings, split_rng).training)
-    return config, arrays
+    return config, _arrays(_training(small_ratings, config.seed))
 
 
 def test_cycle_conservation_and_one_initiation_each(small_ratings):
@@ -474,7 +478,8 @@ def test_churn_count_is_floor_of_pct_at_full_scale():
     n = 943
     state = SimState(
         config=SimConfig(n_peers=n),
-        gossip=GossipState(caches=[()] * n, alive=[True] * n),
+        gossip=GossipState(caches=[()] * n),
+        alive=[True] * n,
         left=[False] * n,
         arrays=None,
         protocol=None,
@@ -482,7 +487,7 @@ def test_churn_count_is_floor_of_pct_at_full_scale():
     )
     silenced = inject_churn(state, ChurnSpec(mode="failures", pct=20.0, at_cycle=1))
     assert len(silenced) == 188
-    assert sum(1 for a in state.gossip.alive if not a) == 188
+    assert sum(1 for a in state.alive if not a) == 188
 
 
 def test_global_view_protocol_draws_any_peer(small_ratings):
@@ -500,7 +505,7 @@ def test_similarity_utility_scores_the_item_snapshot(small_ratings):
     from oracles import cosine_similarity, profiles
 
     config, arrays = _small_sim(small_ratings)
-    training = profiles(arrays.matrix)
+    training = profiles(_training(small_ratings, config.seed))
     rank = make_protocol(config, arrays).rank
     n = config.n_peers
     rng = np.random.default_rng(12)

@@ -65,9 +65,11 @@ def test_load_ratings_malformed_line_raises(tmp_path):
 
 def test_load_ratings_range_violation_raises(tmp_path):
     path = tmp_path / "bad.data"
-    path.write_text("1\t10\t6\t0\n", encoding="utf-8")
-    with pytest.raises(RangeError):
-        load_ratings(path)
+    # a rating off the scale, and item ids the pipeline cannot hold
+    for line in ("1\t10\t6\t0", "1\t-1\t5\t0", f"1\t{2**24}\t5\t0", f"1\t{2**62}\t5\t0"):
+        path.write_text(f"1\t11\t4\t0\n{line}\n", encoding="utf-8")
+        with pytest.raises(RangeError, match=r"bad\.data:2: "):
+            load_ratings(path)
 
 
 def test_load_ratings_duplicate_cell_raises(tmp_path):
@@ -113,6 +115,11 @@ PARSER_CASES = {
     "float rating": "1\t10\t5.0\t0\n",
     "rating 0": "1\t10\t5\t0\n1\t11\t0\t0\n",
     "rating 6": "1\t10\t6\t0\n",
+    "item id -1": "1\t10\t5\t0\n1\t-1\t4\t0\n",
+    "item id 2**24 - 1": f"1\t10\t5\t0\n1\t{2**24 - 1}\t4\t0\n",
+    "item id 2**24": f"1\t10\t5\t0\n1\t{2**24}\t4\t0\n",
+    "item id 2**62": f"1\t{2**62}\t5\t0\n",
+    "item id beyond int64": f"1\t{2**70}\t5\t0\n",
     "duplicate pair on lines 2 and 7": "2\t10\t5\t0\n1\t10\t3\t0\n1\t11\t4\t0\n"
     "2\t11\t4\t0\n3\t10\t1\t0\n3\t11\t2\t0\n1\t10\t4\t0\n",
     "empty file": "",
@@ -179,7 +186,8 @@ def test_split_user_with_two_ratings_keeps_one():
 
 def test_split_hidden_size_equals_user_count(small_ratings):
     split = all_but_1_split(small_ratings, np.random.default_rng(1))
-    assert len(split.hidden) == small_ratings.n_users
+    assert split.hidden.shape == (small_ratings.n_users,)
+    assert split.hidden.dtype == np.int64
 
 
 def test_split_training_equals_a_matrix_of_the_kept_rows(small_ratings):
@@ -190,7 +198,7 @@ def test_split_training_equals_a_matrix_of_the_kept_rows(small_ratings):
     keys, items = list(small_ratings.user_keys), list(small_ratings.item_ids)
     split = all_but_1_split(small_ratings, np.random.default_rng(3))
     want = RatingMatrix({
-        key: {item: r for item, r in rows[peer].items() if item != split.hidden[peer][0]}
+        key: {item: r for item, r in rows[peer].items() if item != split.hidden[peer]}
         for peer, key in enumerate(keys)
     })
     training = split.training
@@ -223,18 +231,17 @@ def test_split_soundness(seed):
     for peer, key in enumerate(matrix.user_keys):
         original = matrix.rows[peer]
         kept = split.training.rows[peer]
-        item, rating = split.hidden[peer]
+        item = int(split.hidden[peer])
         assert item not in kept
-        assert original[item] == rating
         merged = dict(kept)
-        merged[item] = rating
+        merged[item] = original[item]
         assert merged == original
 
 
 def test_split_deterministic_per_seed(small_ratings):
     a = all_but_1_split(small_ratings, np.random.default_rng(42))
     b = all_but_1_split(small_ratings, np.random.default_rng(42))
-    assert a.hidden == b.hidden
+    assert np.array_equal(a.hidden, b.hidden)
 
 
 # --- trials and aggregation --------------------------------------------------

@@ -14,7 +14,7 @@ from gossipcf.metrics import (
     avg_similarity,
     clustering_coefficient,
     compute_cycle_metrics,
-    hit_rate,
+    hit_rates,
     in_degree_stats,
     live_graph,
     similarity_variance,
@@ -83,8 +83,8 @@ def test_avg_similarity_no_eligible_raises():
 def test_hit_rate_all_hits_and_none():
     rec = np.array([[10, 11], [12, 13]])
     snap = make_snapshot([[1], [0]], rec_items=rec, top_n=2)
-    assert hit_rate(snap, {0: 10, 1: 12}) == 1.0
-    assert hit_rate(snap, {0: 99, 1: 98}) == 0.0
+    assert hit_rates(snap, np.array([10, 12])) == (1.0, 1.0)
+    assert hit_rates(snap, np.array([99, 98])) == (0.0, 0.0)
 
 
 def test_hit_rate_failures_vs_voluntary_worked_example():
@@ -97,15 +97,15 @@ def test_hit_rate_failures_vs_voluntary_worked_example():
         left=[False, False, False, True],
         top_n=1,
     )
-    hidden = {0: 10, 1: 20, 2: 30, 3: 40}
-    assert hit_rate(snap, hidden, "failures") == pytest.approx(2 / 4)
-    assert hit_rate(snap, hidden, "voluntary") == pytest.approx(2 / 3)
+    failures, voluntary = hit_rates(snap, np.array([10, 20, 30, 40]))
+    assert failures == pytest.approx(2 / 4)
+    assert voluntary == pytest.approx(2 / 3)
 
 
 def test_hit_rate_dead_peer_never_hits():
     rec = np.array([[10], [20]])
     snap = make_snapshot([[1], [0]], rec_items=rec, alive=[True, False], top_n=1)
-    assert hit_rate(snap, {0: 10, 1: 20}, "failures") == pytest.approx(0.5)
+    assert hit_rates(snap, np.array([10, 20]))[0] == pytest.approx(0.5)
 
 
 def test_hit_rate_voluntary_at_least_failures():
@@ -122,8 +122,8 @@ def test_hit_rate_voluntary_at_least_failures():
             left=left,
             top_n=1,
         )
-        hidden = {v: rnd.randint(5, 9) for v in range(n)}
-        assert hit_rate(snap, hidden, "voluntary") >= hit_rate(snap, hidden, "failures") - 1e-12
+        failures, voluntary = hit_rates(snap, np.array([rnd.randint(5, 9) for v in range(n)]))
+        assert voluntary >= failures - 1e-12
 
 
 # --- graph metrics against exhaustive oracles --------------------------------
@@ -394,7 +394,7 @@ def test_compute_cycle_metrics_assembles_row():
         receptions=[1, 1, 1],
         top_n=2,
     )
-    row = compute_cycle_metrics(snap, {0: 10, 1: 99, 2: 98})
+    row = compute_cycle_metrics(snap, np.array([10, 99, 98]))
     assert row.cycle == 1
     assert row.avg_similarity == pytest.approx(0.4)
     assert row.hit_rate == pytest.approx(1 / 3)
@@ -402,6 +402,6 @@ def test_compute_cycle_metrics_assembles_row():
     assert row.path_coverage == 1.0
     assert row.clustering_coefficient == 1.0
     assert row.in_degree_mean == 1.0
-    structural_off = compute_cycle_metrics(snap, {0: 10, 1: 99, 2: 98}, structural=False)
+    structural_off = compute_cycle_metrics(snap, np.array([10, 99, 98]), structural=False)
     assert structural_off.avg_path_length is None
     assert structural_off.clustering_coefficient is None

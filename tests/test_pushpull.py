@@ -1,9 +1,9 @@
 """Core protocol steps against brute-force oracles and declared tie-breaks."""
 
 import random
-from array import array
 from collections import Counter
 
+import numpy as np
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +28,11 @@ def item(src=0, t=0):
 
 def anti_entropy(cache_size):
     return ProtocolSpec(cache_size=cache_size, global_view=True)
+
+
+def memoryview_rows(rank):
+    """The rows of ``rank`` as ``rank_table`` builds them: memoryviews of one int32 matrix."""
+    return [memoryview(row) for row in np.array(rank, dtype=np.int32)]
 
 
 # --- brute-force oracles -----------------------------------------------------
@@ -234,7 +239,7 @@ def test_admission_declines_exactly_the_sides_retain_leaves_as_they_are():
             other += (item(src=partner, t=9),)
         caches = [()] * 8
         caches[owner] = own
-        state = GossipState(caches=caches, alive=[True] * 8)
+        state = GossipState(caches=caches)
         state.version[owner] = int(produced)
         offered = tuple(it.src for it in other)
         admitted = _admits(state, owner, offered, proto)
@@ -294,7 +299,7 @@ def test_partial_view_exchange_never_shrinks_a_cache(case):
     # The engine draws a whole cycle's partners up front when every peer is
     # alive and every cache is full; that needs each cache to stay full.
     protocol, caches, versions, initiator, responder = case
-    state = GossipState(caches=list(caches), alive=[True] * len(caches))
+    state = GossipState(caches=list(caches))
     state.version[:] = versions
     before = {peer: state.caches[peer] for peer in (initiator, responder)}
     run_exchange(state, initiator, responder, protocol, now=5)
@@ -316,7 +321,7 @@ def admission_cases(draw):
 
     The owner's sources are in rank order, as an exchange leaves them, and
     fill its cache or leave room; the offered ids may include the owner.
-    The rank rows are ``array('i')``, as ``rank_table`` builds them, or lists.
+    The rank rows are memoryviews, as ``rank_table`` builds them, or lists.
     """
     n = draw(st.integers(2, 20))
     k = draw(st.integers(1, n - 1))
@@ -324,7 +329,7 @@ def admission_cases(draw):
     utility = st.sampled_from([0.1, 0.4, 0.9])
     row = rank_from_table(draw(st.lists(utility, min_size=n, max_size=n)), n)
     if draw(st.booleans()):
-        row = array("i", row)
+        (row,) = memoryview_rows([row])
     size = draw(st.integers(0, k))
     own = draw(st.lists(st.sampled_from([w for w in range(n) if w != owner]), unique=True,
                         min_size=size, max_size=size))
@@ -332,7 +337,7 @@ def admission_cases(draw):
     offered = draw(st.lists(st.integers(0, n - 1), unique=True))
     caches = [()] * n
     caches[owner] = tuple(item(src=s) for s in own)
-    state = GossipState(caches=caches, alive=[True] * n)
+    state = GossipState(caches=caches)
     state.version[owner] = draw(st.integers(1, 3))
     return ProtocolSpec(cache_size=k, rank=[row] * n), state, owner, tuple(offered)
 
@@ -348,23 +353,23 @@ def test_admissible_bitset_decides_as_admits(case):
     assert bool(bits & sum(1 << src for src in offered)) == admitted
     event("full" if len(state.sources[owner]) == protocol.cache_size else "room")
     event("owner offered" if owner in offered else "owner not offered")
-    event("array rows" if isinstance(protocol.rank[owner], array) else "list rows")
+    event("memoryview rows" if isinstance(protocol.rank[owner], memoryview) else "list rows")
     event("admitted" if admitted else "declined")
 
 
 @given(partial_view_exchanges(st.just(True)), st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_exchange_decided_by_recorded_bitsets_equals_one_decided_by_admits(case, arrays):
+def test_exchange_decided_by_recorded_bitsets_equals_one_decided_by_admits(case, views):
     # The same swarmix exchange on two copies of a state: in one, every side
     # at ``version > 0`` has its bitset recorded; in the other, none has.
     # Both must leave the same caches, sources and versions, and a side
     # whose version moved must keep no memo of its old sources.
     protocol, caches, versions, initiator, responder = case
-    if arrays:
-        protocol = ProtocolSpec(protocol.cache_size, [array("i", row) for row in protocol.rank])
+    if views:
+        protocol = ProtocolSpec(protocol.cache_size, memoryview_rows(protocol.rank))
     states = []
     for record in (True, False):
-        state = GossipState(caches=list(caches), alive=[True] * len(caches))
+        state = GossipState(caches=list(caches))
         state.version[:] = versions
         for peer in (initiator, responder):
             if record and versions[peer]:
@@ -388,7 +393,7 @@ def test_exchange_decided_by_recorded_bitsets_equals_one_decided_by_admits(case,
 # --- exchanges ---------------------------------------------------------------
 
 def make_state(caches):
-    return GossipState(caches=list(caches), alive=[True] * len(caches))
+    return GossipState(caches=list(caches))
 
 
 def test_anti_entropy_exchange_is_symmetric():

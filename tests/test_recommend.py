@@ -202,13 +202,14 @@ def test_centralized_batch_matches_reference(small_ratings):
 
 def test_overlay_recommend_uses_cache_and_flags_dead(tiny_ratings):
     caches = [(entry(1), entry(3)), (), (), (), ()]
-    state = GossipState(caches=caches, alive=[True, True, True, True, False])
-    got = overlay_recommend(0, state, tiny_ratings, 5)
+    state = GossipState(caches=caches)
+    alive = [True, True, True, True, False]
+    got = overlay_recommend(0, state, alive, tiny_ratings, 5)
     want = most_frequent_items(0, {1, 3}, tiny_ratings, 5)
     assert got == want
-    assert overlay_recommend(1, state, tiny_ratings, 5) == []
+    assert overlay_recommend(1, state, alive, tiny_ratings, 5) == []
     with pytest.raises(DeadPeer):
-        overlay_recommend(4, state, tiny_ratings, 5)
+        overlay_recommend(4, state, alive, tiny_ratings, 5)
 
 
 def test_overlay_with_global_topk_cache_equals_centralized(small_ratings):
@@ -222,8 +223,8 @@ def test_overlay_with_global_topk_cache_equals_centralized(small_ratings):
     for active in (2, 40, 77):
         caches = [() for _ in range(n)]
         caches[active] = tuple(entry(int(w)) for w in hoods[active])
-        state = GossipState(caches=caches, alive=[True] * n)
-        assert overlay_recommend(active, state, small_ratings, 10) == (
+        state = GossipState(caches=caches)
+        assert overlay_recommend(active, state, [True] * n, small_ratings, 10) == (
             centralized_recommend(active, peers, small_ratings, k=8, n_top=10)
         )
 
@@ -235,8 +236,9 @@ def test_overlay_recommend_never_contains_consumed(small_ratings):
         srcs = rnd.sample(others, 10)
         caches = [() for _ in range(small_ratings.n_users)]
         caches[active] = tuple(entry(w) for w in srcs)
-        state = GossipState(caches=caches, alive=[True] * small_ratings.n_users)
-        for item, _ in overlay_recommend(active, state, small_ratings, 10):
+        state = GossipState(caches=caches)
+        alive = [True] * small_ratings.n_users
+        for item, _ in overlay_recommend(active, state, alive, small_ratings, 10):
             assert item not in small_ratings.rows[active]
 
 
@@ -329,7 +331,7 @@ def test_rank_table_matches_stable_argsort_on_ties():
         want = np.empty((n, n), dtype=np.int64)
         np.put_along_axis(want, order, np.arange(n)[None, :], axis=1)
         got = rank_table(similarity)
-        assert len(got) == n and all(row.typecode == "i" for row in got)
+        assert len(got) == n and all(row.format == "i" for row in got)
         assert np.array_equal(np.array([row.tolist() for row in got]), want), (name, n)
 
 

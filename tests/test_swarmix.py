@@ -145,7 +145,7 @@ def build_sim_protocol(profile_dicts, cache_size):
 def test_swarmix_exchange_pushes_self_item_to_responder():
     profile_dicts = [{1: 5, 2: 4}, {1: 4, 3: 2}, {2: 5, 3: 4}]
     proto = build_sim_protocol(profile_dicts, cache_size=2)
-    state = GossipState(caches=[(entry(2),), (entry(2),), ()], alive=[True] * 3)
+    state = GossipState(caches=[(entry(2),), (entry(2),), ()])
     run_exchange(state, 0, 1, proto, now=3)
     responder_sources = {it.src for it in state.caches[1]}
     assert 0 in responder_sources  # the initiator's fresh item arrived
@@ -154,7 +154,7 @@ def test_swarmix_exchange_pushes_self_item_to_responder():
 def pushed_self_item(now):
     """Peer 0's self-item as it lands in peer 1's cache in an exchange at ``now``."""
     proto = newscast(4)
-    state = GossipState(caches=[(entry(2),), (entry(2),), ()], alive=[True] * 3)
+    state = GossipState(caches=[(entry(2),), (entry(2),), ()])
     run_exchange(state, 0, 1, proto, now=now)
     return next(it for it in state.caches[1] if it.src == 0)
 
@@ -174,7 +174,7 @@ def test_make_self_item_timestamps_differ_only():
     assert a.src == b.src
     assert a.timestamp == 7 and b.timestamp == 8
     proto = newscast(4)
-    state = GossipState(caches=[(entry(2),), (entry(2),), ()], alive=[True] * 3)
+    state = GossipState(caches=[(entry(2),), (entry(2),), ()])
     run_exchange(state, 0, 1, proto, now=7)
     run_exchange(state, 0, 1, proto, now=8)
     assert entry(0, 8) in state.caches[1]
@@ -186,7 +186,7 @@ def test_swarmix_exchange_never_retains_own_item():
     proto = build_sim_protocol(profile_dicts, cache_size=3)
     # both caches already carry copies of each peer's own item in transit
     caches = [(entry(0), entry(1)), (entry(1), entry(0)), ()]
-    state = GossipState(caches=caches, alive=[True] * 3)
+    state = GossipState(caches=caches)
     run_exchange(state, 0, 1, proto, now=2)
     assert all(it.src != 0 for it in state.caches[0])
     assert all(it.src != 1 for it in state.caches[1])
@@ -202,7 +202,7 @@ def test_swarmix_asymmetry_witness():
     ]
     proto = build_sim_protocol(profile_dicts, cache_size=2)
     caches = [(entry(2), entry(3)), (entry(3), entry(2)), (), ()]
-    state = GossipState(caches=caches, alive=[True] * 4)
+    state = GossipState(caches=caches)
     run_exchange(state, 0, 1, proto, now=1)
     assert set(state.caches[0]) != set(state.caches[1])
 
@@ -211,7 +211,7 @@ def test_newscast_keeps_freshest():
     proto = newscast(2)
     old = entry(5, 1)
     older = entry(6, 0)
-    state = GossipState(caches=[(old, older), (old,)], alive=[True, True])
+    state = GossipState(caches=[(old, older), (old,)])
     run_exchange(state, 0, 1, proto, now=9)
     # initiator's fresh self-item (t=9) lands in the responder cache
     by_src = {it.src: it for it in state.caches[1]}
