@@ -6,7 +6,6 @@ about 100k ratings, 1..5 scale, at least 15 ratings per user.
 """
 
 import argparse
-from pathlib import Path
 
 from gossipcf.synth import generate_ratings, write_ratings_file
 

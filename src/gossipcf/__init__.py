@@ -1,10 +1,10 @@
 """Epidemic push-pull overlay simulation with a distributed CF recommender.
 
 The package is organized around one push-pull protocol (``pushpull``).  A
-cache entry is a (source peer, timestamp) pair, one per source, and a merge
-keeps the freshest entry per source.  Its three variants differ in one
-switch, a partial or a global view, and in the order that selects the k
-entries a cache keeps:
+cache is a tuple of source peers; the freshest-first variants also keep a
+timestamp per source, and their merge keeps the fresher.  The three variants
+differ in one switch, a partial or a global view, and in the order that
+selects the k entries a cache keeps:
 
 * ``anti-entropy``: global view, freshest first,
 * ``newscast``:     partial view of size k, freshest first,

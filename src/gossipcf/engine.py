@@ -36,7 +36,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .pushpull import DataItem, GossipState, ProtocolSpec, rank_table, run_exchange
+from .pushpull import GossipState, ProtocolSpec, rank_table, run_exchange
 from .recommend import TrainingArrays, tally_votes, top_n_from_votes
 
 PROTOCOLS = ("swarmix", "newscast", "anti-entropy")
@@ -293,14 +293,16 @@ def bootstrap(
             f"{arrays.similarity.shape[0]} users"
         )
     topology = bootstrap_topology(n, config.bootstrap_degree, config.cache_size, rng)
-    caches = [tuple(DataItem(u, 0) for u in topology[v]) for v in range(n)]
+    protocol = make_protocol(config, arrays)
+    # Only a freshest-first order reads stamps; the bootstrap stamps 0.
+    stamps = [(0,) * len(own) for own in topology] if protocol.rank is None else None
     return SimState(
         config=config,
-        gossip=GossipState(caches=caches),
+        gossip=GossipState(list(map(tuple, topology)), stamps),
         alive=[True] * n,
         left=[False] * n,
         arrays=arrays,
-        protocol=make_protocol(config, arrays),
+        protocol=protocol,
         rng=rng,
         rec_items=np.full((n, config.top_n), -1, dtype=np.int64),
         rec_votes=np.zeros((n, config.top_n), dtype=np.int32),

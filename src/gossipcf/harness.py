@@ -31,6 +31,7 @@ import numpy as np
 from .engine import ChurnSpec, CycleSnapshot, InvalidConfig, SimConfig, run_simulation
 from .metrics import CycleMetrics, compute_cycle_metrics
 from .recommend import (
+    MAX_ITEM_ID,
     RatingMatrix,
     TrainingArrays,
     build_training_arrays,
@@ -42,8 +43,6 @@ from .recommend import (
 )
 
 DOMINANCE_EPS = 1e-9
-# The strict checker maps item ids to columns through a table indexed by id.
-MAX_ITEM_ID = 2**24 - 1
 
 
 class ParseError(Exception):

@@ -1,11 +1,11 @@
 """The epidemic push-pull protocol, in all three of its variants.
 
-Every peer keeps a bounded cache of timestamped entries, one per source
-peer, and periodically exchanges its cache with one neighbor.  After the
-push/pull both sides run, each from its *own* perspective, the two
-exchangeable steps:
+Every peer keeps a bounded cache, at most one entry per source peer, and
+periodically exchanges its cache with one neighbor.  After the push/pull
+both sides run, each from its *own* perspective, the two exchangeable
+steps:
 
-    merge      -> one surviving entry per source: the freshest
+    merge      -> one entry per source of the two caches
     select     -> keep the k best entries by the protocol's order
 
 The variants differ in one switch and one order.  A partial-view protocol
@@ -18,26 +18,28 @@ leaves the owner out of what it snapshots.  Selection orders either by a
 per-owner rank table (swarmix: ``rank[owner][src]``, smaller is better) or,
 without one, freshest first.  A rank table implies a partial view.
 
-Alongside each cache the state keeps its sources as one tuple and a
-version that moves whenever they do.  Under a rank table the sources an
-exchange retains depend on the two source sets alone.  Before any merge,
-each side of an exchange asks an admission test whether an offered source
-can enter its cache: into a full cache only by outranking its worst entry,
-into one with room whenever it is new.  A side that cannot change runs no
-merge, and records the bitset of every source that could enter, so that
-one AND decides the side until its sources move and :func:`_store` resets
-the record.  Both assume a state is exchanged under one protocol, so that
-a tuple with ``version > 0`` came from a merge and is in rank order; a
+A cache is the tuple of its sources, with a version that moves whenever
+they do.  Only a freshest-first order reads when an entry was created, so
+only it keeps a parallel tuple of stamps, and its merge keeps the fresher
+stamp per source.  Under a rank table the sources an exchange retains
+depend on the two source sets alone.  Before any merge, each side of an
+exchange asks an admission test whether an offered source can enter its
+cache: into a full cache only by outranking its worst entry, into one with
+room whenever it is new.  A side that cannot change runs no merge, and
+records the bitset of every source that could enter, so that one AND
+decides the side until its sources move and :func:`_store` resets the
+record.  Both assume a state is exchanged under one protocol, so that a
+tuple with ``version > 0`` came from a merge and is in rank order; a
 version-0 tuple always merges.  Timestamp orders take neither shortcut;
 instead, one merge serves both sides of their exchange.  Both sides merge
 the same two caches, and a merge tie is two equal entries, so the two
 merged sets are one set in one freshest-first order, from which each side
 keeps its first k.
 
-All tie-breaks are deterministic so that seeded runs reproduce exactly:
-merge ties keep the merging peer's own copy; freshest-first selection ties
-fall back to the smaller source id.  Step-by-step reference versions of
-merge and select live with the test suite, which pins :func:`_retain` and
+All tie-breaks are deterministic so that seeded runs reproduce exactly: a
+rank row orders every source, and freshest-first selection ties fall back
+to the smaller source id.  Step-by-step reference versions of merge and
+select live with the test suite, which pins :func:`_retain` and
 ``_cut(_freshest(...))`` to their composition.
 """
 
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,25 +56,23 @@ Timestamp = int
 
 
 class DataItem(NamedTuple):
-    """One cache entry: the peer ``src`` it is about, and when it was created.
-
-    A cache holds at most one entry per source; of two entries about the
-    same source, the one with the larger ``timestamp`` is the fresher.
-    """
+    """One cache entry as :attr:`GossipState.caches` shows it: the peer
+    ``src`` it is about, and when it was created (0 under a rank table)."""
 
     src: PeerId
     timestamp: Timestamp
 
 
-# A cache is an ordered, immutable collection of entries.  Capacity is a
-# protocol parameter enforced at selection rather than stored per cache.
+# A cache as readers outside the protocol see it; selection enforces capacity.
 Cache = tuple[DataItem, ...]
-
+Sources = tuple[PeerId, ...]
+Stamps = tuple[Timestamp, ...]
+Pair = tuple[PeerId, Timestamp]
 
 # A rank table: rank[v][w] is w's position in v's order of preference.
 RankTable = Sequence[Sequence[int]]
 
-_src, _timestamp = itemgetter(0), itemgetter(1)
+_src, _stamp = itemgetter(0), itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -98,15 +98,13 @@ class ProtocolSpec:
 
 @dataclass
 class GossipState:
-    """Mutable per-peer protocol state shared by all variants.
+    """Per-peer protocol state; ``run_exchange`` replaces only its two participants' entries:
 
-    ``run_exchange`` mutates exactly the two participants' caches; entries
-    themselves are immutable values.  The other fields are derived from the
-    caches and kept in step by ``run_exchange``:
-
-    - ``sources[v]``: the tuple of v's cache sources, in cache order.  The
-      exchange replaces it only when the ordered sources differ, so an
+    - ``sources[v]``: v's cache, the tuple of its sources in cache order.
+      The exchange replaces it only when the ordered sources differ, so an
       unchanged cache keeps the very same tuple object;
+    - ``stamps[v]``: without a rank table only (``stamps`` is ``None`` under
+      one), each entry's creation time, parallel to ``sources[v]``;
     - ``version[v]``: bumped whenever ``sources[v]`` is replaced;
     - under a rank table only, ``admissible[v]`` and ``held[v]``: ``None``,
       or a bitset about v's current sources: :func:`_admissible`'s bits,
@@ -114,17 +112,33 @@ class GossipState:
       :func:`_store` resets both to ``None`` where it bumps ``version[v]``.
     """
 
-    caches: list[Cache]
-    sources: list[tuple[PeerId, ...]] = field(init=False)
+    sources: list[Sources]
+    stamps: list[Stamps] | None = None
     version: list[int] = field(init=False)
     admissible: list[int | None] = field(init=False)
     held: list[int | None] = field(init=False)
 
     def __post_init__(self) -> None:
-        self.sources = [tuple(item.src for item in cache) for cache in self.caches]
-        self.version = [0] * len(self.caches)
-        self.admissible = [None] * len(self.caches)
-        self.held = [None] * len(self.caches)
+        n = len(self.sources)
+        self.version, self.admissible, self.held = [0] * n, [None] * n, [None] * n
+
+    @property
+    def caches(self) -> Sequence[Cache]:
+        """A read-only view for readers outside the protocol: ``caches[v]`` is
+        v's cache as entries, built afresh from ``sources`` and ``stamps``."""
+        return _CacheView(self)
+
+
+class _CacheView(Sequence[Cache]):
+    def __init__(self, state: GossipState) -> None:
+        self._state = state
+
+    def __len__(self) -> int:
+        return len(self._state.sources)
+
+    def __getitem__(self, v: PeerId) -> Cache:
+        srcs, stamps = self._state.sources[v], self._state.stamps
+        return tuple(map(DataItem, srcs, stamps[v] if stamps else (0,) * len(srcs)))
 
 
 def rank_table(similarity: np.ndarray) -> list[memoryview]:
@@ -154,74 +168,53 @@ def rank_table(similarity: np.ndarray) -> list[memoryview]:
     return [memoryview(row) for row in rank]
 
 
-def _merge(own: Cache, other: Cache) -> dict[PeerId, DataItem]:
-    """The freshest entry per source of two caches, the owner's own copy on ties."""
-    merged = {item.src: item for item in other}
-    for item in own:
-        theirs = merged.get(item.src)
-        if theirs is None or item.timestamp >= theirs.timestamp:
-            merged[item.src] = item
-    return merged
+def _freshest(a: Iterable[Pair], b: Iterable[Pair]) -> list[Pair]:
+    """The merge of two caches' ``(src, stamp)`` pairs: the fresher stamp per
+    source, freshest first, ties to the smaller source.
 
-
-def _freshest(a: Cache, b: Cache) -> list[DataItem]:
-    """The merge of two caches, freshest first, ties to the smaller source.
-
-    Symmetric in its arguments: a merge tie is two entries with one source
-    and one timestamp, which are equal values.
+    Symmetric in its arguments: a merge tie is two equal pairs.
     """
-    merged = _merge(a, b)
-    # a stable sort by timestamp over the entries in source order
-    return sorted(map(merged.__getitem__, sorted(merged)), key=_timestamp, reverse=True)
+    merged = dict(a)
+    for src, stamp in b:
+        if stamp > merged.get(src, -1):
+            merged[src] = stamp
+    # a stable sort by stamp over the pairs in source order
+    return sorted(sorted(merged.items()), key=_stamp, reverse=True)
 
 
-def _cut(
-    order: list[DataItem], owner: PeerId, protocol: ProtocolSpec
-) -> tuple[Cache, tuple[PeerId, ...]]:
-    """The first k entries of ``order`` that ``owner`` retains, and their sources.
-
-    Under a partial view the owner's own entry is dropped first.
-    """
+def _cut(order: list[Pair], owner: PeerId, protocol: ProtocolSpec) -> tuple[Sources, Stamps]:
+    """The sources and stamps of the first k pairs of ``order`` that ``owner``
+    retains.  Under a partial view the owner's own pair is dropped first."""
     k = protocol.cache_size
     kept = order[: k + 1]
     srcs = list(map(_src, kept))
-    if not protocol.global_view and owner in srcs:
-        at = srcs.index(owner)
-        del kept[at], srcs[at]
-    else:
-        del kept[k:], srcs[k:]
-    return tuple(kept), tuple(srcs)
+    at = srcs.index(owner) if not protocol.global_view and owner in srcs else k
+    del kept[at : at + 1], srcs[at : at + 1]
+    return tuple(srcs), tuple(map(_stamp, kept))
 
 
-def _retain(
-    owner: PeerId, own: Cache, other: Cache, protocol: ProtocolSpec
-) -> tuple[Cache, tuple[PeerId, ...]]:
-    """Merge, own-entry filter and rank-table select for one side of an exchange.
-
-    Returns the retained cache and its sources, in cache order.  Expects
-    source-unique caches.  The merge keeps the freshest entry per source,
-    the owner's own copy on ties.  The test suite pins the result to the
-    composition of reference merge and select operations.
-    """
-    merged = _merge(own, other)
-    merged.pop(owner, None)
-    srcs = tuple(sorted(merged, key=protocol.rank[owner].__getitem__)[: protocol.cache_size])
-    return tuple(map(merged.__getitem__, srcs)), srcs
+def _retain(owner: PeerId, own: Sources, other: Sources, protocol: ProtocolSpec) -> Sources:
+    """One side of a rank-table exchange: the first k sources of the union of
+    ``own`` and ``other``, less ``owner``, in ``rank[owner]`` order.  The
+    test suite pins it to the composition of reference merge and select."""
+    union = {*own, *other}
+    union.discard(owner)
+    return tuple(sorted(union, key=protocol.rank[owner].__getitem__)[: protocol.cache_size])
 
 
-def _store(state: GossipState, peer: PeerId, cache: Cache, srcs: tuple[PeerId, ...]) -> None:
-    """Install ``peer``'s new cache, and when its ordered sources changed, a new
-    version and no admission memos: they described the old sources."""
-    state.caches[peer] = cache
+def _store(state: GossipState, peer: PeerId, srcs: Sources, stamps: Stamps | None = None) -> None:
+    """Install ``peer``'s new cache: its stamps, when it keeps them, and when
+    its ordered sources changed, the new tuple, a new version and no
+    admission memos: they described the old sources."""
+    if stamps is not None:
+        state.stamps[peer] = stamps
     if srcs != state.sources[peer]:
         state.sources[peer] = srcs
         state.version[peer] += 1
         state.admissible[peer] = state.held[peer] = None
 
 
-def _admits(
-    state: GossipState, owner: PeerId, offered: tuple[PeerId, ...], protocol: ProtocolSpec
-) -> bool:
+def _admits(state: GossipState, owner: PeerId, offered: Sources, protocol: ProtocolSpec) -> bool:
     """False only when retaining ``offered`` leaves ``owner``'s sources as they are.
 
     Needs a rank table.  A version-0 tuple may be out of rank order, so it
@@ -283,33 +276,32 @@ def run_exchange(
 ) -> None:
     """One push-pull session between ``initiator`` and ``responder``.
 
-    Under a partial view the initiator adds a fresh entry about itself to
-    the cache it pushes; both transmitted caches are then merged, filtered
-    and selected independently on each side from that side's perspective.
-    The update is atomic: both peers' caches are replaced together.  The
-    caller draws a live responder; liveness is not checked here.
+    Under a partial view the initiator adds a fresh entry about itself,
+    stamped ``now``, to the cache it pushes; each side then merges, filters
+    and selects from its own perspective.  Both peers' caches are replaced
+    together.  The caller draws a live responder; liveness is not checked.
 
     Under a rank table each side's retained sources are a pure function of
-    the two peers and their source sets; timestamps only pick which copy of
-    an entry survives, and no output reads them.  So each side first asks
-    whether the other side's sources (plus the initiator's id, for the
-    responder) can change its own, exactly as long as a state is exchanged
-    under one protocol: by one AND with the bitset recorded since its
-    sources last moved, else by :func:`_admits`, which reads only the source tuples and one rank
-    row and records that bitset when it declines.  A side that cannot change
-    keeps its cache, older timestamps included, and runs neither ``_retain``
-    nor ``_store``.
+    the two peers and their source sets, and no stamp is kept.  So each side
+    first asks whether the other side's sources (plus the initiator's id,
+    for the responder) can change its own, exactly as long as a state is
+    exchanged under one protocol: by one AND with the bitset recorded since
+    its sources last moved, else by :func:`_admits`, which reads only source
+    tuples and one rank row and records that bitset when it declines.  A
+    side that cannot change runs neither ``_retain`` nor ``_store``.
 
-    Freshest-first selection reads timestamps and takes neither shortcut.
-    It merges once for both sides instead: :func:`_freshest` orders the
-    union, and each side keeps its first k entries less its own.  Under a
-    global view the two sides store the same tuple.
+    Freshest-first selection reads stamps and takes neither shortcut.  It
+    merges once for both sides instead: :func:`_freshest` orders the union's
+    ``(src, stamp)`` pairs, and each side keeps its first k less its own.
+    Under a global view the two sides store the same tuples.
     """
-    pushed = state.caches[initiator]
+    sources = state.sources
     if protocol.rank is None:
+        stamps = state.stamps
+        pushed = list(zip(sources[initiator], stamps[initiator]))
         if not protocol.global_view:
-            pushed = pushed + (DataItem(initiator, now),)
-        order = _freshest(pushed, state.caches[responder])
+            pushed.append((initiator, now))
+        order = _freshest(pushed, zip(sources[responder], stamps[responder]))
         kept = _cut(order, initiator, protocol)
         _store(state, initiator, *kept)
         if not protocol.global_view:
@@ -319,9 +311,9 @@ def run_exchange(
     to_initiator = _can_change(state, initiator, responder, False, protocol)
     to_responder = _can_change(state, responder, initiator, True, protocol)
     if to_initiator or to_responder:
-        pushed = pushed + (DataItem(initiator, now),)
-        pulled = state.caches[responder]
+        pushed = sources[initiator] + (initiator,)
+        pulled = sources[responder]
         if to_initiator:
-            _store(state, initiator, *_retain(initiator, pushed, pulled, protocol))
+            _store(state, initiator, _retain(initiator, pushed, pulled, protocol))
         if to_responder:
-            _store(state, responder, *_retain(responder, pulled, pushed, protocol))
+            _store(state, responder, _retain(responder, pulled, pushed, protocol))

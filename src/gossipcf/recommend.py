@@ -22,10 +22,13 @@ import numpy as np
 
 # Ordered (item id, vote count) pairs, votes descending, item id ascending.
 RecommendationList = list[tuple[int, int]]
+# Item ids index the strict checker's id-to-column table; -1 pads top-N rows.
+MAX_ITEM_ID = 2**24 - 1
 
 
 class RatingMatrix:
-    """Sparse users-by-items rating matrix with integer ratings in 1..5.
+    """Sparse users-by-items rating matrix with integer ratings in 1..5 and
+    item ids in 0..MAX_ITEM_ID.
 
     Peers are row indices 0..n-1, assigned in ascending order of the original
     user keys.  Cells are immutable once constructed.
@@ -48,7 +51,10 @@ class RatingMatrix:
                 raise ValueError(f"rating {bad!r} outside 1..5")
             self.rows.append(row)
             items.update(row)
-        self.item_ids: list[int] = sorted(items)
+        ids = self.item_ids = sorted(items)
+        if not 0 <= ids[0] <= ids[-1] <= MAX_ITEM_ID:
+            bad = ids[0] if ids[0] < 0 else ids[-1]
+            raise ValueError(f"item id {bad!r} outside 0..{MAX_ITEM_ID}")
 
     @classmethod
     def _adopt(cls, user_keys: list[int], rows: list[dict[int, int]]) -> RatingMatrix:

@@ -2,7 +2,8 @@
 
 Each function spells out one step on plain Python values, with no concern
 for speed: the protocol's merge and select steps over source-keyed
-:class:`~gossipcf.pushpull.DataItem` caches, cosine and significance-weighted
+:class:`~gossipcf.pushpull.DataItem` caches (and their conversion to and
+from the state's source and stamp tuples), cosine and significance-weighted
 similarity over sparse rating profiles, and majority-vote recommendation over
 per-user rating dicts, and a simulation cycle whose every turn draws its
 own partner.  The package's fast paths (the rank-table exchange, the
@@ -19,7 +20,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from gossipcf.engine import CycleSnapshot, SimState, _rank, _take_snapshot
-from gossipcf.pushpull import Cache, DataItem, GossipState, PeerId, run_exchange
+from gossipcf.pushpull import Cache, DataItem, GossipState, PeerId, Sources, Stamps, run_exchange
 from gossipcf.recommend import RatingMatrix, RecommendationList
 
 # Utility of a single entry, evaluated from one peer's perspective.
@@ -27,6 +28,28 @@ Utility = Callable[[DataItem], float]
 
 
 # --- push-pull steps ---------------------------------------------------------
+
+def sources_of(cache: Cache) -> Sources:
+    """The sources of ``cache``'s entries, in cache order."""
+    return tuple(item.src for item in cache)
+
+
+def columns(cache: Cache) -> tuple[Sources, Stamps]:
+    """``cache`` as the state keeps it: its sources and, in step, its stamps."""
+    return sources_of(cache), tuple(item.timestamp for item in cache)
+
+
+def state_of(caches: Iterable[Cache], stamped: bool = True) -> GossipState:
+    """A protocol state holding ``caches``: their sources, and their stamps if
+    ``stamped``, as the engine keeps them without a rank table."""
+    sources, stamps = zip(*map(columns, caches))
+    return GossipState(list(sources), list(stamps) if stamped else None)
+
+
+def cache_of(state: GossipState, peer: PeerId) -> Cache:
+    """``peer``'s cache as entries; needs the state's stamps."""
+    return tuple(map(DataItem, state.sources[peer], state.stamps[peer]))
+
 
 def merge_freshest(cache_a: Cache, cache_b: Cache) -> Cache:
     """Union of both caches keeping, per source, the most recent entry.
@@ -214,8 +237,7 @@ def overlay_recommend(
     """Recommendations from the peer's current cache, local knowledge only."""
     if not alive[active]:
         raise DeadPeer(f"peer {active} is not alive")
-    neighbors = [item.src for item in state.caches[active]]
-    return most_frequent_items(active, neighbors, ratings, n_top)
+    return most_frequent_items(active, state.sources[active], ratings, n_top)
 
 
 # --- simulation cycle --------------------------------------------------------

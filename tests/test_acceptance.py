@@ -26,7 +26,7 @@ from gossipcf.pushpull import ProtocolSpec, _cut, _freshest, _retain, rank_table
 from gossipcf.recommend import build_training_arrays
 from gossipcf.synth import generate_ratings, write_ratings_file
 from conftest import ACCEPTANCE_SEED
-from oracles import merge_freshest, select_top_k
+from oracles import columns, merge_freshest, select_top_k, sources_of
 
 RANDOM_BASELINE_CLUSTERING = 0.02121  # k/n at 20/943
 CASES = 1000
@@ -42,8 +42,9 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 def test_criterion_1_merge_select_neighbors_oracle_equivalence():
     # a partial-view cache is its neighborhood, so merge and select are the
     # whole neighborhood step.  The library's two sides of an exchange, the
-    # rank-table ``_retain`` and the freshest-first ``_cut(_freshest(...))``,
-    # must equal the brute-force merge and select, as the reference ones do.
+    # rank-table ``_retain`` on source tuples and the freshest-first
+    # ``_cut(_freshest(...))`` on (source, stamp) pairs, must keep what the
+    # brute-force merge and select keep, as the reference ones do.
     oracle_select = pushpull_oracles.oracle_select
     freshest = lambda it: float(it.timestamp)
     rnd = random.Random(11)
@@ -60,13 +61,12 @@ def test_criterion_1_merge_select_neighbors_oracle_equivalence():
         assert select_top_k(merged, u, k) == oracle_select(merged, u, k)
         others = tuple(it for it in brute if it.src != owner)
         rank = rank_table(np.tile([table[s] for s in range(8)], (8, 1)))
-        kept, srcs = _retain(owner, a, b, ProtocolSpec(k, rank=rank))
-        assert kept == oracle_select(others, u, k)
-        assert srcs == tuple(it.src for it in kept)
+        kept = _retain(owner, sources_of(a), sources_of(b), ProtocolSpec(k, rank=rank))
+        assert kept == sources_of(oracle_select(others, u, k))
         for global_view, pool in ((False, others), (True, tuple(brute))):
             want = oracle_select(pool, freshest, k)
             got = _cut(_freshest(a, b), owner, ProtocolSpec(k, global_view=global_view))
-            assert got == (want, tuple(it.src for it in want))
+            assert got == columns(want)
     report("1a", True, f"library and reference merge/select equal brute force on {CASES} cases")
 
 

@@ -3,7 +3,8 @@
 ``bench/instrument.py`` replaces ``engine.bootstrap``, ``engine.run_cycle``,
 ``engine.run_exchange``, ``engine.top_n_from_votes`` and a set of
 ``harness`` and ``metrics`` names by module attribute, and reads ``src``
-from the entries in ``state.gossip.caches``.  ``bench/worker.py`` and
+from the entries in ``state.gossip.caches``: a read-only view that the
+library derives from its source tuples and keeps only for such readers.  ``bench/worker.py`` and
 ``bench/checks.py`` read a snapshot's neighborhoods as ``neighbor_ids``, one
 int array per peer.  A refactor that renames one of these, calls it some
 other way or changes the entry or the snapshot breaks ``bench/run.py``;

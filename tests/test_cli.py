@@ -21,7 +21,6 @@ from gossipcf.cli import (
     emit_metrics_csv,
     main,
     parse_config,
-    read_config_file,
 )
 from gossipcf.engine import ChurnSpec, InvalidConfig, SimConfig
 from gossipcf.harness import centralized_baseline, churn_sweep, load_ratings, run_experiment

@@ -279,9 +279,9 @@ def test_memo_is_keyed_by_the_sources_last_ranked(small_ratings, monkeypatch):
     # afresh on the peer's next turn, whatever replaced the cache.
     config, arrays = _small_sim(small_ratings)
     state = bootstrap(config, arrays, np.random.default_rng(5))
-    caches, sources = state.gossip.caches, state.gossip.sources
+    sources = state.gossip.sources
     peer = 0
-    assert len(caches[peer]) > 1
+    assert len(sources[peer]) > 1
     engine._rank(state, peer)
     row = state.rec_items[peer].copy()
     calls = []
@@ -291,15 +291,13 @@ def test_memo_is_keyed_by_the_sources_last_ranked(small_ratings, monkeypatch):
         return top_n_from_votes(*args)
 
     monkeypatch.setattr(engine, "top_n_from_votes", counted)
-    caches[peer] = caches[peer][::-1]
     sources[peer] = sources[peer][::-1]
     engine._rank(state, peer)
     assert calls == []
     assert (state.rec_items[peer] == row).all()
 
-    held = {item.src for item in caches[peer]} | {peer}
+    held = {*sources[peer], peer}
     others = [w for w in range(state.n) if w not in held][: config.cache_size]
-    caches[peer] = tuple(DataItem(w, 0) for w in others)
     sources[peer] = tuple(others)
     items, counts = _fresh_row(config, arrays, peer, others)
     assert not (items == row).all()
@@ -313,13 +311,12 @@ def _run_counting_shortcuts(config, arrays, monkeypatch, shortcuts):
     """A run's snapshots, with counts of bitset-decided and declined sides and untouched initiators.
 
     A side decided by a recorded bitset consults no admission test; a declined
-    side keeps its cache object.  Without ``shortcuts`` every side is admitted,
-    so no bitset is recorded, and every exchange runs ``_retain`` on both sides
-    and installs both caches.
+    side runs no ``_retain``.  Without ``shortcuts`` every side is admitted,
+    so no bitset is recorded, and every exchange runs ``_retain`` on both sides.
     """
-    exchange, admits = engine.run_exchange, pushpull._admits
+    exchange, admits, retain = engine.run_exchange, pushpull._admits, pushpull._retain
     counts = dict(bitset=0, declined=0, untouched=0)
-    tests = 0
+    tests, owners = 0, []
 
     def admitted(state, owner, offered, protocol):
         nonlocal tests
@@ -328,14 +325,19 @@ def _run_counting_shortcuts(config, arrays, monkeypatch, shortcuts):
         counts["declined"] += not ok
         return ok
 
+    def retaining(owner, *args):
+        owners.append(owner)
+        return retain(owner, *args)
+
     def observed(gossip, initiator, responder, protocol, now):
-        before, seen = gossip.caches[initiator], tests
+        seen, retained = tests, len(owners)
         exchange(gossip, initiator, responder, protocol, now)
         counts["bitset"] += 2 - (tests - seen)
-        counts["untouched"] += gossip.caches[initiator] is before
+        counts["untouched"] += initiator not in owners[retained:]
 
     with monkeypatch.context() as patch:
         patch.setattr(pushpull, "_admits", admitted)
+        patch.setattr(pushpull, "_retain", retaining)
         patch.setattr(engine, "run_exchange", observed)
         snaps = list(run_simulation(config, arrays))
     return snaps, counts
@@ -353,7 +355,7 @@ def test_skipped_exchanges_change_no_snapshot(small_ratings, monkeypatch, churn)
     shipped, taken = _run_counting_shortcuts(config, arrays, monkeypatch, True)
     every, reference = _run_counting_shortcuts(config, arrays, monkeypatch, False)
     assert reference == dict(bitset=0, declined=0, untouched=0)
-    assert taken["bitset"] > 0 and taken["declined"] > 0
+    assert taken["bitset"] > 0 and taken["declined"] > 0 and taken["untouched"] > 0
     assert len(shipped) == len(every) == config.cycles + 1
     for a, b in zip(shipped, every):
         assert a.cycle == b.cycle
@@ -363,18 +365,25 @@ def test_skipped_exchanges_change_no_snapshot(small_ratings, monkeypatch, churn)
 
 
 @pytest.mark.parametrize("protocol", engine.PROTOCOLS)
-def test_source_tuples_follow_the_caches(small_ratings, protocol):
+def test_stamps_are_kept_only_where_the_protocol_reads_them(small_ratings, protocol):
+    # Only newscast and anti-entropy order by freshness: they keep one stamp
+    # per source, never from a later cycle; swarmix keeps none.  The
+    # ``caches`` view shows each cache as entries, stamped 0 without stamps.
     churn = ChurnSpec(mode="failures", pct=30.0, at_cycle=5)
     config, arrays = _small_sim(small_ratings, protocol=protocol, cycles=10, churn=churn)
     state = bootstrap(config, arrays, np.random.default_rng(11))
     gossip = state.gossip
+    assert (gossip.stamps is None) == (protocol == "swarmix")
     recorded = 0
     for cycle in range(1, config.cycles + 1):
         if cycle == churn.at_cycle:
             inject_churn(state, churn)
         engine.run_cycle(state)
         for v in range(state.n):
-            assert gossip.sources[v] == tuple(item.src for item in gossip.caches[v])
+            sources = gossip.sources[v]
+            stamps = (0,) * len(sources) if gossip.stamps is None else gossip.stamps[v]
+            assert len(stamps) == len(sources) and all(0 <= t <= cycle for t in stamps)
+            assert gossip.caches[v] == tuple(map(DataItem, sources, stamps))
             # every recorded bitset is what a fresh build from v's sources gives
             if gossip.admissible[v] is not None:
                 assert gossip.admissible[v] == pushpull._admissible(gossip, v, state.protocol)
@@ -383,6 +392,7 @@ def test_source_tuples_follow_the_caches(small_ratings, protocol):
                 assert gossip.held[v] == sum(1 << src for src in gossip.sources[v])
     # timestamp orders take no admission test, so they record no bitset
     assert (recorded > 0) == (protocol == "swarmix")
+    assert (gossip.stamps is None) == (protocol == "swarmix")
     if protocol != "swarmix":
         assert gossip.admissible == gossip.held == [None] * state.n
 
@@ -478,7 +488,7 @@ def test_churn_count_is_floor_of_pct_at_full_scale():
     n = 943
     state = SimState(
         config=SimConfig(n_peers=n),
-        gossip=GossipState(caches=[()] * n),
+        gossip=GossipState([()] * n),
         alive=[True] * n,
         left=[False] * n,
         arrays=None,

@@ -1,12 +1,13 @@
-"""Every name a library module imports is read by that module.
+"""Every name a module imports is read by that module.
 
 The project runs no linter, so this stdlib-only check stands in for the
-unused-import rule: it parses each ``src/gossipcf/*.py`` file and fails on
-an imported name the module never uses.  ``from __future__`` imports are
-exempt.  Two more checks keep SciPy, whose import once dominated the
-library's set-up time and a tenth of its memory, out of the library: no
-module loads it on import, and neither does an experiment, a loss sweep or
-the CLI's baseline, which all compute confidence intervals.
+unused-import rule: it parses each ``src/gossipcf/*.py``, ``tests/*.py`` and
+``scripts/*.py`` file and fails on an imported name the module never uses.
+``from __future__`` imports are exempt.  Two more checks keep SciPy, whose
+import once dominated the library's set-up time and a tenth of its memory,
+out of the library: no module loads it on import, and neither does an
+experiment, a loss sweep or the CLI's baseline, which all compute
+confidence intervals.
 """
 
 import ast
@@ -18,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gossipcf"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gossipcf"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -51,6 +53,15 @@ def test_unused_imports_are_found():
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_library_module_uses_every_import(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "scripts").glob("*.py")]),
+    ids=lambda path: f"{path.parent.name}/{path.name}",
+)
+def test_test_and_script_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 
 

@@ -19,7 +19,7 @@ from gossipcf.pushpull import (
     _retain,
     run_exchange,
 )
-from oracles import merge_freshest, select_top_k
+from oracles import cache_of, columns, merge_freshest, select_top_k, sources_of, state_of
 
 
 def item(src=0, t=0):
@@ -181,12 +181,12 @@ def rank_from_table(table, n=8):
 
 
 def freshest_side(owner, own, other, proto):
-    """One side of a timestamp-protocol exchange, by the reference merge and select."""
+    """One side of a timestamp-protocol exchange, by the reference merge and
+    select: the sources and stamps it keeps."""
     merged = merge_freshest(own, other)
     if not proto.global_view:
         merged = tuple(it for it in merged if it.src != owner)
-    kept = select_top_k(merged, lambda it: float(it.timestamp), proto.cache_size)
-    return kept, tuple(it.src for it in kept)
+    return columns(select_top_k(merged, lambda it: float(it.timestamp), proto.cache_size))
 
 
 def test_retain_equals_public_op_composition():
@@ -205,9 +205,8 @@ def test_retain_equals_public_op_composition():
             u = utility_from_table(tables[owner])
             proto = ProtocolSpec(cache_size=k, rank=[rank_from_table(t) for t in tables])
             merged = tuple(it for it in merge_freshest(a, b) if it.src != owner)
-            kept, srcs = _retain(owner, a, b, proto)
-            assert kept == select_top_k(merged, u, k)
-            assert srcs == tuple(it.src for it in kept)
+            kept = _retain(owner, sources_of(a), sources_of(b), proto)
+            assert kept == sources_of(select_top_k(merged, u, k))
         else:
             # no rank table: the k freshest
             proto = ProtocolSpec(cache_size=k, global_view=rnd.random() < 0.5)
@@ -216,8 +215,8 @@ def test_retain_equals_public_op_composition():
 
 def test_admission_declines_exactly_the_sides_retain_leaves_as_they_are():
     # One side of a rank-table exchange, which is always a partial-view
-    # one: ``own`` is the owner's cache, and the partner offers its cache,
-    # plus a fresh entry about itself when it is the initiator.  A tuple an
+    # one: ``own`` is the owner's sources, and the partner offers its own,
+    # plus its id when it is the initiator.  A tuple an
     # exchange produced (version > 0) is in rank order, and the admission
     # test is exact on it; a version-0 tuple, full and in any order, is
     # always admitted.
@@ -230,20 +229,20 @@ def test_admission_declines_exactly_the_sides_retain_leaves_as_they_are():
         proto = ProtocolSpec(cache_size=k, rank=[rank_from_table(t) for t in tables])
         produced = rnd.random() < 0.7
         if produced:
-            own, _ = _retain(owner, random_cache(rnd), random_cache(rnd), proto)
+            a, b = sources_of(random_cache(rnd)), sources_of(random_cache(rnd))
+            own = _retain(owner, a, b, proto)
         else:
             # a full cache in any order, as a hand-built state may hold
-            own = tuple(item(src=s) for s in rnd.sample([s for s in range(8) if s != owner], k))
-        other = tuple(it for it in random_cache(rnd) if it.src != partner)
+            own = tuple(rnd.sample([s for s in range(8) if s != owner], k))
+        offered = tuple(s for s in sources_of(random_cache(rnd)) if s != partner)
         if rnd.random() < 0.5:
-            other += (item(src=partner, t=9),)
-        caches = [()] * 8
-        caches[owner] = own
-        state = GossipState(caches=caches)
+            offered += (partner,)
+        sources = [()] * 8
+        sources[owner] = own
+        state = GossipState(sources)
         state.version[owner] = int(produced)
-        offered = tuple(it.src for it in other)
         admitted = _admits(state, owner, offered, proto)
-        _, retained = _retain(owner, own, other, proto)
+        retained = _retain(owner, own, offered, proto)
         unchanged = retained == state.sources[owner]
         if produced:
             assert admitted != unchanged
@@ -299,9 +298,9 @@ def test_partial_view_exchange_never_shrinks_a_cache(case):
     # The engine draws a whole cycle's partners up front when every peer is
     # alive and every cache is full; that needs each cache to stay full.
     protocol, caches, versions, initiator, responder = case
-    state = GossipState(caches=list(caches))
+    state = state_of(caches, stamped=protocol.rank is None)
     state.version[:] = versions
-    before = {peer: state.caches[peer] for peer in (initiator, responder)}
+    before = {peer: state.sources[peer] for peer in (initiator, responder)}
     run_exchange(state, initiator, responder, protocol, now=5)
     k = protocol.cache_size
     for peer, cache in before.items():
@@ -309,8 +308,8 @@ def test_partial_view_exchange_never_shrinks_a_cache(case):
         assert len(after) >= len(cache)
         if len(cache) == k:
             assert len(after) == k
-        if state.caches[peer] is cache:
-            event("a declined side")
+        if after is cache:
+            event("a side kept its sources")
         if not versions[peer]:
             event("a version-0 side")
 
@@ -335,9 +334,9 @@ def admission_cases(draw):
                         min_size=size, max_size=size))
     own.sort(key=row.__getitem__)
     offered = draw(st.lists(st.integers(0, n - 1), unique=True))
-    caches = [()] * n
-    caches[owner] = tuple(item(src=s) for s in own)
-    state = GossipState(caches=caches)
+    sources = [()] * n
+    sources[owner] = tuple(own)
+    state = GossipState(sources)
     state.version[owner] = draw(st.integers(1, 3))
     return ProtocolSpec(cache_size=k, rank=[row] * n), state, owner, tuple(offered)
 
@@ -362,14 +361,14 @@ def test_admissible_bitset_decides_as_admits(case):
 def test_exchange_decided_by_recorded_bitsets_equals_one_decided_by_admits(case, views):
     # The same swarmix exchange on two copies of a state: in one, every side
     # at ``version > 0`` has its bitset recorded; in the other, none has.
-    # Both must leave the same caches, sources and versions, and a side
-    # whose version moved must keep no memo of its old sources.
+    # Both must leave the same sources and versions, and a side whose
+    # version moved must keep no memo of its old sources.
     protocol, caches, versions, initiator, responder = case
     if views:
         protocol = ProtocolSpec(protocol.cache_size, memoryview_rows(protocol.rank))
     states = []
     for record in (True, False):
-        state = GossipState(caches=list(caches))
+        state = state_of(caches, stamped=False)
         state.version[:] = versions
         for peer in (initiator, responder):
             if record and versions[peer]:
@@ -378,7 +377,6 @@ def test_exchange_decided_by_recorded_bitsets_equals_one_decided_by_admits(case,
         run_exchange(state, initiator, responder, protocol, now=5)
         states.append(state)
     recorded, tested = states
-    assert recorded.caches == tested.caches
     assert recorded.sources == tested.sources
     assert recorded.version == tested.version
     for state in states:
@@ -386,15 +384,11 @@ def test_exchange_decided_by_recorded_bitsets_equals_one_decided_by_admits(case,
             if state.version[p] != versions[p]:
                 assert state.admissible[p] is None and state.held[p] is None
                 event("a side's version moved")
-    if any(versions[p] and recorded.caches[p] is caches[p] for p in (initiator, responder)):
-        event("a recorded side declined")
+    if any(versions[p] and recorded.version[p] == versions[p] for p in (initiator, responder)):
+        event("a recorded side kept its sources")
 
 
 # --- exchanges ---------------------------------------------------------------
-
-def make_state(caches):
-    return GossipState(caches=list(caches))
-
 
 def test_anti_entropy_exchange_is_symmetric():
     # distinct timestamps per competing version: the declared tie-breaks
@@ -402,30 +396,30 @@ def test_anti_entropy_exchange_is_symmetric():
     proto = anti_entropy(3)
     a = (item(src=2, t=5), item(src=3, t=1))
     b = (item(src=3, t=9), item(src=4, t=2), item(src=2, t=4))
-    state = make_state([a, b])
+    state = state_of([a, b])
     run_exchange(state, 0, 1, proto, now=10)
-    assert set(state.caches[0]) == set(state.caches[1])
-    by_src = {it.src: it for it in state.caches[0]}
+    assert set(cache_of(state, 0)) == set(cache_of(state, 1))
+    by_src = {it.src: it for it in cache_of(state, 0)}
     assert by_src[2].timestamp == 5 and by_src[3].timestamp == 9
 
 
 def test_exchange_idempotent_on_identical_caches():
     proto = anti_entropy(8)
     shared = (item(src=0, t=5), item(src=1, t=3))
-    state = make_state([shared, shared])
+    state = state_of([shared, shared])
     run_exchange(state, 0, 1, proto, now=9)
-    assert set(state.caches[0]) == set(shared)
-    assert set(state.caches[1]) == set(shared)
+    assert set(cache_of(state, 0)) == set(shared)
+    assert set(cache_of(state, 1)) == set(shared)
 
 
 def test_exchange_capacity_never_exceeded():
     rnd = random.Random(606)
     proto = anti_entropy(3)
     for _ in range(300):
-        state = make_state([random_cache(rnd), random_cache(rnd)])
+        state = state_of([random_cache(rnd), random_cache(rnd)])
         run_exchange(state, 0, 1, proto, now=7)
-        assert len(state.caches[0]) <= 3
-        assert len(state.caches[1]) <= 3
+        for peer in (0, 1):
+            assert len(state.sources[peer]) == len(state.stamps[peer]) <= 3
 
 
 def test_timestamp_exchange_equals_two_retain_calls():
@@ -436,12 +430,12 @@ def test_timestamp_exchange_equals_two_retain_calls():
     seen = Counter()
     for _ in range(300):
         global_view = rnd.random() < 0.5
-        state = make_state([random_cache(rnd) for _ in range(8)])
+        state = state_of([random_cache(rnd) for _ in range(8)])
         for step in range(6):
             initiator, responder = rnd.sample(range(8), 2)
             k = rnd.randint(1, 11)
             proto = ProtocolSpec(cache_size=k, global_view=global_view)
-            caches = state.caches
+            caches = [cache_of(state, v) for v in range(8)]
             if rnd.random() < 0.5:
                 # shared sources at equal timestamps on both sides
                 mine = {it.src for it in caches[initiator]}
@@ -453,8 +447,8 @@ def test_timestamp_exchange_equals_two_retain_calls():
                 kept = tuple(it for it in caches[responder] if it.src != initiator)
                 caches[responder] = kept + (item(src=initiator, t=0),)
                 seen["stale initiator entry"] += 1
-            state.sources[initiator] = tuple(it.src for it in caches[initiator])
-            state.sources[responder] = tuple(it.src for it in caches[responder])
+            for peer in (initiator, responder):
+                state.sources[peer], state.stamps[peer] = columns(caches[peer])
             now = 6 + step
             pushed = caches[initiator]
             if not global_view:
@@ -470,9 +464,9 @@ def test_timestamp_exchange_equals_two_retain_calls():
             versions = list(state.version)
             before = list(state.sources)
             run_exchange(state, initiator, responder, proto, now=now)
-            for peer, (cache, srcs) in want.items():
-                assert state.caches[peer] == cache
+            for peer, (srcs, stamps) in want.items():
                 assert state.sources[peer] == srcs
+                assert state.stamps[peer] == stamps
                 assert state.version[peer] == versions[peer] + (srcs != before[peer])
             seen["anti-entropy" if global_view else "newscast"] += 1
     for case in ("equal timestamps", "stale initiator entry", "k over union", "version 0",

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipcf.pushpull import DataItem, GossipState, rank_table
+from gossipcf.pushpull import GossipState, rank_table
 from gossipcf.recommend import (
+    MAX_ITEM_ID,
     RatingMatrix,
     build_training_arrays,
     centralized_neighborhoods,
@@ -28,10 +29,6 @@ from oracles import (
     profiles,
     significance_weighted_similarity,
 )
-
-
-def entry(peer):
-    return DataItem(src=peer, timestamp=0)
 
 
 def enumeration_tally(ratings: RatingMatrix, active, neighbors) -> dict[int, int]:
@@ -201,8 +198,7 @@ def test_centralized_batch_matches_reference(small_ratings):
 
 
 def test_overlay_recommend_uses_cache_and_flags_dead(tiny_ratings):
-    caches = [(entry(1), entry(3)), (), (), (), ()]
-    state = GossipState(caches=caches)
+    state = GossipState([(1, 3), (), (), (), ()])
     alive = [True, True, True, True, False]
     got = overlay_recommend(0, state, alive, tiny_ratings, 5)
     want = most_frequent_items(0, {1, 3}, tiny_ratings, 5)
@@ -221,9 +217,9 @@ def test_overlay_with_global_topk_cache_equals_centralized(small_ratings):
     peers = set(range(small_ratings.n_users))
     n = small_ratings.n_users
     for active in (2, 40, 77):
-        caches = [() for _ in range(n)]
-        caches[active] = tuple(entry(int(w)) for w in hoods[active])
-        state = GossipState(caches=caches)
+        sources = [() for _ in range(n)]
+        sources[active] = tuple(int(w) for w in hoods[active])
+        state = GossipState(sources)
         assert overlay_recommend(active, state, [True] * n, small_ratings, 10) == (
             centralized_recommend(active, peers, small_ratings, k=8, n_top=10)
         )
@@ -234,9 +230,9 @@ def test_overlay_recommend_never_contains_consumed(small_ratings):
     for active in range(0, small_ratings.n_users, 7):
         others = [w for w in range(small_ratings.n_users) if w != active]
         srcs = rnd.sample(others, 10)
-        caches = [() for _ in range(small_ratings.n_users)]
-        caches[active] = tuple(entry(w) for w in srcs)
-        state = GossipState(caches=caches)
+        sources = [() for _ in range(small_ratings.n_users)]
+        sources[active] = tuple(srcs)
+        state = GossipState(sources)
         alive = [True] * small_ratings.n_users
         for item, _ in overlay_recommend(active, state, alive, small_ratings, 10):
             assert item not in small_ratings.rows[active]
@@ -345,6 +341,23 @@ def test_rating_matrix_validation():
     # the message names the first rating outside the scale, in row order
     with pytest.raises(ValueError, match=r"^rating 0 outside 1\.\.5$"):
         RatingMatrix({1: {1: 3, 2: 0, 3: 7}, 2: {1: 9}})
+
+
+def ten_users_with_item(item):
+    return {u: {item: 3, 1: 4, 2: 5, 3 + u: 2} for u in range(10)}
+
+
+@pytest.mark.parametrize("item", [-1, 2**24, 2**40])
+def test_rating_matrix_rejects_item_ids_outside_the_table(item):
+    # The strict checker maps ids to columns through a table indexed by id,
+    # and a negative id would match the -1 padding of a top-N row.
+    with pytest.raises(ValueError, match=rf"^item id {item} outside 0\.\.{MAX_ITEM_ID}$"):
+        RatingMatrix(ten_users_with_item(item))
+
+
+def test_rating_matrix_accepts_the_largest_item_id():
+    assert MAX_ITEM_ID == 2**24 - 1
+    assert RatingMatrix(ten_users_with_item(MAX_ITEM_ID)).item_ids[-1] == MAX_ITEM_ID
 
 
 @pytest.mark.parametrize(

@@ -6,19 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipcf.pushpull import (
-    DataItem,
-    GossipState,
-    ProtocolSpec,
-    rank_table,
-    run_exchange,
-)
+from gossipcf.pushpull import DataItem, ProtocolSpec, rank_table, run_exchange
 from oracles import (
     EmptyProfile,
     RatingProfile,
+    cache_of,
     cosine_similarity,
     overlap,
     significance_weighted_similarity,
+    state_of,
 )
 
 profiles_st = st.dictionaries(
@@ -145,18 +141,17 @@ def build_sim_protocol(profile_dicts, cache_size):
 def test_swarmix_exchange_pushes_self_item_to_responder():
     profile_dicts = [{1: 5, 2: 4}, {1: 4, 3: 2}, {2: 5, 3: 4}]
     proto = build_sim_protocol(profile_dicts, cache_size=2)
-    state = GossipState(caches=[(entry(2),), (entry(2),), ()])
+    state = state_of([(entry(2),), (entry(2),), ()], stamped=False)
     run_exchange(state, 0, 1, proto, now=3)
-    responder_sources = {it.src for it in state.caches[1]}
-    assert 0 in responder_sources  # the initiator's fresh item arrived
+    assert 0 in state.sources[1]  # the initiator's fresh item arrived
 
 
 def pushed_self_item(now):
     """Peer 0's self-item as it lands in peer 1's cache in an exchange at ``now``."""
     proto = newscast(4)
-    state = GossipState(caches=[(entry(2),), (entry(2),), ()])
+    state = state_of([(entry(2),), (entry(2),), ()])
     run_exchange(state, 0, 1, proto, now=now)
-    return next(it for it in state.caches[1] if it.src == 0)
+    return next(it for it in cache_of(state, 1) if it.src == 0)
 
 
 def test_make_self_item_constructor_contract():
@@ -174,22 +169,21 @@ def test_make_self_item_timestamps_differ_only():
     assert a.src == b.src
     assert a.timestamp == 7 and b.timestamp == 8
     proto = newscast(4)
-    state = GossipState(caches=[(entry(2),), (entry(2),), ()])
+    state = state_of([(entry(2),), (entry(2),), ()])
     run_exchange(state, 0, 1, proto, now=7)
     run_exchange(state, 0, 1, proto, now=8)
-    assert entry(0, 8) in state.caches[1]
-    assert entry(0, 7) not in state.caches[1]
+    assert entry(0, 8) in cache_of(state, 1)
+    assert entry(0, 7) not in cache_of(state, 1)
 
 
 def test_swarmix_exchange_never_retains_own_item():
     profile_dicts = [{1: 5}, {1: 5}, {1: 5}]
     proto = build_sim_protocol(profile_dicts, cache_size=3)
     # both caches already carry copies of each peer's own item in transit
-    caches = [(entry(0), entry(1)), (entry(1), entry(0)), ()]
-    state = GossipState(caches=caches)
+    state = state_of([(entry(0), entry(1)), (entry(1), entry(0)), ()], stamped=False)
     run_exchange(state, 0, 1, proto, now=2)
-    assert all(it.src != 0 for it in state.caches[0])
-    assert all(it.src != 1 for it in state.caches[1])
+    assert 0 not in state.sources[0]
+    assert 1 not in state.sources[1]
 
 
 def test_swarmix_asymmetry_witness():
@@ -201,19 +195,18 @@ def test_swarmix_asymmetry_witness():
         {3: 5, 4: 5},
     ]
     proto = build_sim_protocol(profile_dicts, cache_size=2)
-    caches = [(entry(2), entry(3)), (entry(3), entry(2)), (), ()]
-    state = GossipState(caches=caches)
+    state = state_of([(entry(2), entry(3)), (entry(3), entry(2)), (), ()], stamped=False)
     run_exchange(state, 0, 1, proto, now=1)
-    assert set(state.caches[0]) != set(state.caches[1])
+    assert set(state.sources[0]) != set(state.sources[1])
 
 
 def test_newscast_keeps_freshest():
     proto = newscast(2)
     old = entry(5, 1)
     older = entry(6, 0)
-    state = GossipState(caches=[(old, older), (old,)])
+    state = state_of([(old, older), (old,)])
     run_exchange(state, 0, 1, proto, now=9)
     # initiator's fresh self-item (t=9) lands in the responder cache
-    by_src = {it.src: it for it in state.caches[1]}
+    by_src = {it.src: it for it in cache_of(state, 1)}
     assert by_src[0].timestamp == 9
-    assert all(len(c) <= 2 for c in state.caches)
+    assert all(len(srcs) <= 2 for srcs in state.sources)
