@@ -30,6 +30,7 @@ a pure function of the configuration (seed included) and the training data.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterator
@@ -49,11 +50,11 @@ class InvalidConfig(Exception):
 
 @dataclass(frozen=True)
 class ChurnSpec:
-    """One disturbance: silence pct% of live peers at the start of a cycle.
+    """One disturbance: silence pct% of the peers at the start of a cycle.
 
     Failures and voluntary leavings are mechanically identical; the mode only
-    decides whether the silenced peers are flagged as having left, which in
-    turn decides how hit rates account for them.
+    decides whether the snapshots flag the silenced peers as having left,
+    which in turn decides how hit rates account for them.
     """
 
     mode: str = "failures"
@@ -72,8 +73,8 @@ class ChurnSpec:
 
 
 def churn_count(pct: float, n_peers: int) -> int:
-    """Peers a pct% disturbance silences: floor(pct/100 * n) of the configured n."""
-    return int(pct / 100.0 * n_peers)
+    """Peers a pct% disturbance silences: floor(pct * n / 100) of the configured n."""
+    return int(pct * n_peers / 100)
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,9 @@ class CycleSnapshot:
     v, even where a global-view cache keeps v's own entry.
     ``cache_sim_mean[v]`` is v's mean similarity to those sources (NaN for an
     empty neighborhood).  Recommendation rows are padded with -1 item ids;
-    a silenced peer's row is all padding.
+    a silenced peer's row is all padding.  ``left`` flags the silenced
+    peers under a ``"leavings"`` churn and no peer under ``"failures"`` or
+    without churn.
     """
 
     cycle: int
@@ -162,11 +165,11 @@ class CycleSnapshot:
 
 @dataclass
 class SimState:
-    """Mutable state of a running simulation.
+    """Mutable state of a running simulation, built by ``bootstrap``.
 
-    ``alive`` flags the peers churn has not silenced and ``left`` those that
-    left voluntarily; the engine draws only live partners, so the protocol
-    never reads liveness.
+    ``alive`` flags the peers churn has not silenced; whether they left or
+    failed is ``config.churn.mode``.  The engine draws only live partners,
+    so the protocol never reads liveness.
 
     The ranking memo is ``rec_items``/``rec_votes``, each peer's latest top-N
     row, keyed by ``ranked[v]``: the tuple ``gossip.sources[v]`` held when
@@ -178,14 +181,13 @@ class SimState:
     config: SimConfig
     gossip: GossipState
     alive: list[bool]
-    left: list[bool]
     arrays: TrainingArrays
     protocol: ProtocolSpec
     rng: np.random.Generator
+    rec_items: np.ndarray
+    rec_votes: np.ndarray
+    ranked: list[tuple[int, ...] | None]
     cycle: int = 0
-    rec_items: np.ndarray | None = None
-    rec_votes: np.ndarray | None = None
-    ranked: list[tuple[int, ...] | None] | None = None
 
     @property
     def n(self) -> int:
@@ -193,30 +195,23 @@ class SimState:
 
 
 def _random_tree_edges(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
-    """Uniformly random labelled spanning tree (Pruefer decode)."""
-    if n == 2:
-        return [(0, 1)]
-    seq = rng.integers(0, n, size=n - 2)
-    degree = np.ones(n, dtype=np.int64)
+    """Uniformly random labelled spanning tree on n >= 2 peers (Pruefer decode).
+
+    Each entry of a uniform Pruefer sequence of n - 2 draws is joined to the
+    smallest current leaf; the last two leaves are joined to each other.
+    """
+    seq = rng.integers(0, n, size=n - 2).tolist()
+    degree = [1] * n
     for x in seq:
         degree[x] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]  # ascending, so a heap
     edges: list[tuple[int, int]] = []
-    ptr = 0
-    while degree[ptr] != 1:
-        ptr += 1
-    leaf = ptr
     for x in seq:
-        x = int(x)
-        edges.append((leaf, x))
+        edges.append((heapq.heappop(leaves), x))
         degree[x] -= 1
-        if degree[x] == 1 and x < ptr:
-            leaf = x
-        else:
-            ptr += 1
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    edges.append((leaf, n - 1))
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    edges.append((min(leaves), max(leaves)))
     return edges
 
 
@@ -233,13 +228,9 @@ def bootstrap_topology(
     out-degree reaches the target.  The extra edges fill no cache: they go
     only to peers whose out-degree is below ``cache_size - 1``.  The tree is
     not capped and may fill a cache; one that gives some peer more than
-    ``cache_size`` sources is a config error.
+    ``cache_size`` sources is a config error.  The bounds on n and the
+    degree are ``SimConfig``'s.
     """
-    if n < 2:
-        raise InvalidConfig("need at least two peers")
-    if not 1.0 <= target_avg_degree < cache_size:
-        raise InvalidConfig("target degree must satisfy 1 <= degree < cache_size")
-
     out: list[set[int]] = [set() for _ in range(n)]
     for u, v in _random_tree_edges(n, rng):
         out[u].add(v)
@@ -300,7 +291,6 @@ def bootstrap(
         config=config,
         gossip=GossipState(list(map(tuple, topology)), stamps),
         alive=[True] * n,
-        left=[False] * n,
         arrays=arrays,
         protocol=protocol,
         rng=rng,
@@ -310,27 +300,19 @@ def bootstrap(
     )
 
 
-def inject_churn(state: SimState, spec: ChurnSpec) -> list[int]:
-    """Silence a uniform sample of live peers; returns the silenced ids.
+def inject_churn(state: SimState) -> None:
+    """Silence a uniform sample of ``churn_count`` peers, per ``config.churn``.
 
-    Sample size is floor(pct/100 * n) over the configured peer count.  The
-    sampled set depends only on the rng stream, not on the mode, so failure
-    and leaving runs with one seed silence identical peers.
+    A run injects its one churn before any peer is silenced, so the sample
+    is drawn from all n peers.  It sets liveness only and depends on the rng
+    stream alone, not on the mode, so failure and leaving runs with one seed
+    silence identical peers.
     """
-    count = churn_count(spec.pct, state.n)
+    count = churn_count(state.config.churn.pct, state.n)
     if count == 0:
-        return []
-    alive_ids = [p for p in range(state.n) if state.alive[p]]
-    if count > len(alive_ids):
-        raise InvalidConfig("churn would remove more peers than are alive")
-    chosen = state.rng.choice(len(alive_ids), size=count, replace=False)
-    silenced = sorted(alive_ids[int(i)] for i in chosen)
-    leaving = spec.mode == "leavings"
-    for p in silenced:
+        return
+    for p in state.rng.choice(state.n, size=count, replace=False).tolist():
         state.alive[p] = False
-        if leaving:
-            state.left[p] = True
-    return silenced
 
 
 def _rank(state: SimState, peer: int) -> None:
@@ -366,6 +348,8 @@ def _take_snapshot(state: SimState, receptions: np.ndarray, skipped: int) -> Cyc
     with np.errstate(invalid="ignore"):
         mean = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     alive = np.array(state.alive, dtype=bool)
+    churn = state.config.churn
+    leavings = churn is not None and churn.mode == "leavings"
     # Every peer alive at the start of the cycle was ranked, and nobody is
     # silenced mid-cycle, so the memo holds exactly the live peers' rows.
     return CycleSnapshot(
@@ -376,7 +360,7 @@ def _take_snapshot(state: SimState, receptions: np.ndarray, skipped: int) -> Cyc
         rec_items=np.where(alive[:, None], state.rec_items, -1),
         rec_votes=np.where(alive[:, None], state.rec_votes, 0),
         alive=alive,
-        left=np.array(state.left, dtype=bool),
+        left=~alive if leavings else np.zeros(n, dtype=bool),
         receptions=receptions,
         skipped=skipped,
     )
@@ -458,6 +442,6 @@ def run_simulation(
 
     for cycle in range(1, config.cycles + 1):
         if config.churn is not None and cycle == config.churn.at_cycle:
-            inject_churn(state, config.churn)
+            inject_churn(state)
         yield run_cycle(state)
 

@@ -147,7 +147,8 @@ def _parse_lines(path: Path, lines: Iterable[str]) -> RatingMatrix:
         count += 1
     if count == 0:
         raise ParseError(f"{path}: no ratings found")
-    return RatingMatrix(by_user)
+    keys = sorted(by_user)
+    return RatingMatrix._adopt(keys, [by_user[key] for key in keys])
 
 
 @dataclass

@@ -129,9 +129,7 @@ def overlap_matrix(arrays: TrainingArrays) -> np.ndarray:
 
 
 def weighted_similarity_matrix(arrays: TrainingArrays, threshold: int) -> np.ndarray:
-    """Significance-weighted similarity for every user pair."""
-    if threshold < 1:
-        raise ValueError("threshold must be positive")
+    """Significance-weighted similarity for every user pair (``threshold`` >= 1)."""
     counts = overlap_matrix(arrays)
     weight = np.minimum(counts, threshold) / float(threshold)
     weight *= arrays.similarity

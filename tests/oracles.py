@@ -5,10 +5,11 @@ for speed: the protocol's merge and select steps over source-keyed
 :class:`~gossipcf.pushpull.DataItem` caches (and their conversion to and
 from the state's source and stamp tuples), cosine and significance-weighted
 similarity over sparse rating profiles, and majority-vote recommendation over
-per-user rating dicts, and a simulation cycle whose every turn draws its
-own partner.  The package's fast paths (the rank-table exchange, the
-similarity matrices, the vote tally, the cycle-level partner draw) must
-agree with them.
+per-user rating dicts, a simulation cycle whose every turn draws its own
+partner, and a linear-time pointer-walk Pruefer decode.  The package's fast
+paths (the rank-table exchange, the similarity matrices, the vote tally,
+the cycle-level partner draw) and its heap-of-leaves tree decode must agree
+with them.
 """
 
 from __future__ import annotations
@@ -279,3 +280,34 @@ def run_cycle(state: SimState) -> CycleSnapshot:
             skipped += 1
         _rank(state, p)
     return _take_snapshot(state, receptions, skipped)
+
+
+# --- bootstrap tree ----------------------------------------------------------
+
+def pruefer_tree_edges(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
+    """Reference Pruefer decode: a pointer walks up to the next leaf, and a
+    node that becomes a leaf below the pointer is taken at once."""
+    if n == 2:
+        return [(0, 1)]
+    seq = rng.integers(0, n, size=n - 2)
+    degree = np.ones(n, dtype=np.int64)
+    for x in seq:
+        degree[x] += 1
+    edges: list[tuple[int, int]] = []
+    ptr = 0
+    while degree[ptr] != 1:
+        ptr += 1
+    leaf = ptr
+    for x in seq:
+        x = int(x)
+        edges.append((leaf, x))
+        degree[x] -= 1
+        if degree[x] == 1 and x < ptr:
+            leaf = x
+        else:
+            ptr += 1
+            while degree[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    edges.append((leaf, n - 1))
+    return edges

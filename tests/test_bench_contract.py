@@ -8,10 +8,14 @@ library derives from its source tuples and keeps only for such readers.  ``bench
 ``bench/checks.py`` read a snapshot's neighborhoods as ``neighbor_ids``, one
 int array per peer.  A refactor that renames one of these, calls it some
 other way or changes the entry or the snapshot breaks ``bench/run.py``;
-these tests notice.  They only read ``bench/``.
+these tests notice.  A churn sweep also goes through ``bench/worker.py``'s
+``trial_record`` and ``dead_entries``, which read ``config.churn`` and a
+snapshot's ``alive``, ``left`` and ``neighbor_ids`` for
+``bench/checks.py::check_churn_count``.  The tests only read ``bench/``.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +24,8 @@ import pytest
 from gossipcf import engine, harness, metrics
 from gossipcf.engine import SimConfig
 
-INSTRUMENT = Path(__file__).resolve().parent.parent / "bench" / "instrument.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+INSTRUMENT = BENCH / "instrument.py"
 
 
 def load_instrument():
@@ -63,3 +68,24 @@ def test_tracer_counts_protocol_work_and_leaves_rows_unchanged(small_ratings, pr
     assert len(per_peer) == n
     assert all(ids.dtype.kind == "i" for ids in per_peer)
     assert np.array_equal(np.concatenate(per_peer), final.neighbors)
+
+
+def test_worker_reads_a_churn_sweep(small_ratings, monkeypatch):
+    # worker.py imports its siblings by bare name, as bench/run.py starts it
+    monkeypatch.syspath_prepend(str(BENCH))
+    instrument, worker = (importlib.import_module(name) for name in ("instrument", "worker"))
+    base = SimConfig(n_peers=small_ratings.n_users, cache_size=8, cycles=6, seed=7)
+    capture = instrument.Capture(harness)
+    with instrument.patched(capture.patches()):
+        harness.churn_sweep(base, small_ratings, [10.0, 40.0], 2, at_cycle=3)
+
+    assert len(capture.trials) == 4
+    n = base.n_peers
+    for captured, pct in zip(capture.trials, [10.0, 10.0, 40.0, 40.0]):
+        record = worker.trial_record(captured)
+        assert record["churn"] == ("leavings", pct, 3)
+        final = record["final"]
+        silenced = ~final["alive"]
+        assert np.array_equal(final["left"], silenced)
+        assert silenced.sum() == math.floor(pct * n / 100)
+        assert 0 <= worker.dead_entries(captured) <= n * base.cache_size

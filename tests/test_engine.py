@@ -63,12 +63,18 @@ def test_bootstrap_topology_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_tree_decode_matches_the_pointer_walk(seed):
+    # the heap of leaves joins each Pruefer entry to the smallest leaf, as
+    # the reference's pointer walk does, from the same draws
+    for n in [*range(2, 301), 943]:
+        heap_rng, walk_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        edges = engine._random_tree_edges(n, heap_rng)
+        assert edges == oracles.pruefer_tree_edges(n, walk_rng), n
+        assert heap_rng.bit_generator.state == walk_rng.bit_generator.state, n
+
+
 def test_bootstrap_topology_rejects_bad_degree():
-    rng = np.random.default_rng(1)
-    with pytest.raises(InvalidConfig):
-        bootstrap_topology(10, 0.5, 20, rng)
-    with pytest.raises(InvalidConfig):
-        bootstrap_topology(10, 25.0, 20, rng)
     # the tree is not capped: one that gives a peer more sources than its
     # cache holds is rejected
     with pytest.raises(InvalidConfig, match="bootstrap tree gives peer"):
@@ -86,6 +92,16 @@ def test_config_validation():
         SimConfig(**base, cycles=0).validate()
     with pytest.raises(InvalidConfig):
         SimConfig(**base, protocol="carrier-pigeon").validate()
+    # checked here only: bootstrap_topology and weighted_similarity_matrix trust them
+    for degree in (0.5, base["cache_size"]):
+        with pytest.raises(InvalidConfig, match="bootstrap_degree"):
+            SimConfig(**base, bootstrap_degree=degree)
+    with pytest.raises(InvalidConfig, match="top_n"):
+        SimConfig(**base, top_n=0)
+    with pytest.raises(InvalidConfig, match="significance_threshold"):
+        SimConfig(**base, significance_threshold=0)
+    with pytest.raises(InvalidConfig, match="seed"):
+        SimConfig(**base, seed=-1)
     with pytest.raises(InvalidConfig):
         SimConfig(**base, churn=ChurnSpec(pct=120.0, at_cycle=5)).validate()
     with pytest.raises(InvalidConfig):
@@ -377,7 +393,7 @@ def test_stamps_are_kept_only_where_the_protocol_reads_them(small_ratings, proto
     recorded = 0
     for cycle in range(1, config.cycles + 1):
         if cycle == churn.at_cycle:
-            inject_churn(state, churn)
+            inject_churn(state)
         engine.run_cycle(state)
         for v in range(state.n):
             sources = gossip.sources[v]
@@ -439,7 +455,7 @@ def _cycles(config, arrays, cycle):
     snaps, draws = [], []
     for at in range(1, config.cycles + 1):
         if config.churn is not None and at == config.churn.at_cycle:
-            inject_churn(state, config.churn)
+            inject_churn(state)
         rng.sized = rng.scalar = 0
         snaps.append(cycle(state))
         draws.append((rng.sized, rng.scalar))
@@ -472,32 +488,15 @@ def test_cycle_level_draw_equals_per_turn_draws(small_ratings, protocol, mode):
             assert all(sized == 0 for sized, _ in draws[churn.at_cycle - 1 :])
 
 
-def test_churn_request_beyond_alive_raises(small_ratings):
-    config, arrays = _small_sim(small_ratings, cycles=4)
-    state = bootstrap(config, arrays, np.random.default_rng(0))
-    inject_churn(state, ChurnSpec(mode="failures", pct=90.0, at_cycle=1))
-    with pytest.raises(InvalidConfig):
-        inject_churn(state, ChurnSpec(mode="failures", pct=50.0, at_cycle=2))
-
-
-def test_churn_count_is_floor_of_pct_at_full_scale():
-    # floor(0.20 * 943) = 188 silenced peers
-    from gossipcf.engine import SimState
-    from gossipcf.pushpull import GossipState
-
-    n = 943
-    state = SimState(
-        config=SimConfig(n_peers=n),
-        gossip=GossipState([()] * n),
-        alive=[True] * n,
-        left=[False] * n,
-        arrays=None,
-        protocol=None,
-        rng=np.random.default_rng(3),
-    )
-    silenced = inject_churn(state, ChurnSpec(mode="failures", pct=20.0, at_cycle=1))
-    assert len(silenced) == 188
-    assert sum(1 for a in state.alive if not a) == 188
+@pytest.mark.parametrize("n, pct, silenced", [(100, 29.0, 29), (50, 58.0, 29), (943, 20.0, 188)])
+def test_churn_count_is_floor_of_pct_of_n(n, pct, silenced):
+    # floor(pct * n / 100), which pct / 100 * n misses by one where the
+    # quotient rounds down (29 / 100 * 100 is 28.999...)
+    assert engine.churn_count(pct, n) == silenced
+    # only a loss of every peer is a config error
+    SimConfig(n_peers=n, cache_size=20, churn=ChurnSpec(pct=99.5, at_cycle=1))
+    with pytest.raises(InvalidConfig, match="silence all"):
+        SimConfig(n_peers=n, cache_size=20, churn=ChurnSpec(pct=100.0, at_cycle=1))
 
 
 def test_global_view_protocol_draws_any_peer(small_ratings):
