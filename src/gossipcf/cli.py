@@ -364,11 +364,11 @@ def _load(settings: Settings) -> tuple[str, RatingMatrix, str]:
 
 def _cmd_validate(settings: Settings) -> int:
     path, matrix, _ = _load(settings)
-    per_user = [len(r) for r in matrix.rows]
+    per_user = np.diff(matrix.indptr)
     print(f"{path}: {matrix.n_users} users, {matrix.n_items} items, "
           f"{matrix.n_ratings} ratings")
-    print(f"ratings per user: min={min(per_user)} "
-          f"mean={matrix.n_ratings / matrix.n_users:.1f} max={max(per_user)}")
+    print(f"ratings per user: min={per_user.min()} "
+          f"mean={matrix.n_ratings / matrix.n_users:.1f} max={per_user.max()}")
     return 0
 
 

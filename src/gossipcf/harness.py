@@ -34,6 +34,7 @@ from .recommend import (
     MAX_ITEM_ID,
     RatingMatrix,
     TrainingArrays,
+    _csr,
     build_training_arrays,
     centralized_neighborhoods,
     tally_votes,
@@ -83,24 +84,13 @@ def parse_ratings(data: bytes, path: str | Path) -> RatingMatrix:
         raise ParseError(f"{path}: byte {exc.start}: not UTF-8 ({exc.reason})") from exc
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    table = _int_table(text)
-    if table is None:
-        return _parse_lines(path, io.StringIO(text))
-    # A stable sort keeps each user's items in file order, as the line parser does.
-    order = np.argsort(table[:, 0], kind="stable")
-    keys, starts = np.unique(table[order, 0], return_index=True)
-    items, ratings = table[order, 1].tolist(), table[order, 2].tolist()
-    del table, order
-    bounds = [*starts.tolist(), len(items)]
-    rows = [dict(zip(items[a:b], ratings[a:b])) for a, b in zip(bounds, bounds[1:])]
-    if sum(map(len, rows)) < len(items):  # a (user, item) pair repeats
-        return _parse_lines(path, io.StringIO(text))
-    return RatingMatrix._adopt(keys.tolist(), rows)
+    return _numpy_parse(text) or _parse_lines(path, io.StringIO(text))
 
 
-def _int_table(text: str) -> np.ndarray | None:
-    """The text as int64 rows of 3 or 4 fields with ratings in 1..5 and item
-    ids in 0..MAX_ITEM_ID, or None where the line parser must read it."""
+def _numpy_parse(text: str) -> RatingMatrix | None:
+    """The matrix NumPy's parser reads from ``text``, or None where the line
+    parser must read it: anything but int64 rows of 3 or 4 fields with ratings
+    in 1..5, item ids in 0..MAX_ITEM_ID and no repeated (user, item) pair."""
     # Plain ASCII only: NumPy's parser has crashed on some code points
     # beyond the BMP, and it skips \x1c-\x1f around a number; int() does not.
     if not text.isascii() or any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
@@ -117,14 +107,17 @@ def _int_table(text: str) -> np.ndarray | None:
     items, ratings = table[:, 1], table[:, 2]
     if not 1 <= ratings.min() <= ratings.max() <= 5:
         return None
-    return table if 0 <= items.min() <= items.max() <= MAX_ITEM_ID else None
+    if not 0 <= items.min() <= items.max() <= MAX_ITEM_ID:
+        return None
+    keys, users = np.unique(table[:, 0], return_inverse=True)
+    cells = _csr(keys.size, users, items, ratings.astype(np.float64))
+    return None if cells is None else RatingMatrix._adopt(keys.tolist(), *cells)
 
 
 def _parse_lines(path: Path, lines: Iterable[str]) -> RatingMatrix:
     """The line parser over the lines of the file at ``path``: the reference
     reading, and the only source of ParseError and RangeError."""
     by_user: dict[int, dict[int, int]] = {}
-    count = 0
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\n").rstrip("\r")
         if not line:
@@ -144,11 +137,9 @@ def _parse_lines(path: Path, lines: Iterable[str]) -> RatingMatrix:
         if item in row:
             raise ParseError(f"{path}:{lineno}: duplicate rating for user {user}, item {item}")
         row[item] = rating
-        count += 1
-    if count == 0:
+    if not by_user:
         raise ParseError(f"{path}: no ratings found")
-    keys = sorted(by_user)
-    return RatingMatrix._adopt(keys, [by_user[key] for key in keys])
+    return RatingMatrix(by_user)
 
 
 @dataclass
@@ -163,21 +154,22 @@ class SplitSpec:
 def all_but_1_split(ratings: RatingMatrix, rng: np.random.Generator) -> SplitSpec:
     """Move exactly one uniformly random rating per user into the hidden set.
 
-    Peer indices are preserved: every user keeps at least one training rating,
-    so the training matrix has the same users in the same order.
+    Peer v hides the ``rng.integers(count)``-th of its ``count`` item ids,
+    ascending.  One batched draw gives the values and generator state of one
+    scalar draw per peer in peer order.  Every user keeps at least one
+    training rating, so the training matrix has the same users in the same
+    order; it shares ``user_keys`` with ``ratings``.
     """
-    hidden = np.empty(ratings.n_users, dtype=np.int64)
-    rows: list[dict[int, int]] = []
-    for peer, key in enumerate(ratings.user_keys):
-        row = ratings.rows[peer]
-        if len(row) < 2:
-            raise UserTooSparse(f"user {key} has {len(row)} ratings, need at least 2")
-        items = sorted(row)
-        pick = items[int(rng.integers(len(items)))]
-        hidden[peer] = pick
-        rows.append(kept := dict(row))
-        del kept[pick]
-    return SplitSpec(training=RatingMatrix._adopt(list(ratings.user_keys), rows), hidden=hidden)
+    counts = np.diff(ratings.indptr)
+    sparse = np.flatnonzero(counts < 2)
+    if sparse.size:
+        key, count = ratings.user_keys[sparse[0]], counts[sparse[0]]
+        raise UserTooSparse(f"user {key} has {count} ratings, need at least 2")
+    picks = ratings.indptr[:-1] + rng.integers(counts)
+    indptr = ratings.indptr - np.arange(counts.size + 1)
+    items, values = np.delete(ratings.items, picks), np.delete(ratings.ratings, picks)
+    training = RatingMatrix._adopt(ratings.user_keys, indptr, items, values)
+    return SplitSpec(training=training, hidden=ratings.items[picks])
 
 
 @dataclass
@@ -197,16 +189,13 @@ class TrialResult:
     strict_checked: bool = False
 
 
+@dataclass
 class _StrictChecker:
     """Per-snapshot protocol-law assertions, cheap enough to always run."""
 
-    def __init__(self, config: SimConfig, arrays: TrainingArrays, top_m_means: np.ndarray):
-        self.config = config
-        self.arrays = arrays
-        self.top_m_means = top_m_means
-        max_id = int(arrays.item_ids.max())
-        self.col_of_id = np.full(max_id + 2, -1, dtype=np.int32)
-        self.col_of_id[arrays.item_ids] = np.arange(arrays.item_ids.size)
+    config: SimConfig
+    arrays: TrainingArrays
+    top_m_means: np.ndarray
 
     def check(self, snap: CycleSnapshot) -> None:
         k = self.config.cache_size
@@ -232,7 +221,10 @@ class _StrictChecker:
         rows = snap.rec_items[alive_ids]
         listed = rows >= 0
         listed_by = np.repeat(alive_ids, listed.sum(axis=1))
-        consumed = self.arrays.binary[listed_by, self.col_of_id[rows[listed]]] != 0
+        # Every listed id is a training item; searching the distinct ones is 3x faster.
+        ids, inverse = np.unique(rows[listed], return_inverse=True)
+        cols = np.searchsorted(self.arrays.item_ids, ids)[inverse]
+        consumed = self.arrays.binary[listed_by, cols] != 0
         if consumed.any():
             raise AssertionError(
                 f"cycle {snap.cycle}: peer {listed_by[consumed.argmax()]} "

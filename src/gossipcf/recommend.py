@@ -22,26 +22,38 @@ import numpy as np
 
 # Ordered (item id, vote count) pairs, votes descending, item id ascending.
 RecommendationList = list[tuple[int, int]]
-# Item ids index the strict checker's id-to-column table; -1 pads top-N rows.
+# Ids are non-negative (-1 pads top-N rows); the bound keeps (row, item) keys in int64.
 MAX_ITEM_ID = 2**24 - 1
 
 
-class RatingMatrix:
-    """Sparse users-by-items rating matrix with integer ratings in 1..5 and
-    item ids in 0..MAX_ITEM_ID.
+def _csr(n_users: int, users: np.ndarray, items: np.ndarray, ratings: np.ndarray):
+    """Cells in rows ``users`` (below ``n_users``) as CSR arrays (indptr,
+    items, ratings) sorted by row, then item; None if a (row, item) repeats."""
+    key = users * (MAX_ITEM_ID + 1) + items  # a row is below the cell count: no overflow
+    order = np.argsort(key)
+    key = key[order]
+    if (key[1:] == key[:-1]).any():
+        return None
+    indptr = np.searchsorted(key, np.arange(n_users + 1) * (MAX_ITEM_ID + 1))
+    return indptr, items[order], ratings[order]
 
-    Peers are row indices 0..n-1, assigned in ascending order of the original
-    user keys.  Cells are immutable once constructed.
+
+class RatingMatrix:
+    """Sparse users-by-items rating matrix with ratings in 1..5 and item ids
+    in 0..MAX_ITEM_ID, stored once as CSR arrays sorted by peer, then item.
+
+    Peers are row indices 0..n-1, in ascending order of ``user_keys``.  Peer
+    v rated ``items[indptr[v]:indptr[v + 1]]`` (int64, ascending) with the
+    same slice of ``ratings`` (float64); ``item_ids`` lists the rated items
+    once, ascending.  The arrays are never written once constructed.
     """
 
-    def __init__(self, by_user: Mapping[int, Mapping[int, int]]):
+    def __init__(self, by_user: Mapping[int, Mapping[int, float]]):
         if not by_user:
             raise ValueError("rating matrix needs at least one user")
-        self.user_keys: list[int] = sorted(by_user)
-        self.rows: list[dict[int, int]] = []
-        items: set[int] = set()
-        for key in self.user_keys:
-            row = dict(by_user[key])
+        keys = sorted(by_user)
+        rows = [by_user[key] for key in keys]
+        for key, row in zip(keys, rows):
             if not row:
                 raise ValueError(f"user {key!r} has no ratings")
             values = row.values()
@@ -49,31 +61,39 @@ class RatingMatrix:
             if not 1 <= min(values) <= max(values) <= 5 or math.isnan(sum(values)):
                 bad = next(value for value in values if not 1 <= value <= 5)
                 raise ValueError(f"rating {bad!r} outside 1..5")
-            self.rows.append(row)
-            items.update(row)
-        ids = self.item_ids = sorted(items)
-        if not 0 <= ids[0] <= ids[-1] <= MAX_ITEM_ID:
-            bad = ids[0] if ids[0] < 0 else ids[-1]
-            raise ValueError(f"item id {bad!r} outside 0..{MAX_ITEM_ID}")
+        low, high = min(map(min, rows)), max(map(max, rows))
+        if not 0 <= low <= high <= MAX_ITEM_ID:
+            raise ValueError(f"item id {low if low < 0 else high!r} outside 0..{MAX_ITEM_ID}")
+        users = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+        items = np.fromiter(chain.from_iterable(rows), np.int64, users.size)
+        ratings = np.fromiter(chain.from_iterable(r.values() for r in rows), np.float64, users.size)
+        self._keep(keys, *_csr(len(keys), users, items, ratings))
 
     @classmethod
-    def _adopt(cls, user_keys: list[int], rows: list[dict[int, int]]) -> RatingMatrix:
-        """A matrix over sorted keys and checked rows, which it keeps without a copy."""
+    def _adopt(cls, user_keys: list[int], indptr, items, ratings) -> RatingMatrix:
+        """A matrix over sorted keys and checked CSR arrays, kept without a copy."""
         matrix = cls.__new__(cls)
-        matrix.user_keys, matrix.rows, matrix.item_ids = user_keys, rows, sorted(set().union(*rows))
+        matrix._keep(user_keys, indptr, items, ratings)
         return matrix
+
+    def _keep(self, user_keys: list[int], indptr, items, ratings) -> None:
+        self.user_keys, self.indptr, self.items, self.ratings = user_keys, indptr, items, ratings
+        # A sort: NumPy 2.4's hashing np.unique is ~8x slower; int32 halves the memory.
+        ids = items.astype(np.int32)
+        ids.sort()
+        self.item_ids = ids[np.concatenate(([True], ids[1:] != ids[:-1]))].astype(np.int64)
 
     @property
     def n_users(self) -> int:
-        return len(self.rows)
+        return len(self.user_keys)
 
     @property
     def n_items(self) -> int:
-        return len(self.item_ids)
+        return self.item_ids.size
 
     @property
     def n_ratings(self) -> int:
-        return sum(len(r) for r in self.rows)
+        return self.items.size
 
 
 @dataclass
@@ -83,7 +103,7 @@ class TrainingArrays:
     ``similarity[v, w]`` is the plain cosine between full rating rows (self
     similarity on the diagonal).  ``binary`` is the rated/unrated indicator
     used for vote tallies, ``rated_cols[v]`` the column indices peer v rated,
-    as a C-contiguous int32 array (``tally_votes`` joins their buffers).
+    as a contiguous int32 slice of one array (``tally_votes`` joins them).
     """
 
     item_ids: np.ndarray
@@ -92,25 +112,13 @@ class TrainingArrays:
     similarity: np.ndarray
 
 
-def _dense_ratings(matrix: RatingMatrix, item_ids: np.ndarray) -> np.ndarray:
-    """Users-by-items float ratings, zero where unrated."""
-    users = np.repeat(np.arange(matrix.n_users), [len(row) for row in matrix.rows])
-    total = users.size
-    items = np.fromiter(chain.from_iterable(matrix.rows), dtype=np.int64, count=total)
-    ratings = np.fromiter(
-        chain.from_iterable(row.values() for row in matrix.rows), dtype=np.float64, count=total
-    )
-    values = np.zeros((matrix.n_users, matrix.n_items), dtype=np.float64)
-    values[users, np.searchsorted(item_ids, items)] = ratings
-    return values
-
-
 def build_training_arrays(matrix: RatingMatrix) -> TrainingArrays:
-    n = matrix.n_users
-    item_ids = np.asarray(matrix.item_ids, dtype=np.int64)
-    values = _dense_ratings(matrix, item_ids)
+    n, item_ids, indptr = matrix.n_users, matrix.item_ids, matrix.indptr
+    cols = np.searchsorted(item_ids, matrix.items).astype(np.int32)
+    values = np.zeros((n, item_ids.size), dtype=np.float64)
+    values[np.repeat(np.arange(n), np.diff(indptr)), cols] = matrix.ratings
     binary = (values > 0).astype(np.uint8)
-    rated_cols = [np.flatnonzero(binary[v]).astype(np.int32) for v in range(n)]
+    rated_cols = np.split(cols, indptr[1:-1])
     norms = np.sqrt(np.einsum("ij,ij->i", values, values))
     values /= norms[:, None]  # in place: no second users-by-items matrix
     similarity = values @ values.T

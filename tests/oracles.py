@@ -4,12 +4,13 @@ Each function spells out one step on plain Python values, with no concern
 for speed: the protocol's merge and select steps over source-keyed
 :class:`~gossipcf.pushpull.DataItem` caches (and their conversion to and
 from the state's source and stamp tuples), cosine and significance-weighted
-similarity over sparse rating profiles, and majority-vote recommendation over
-per-user rating dicts, a simulation cycle whose every turn draws its own
-partner, and a linear-time pointer-walk Pruefer decode.  The package's fast
-paths (the rank-table exchange, the similarity matrices, the vote tally,
-the cycle-level partner draw) and its heap-of-leaves tree decode must agree
-with them.
+similarity over sparse rating profiles, per-user rating dicts read from a
+rating matrix's CSR arrays, an all-but-1 split that draws once per user over
+those dicts, majority-vote recommendation over them, a simulation cycle
+whose every turn draws its own partner, and a linear-time pointer-walk
+Pruefer decode.  The package's fast paths (the rank-table exchange, the
+batched split draw, the similarity matrices, the vote tally, the cycle-level
+partner draw) and its heap-of-leaves tree decode must agree with them.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from gossipcf.engine import CycleSnapshot, SimState, _rank, _take_snapshot
+from gossipcf.harness import UserTooSparse
 from gossipcf.pushpull import Cache, DataItem, GossipState, PeerId, Sources, Stamps, run_exchange
 from gossipcf.recommend import RatingMatrix, RecommendationList
 
@@ -80,6 +82,40 @@ def select_top_k(cache: Cache, u: Utility, k: int) -> Cache:
     return tuple(ranked[:k])
 
 
+# --- rating rows and the all-but-1 split -------------------------------------
+
+def row_of(ratings: RatingMatrix, peer: PeerId) -> dict[int, float]:
+    """Peer ``peer``'s ratings as an item-to-rating dict, items ascending."""
+    start, stop = ratings.indptr[peer], ratings.indptr[peer + 1]
+    return dict(zip(ratings.items[start:stop].tolist(), ratings.ratings[start:stop].tolist()))
+
+
+def rows_of(ratings: RatingMatrix) -> list[dict[int, float]]:
+    """Every peer's ratings as dicts, in peer order."""
+    return [row_of(ratings, peer) for peer in range(ratings.n_users)]
+
+
+def split_rows(
+    ratings: RatingMatrix, rng: np.random.Generator
+) -> tuple[np.ndarray, list[dict[int, float]]]:
+    """Reference all-but-1 split: the hidden item ids and the training rows.
+
+    Each user in peer order draws one scalar ``rng.integers`` over its sorted
+    item ids and hides the item drawn.
+    """
+    hidden = np.empty(ratings.n_users, dtype=np.int64)
+    rows: list[dict[int, float]] = []
+    for peer, (key, row) in enumerate(zip(ratings.user_keys, rows_of(ratings))):
+        if len(row) < 2:
+            raise UserTooSparse(f"user {key} has {len(row)} ratings, need at least 2")
+        items = sorted(row)
+        pick = items[int(rng.integers(len(items)))]
+        hidden[peer] = pick
+        del row[pick]
+        rows.append(row)
+    return hidden, rows
+
+
 # --- rating profiles and similarity ------------------------------------------
 
 class EmptyProfile(Exception):
@@ -87,7 +123,7 @@ class EmptyProfile(Exception):
 
 
 class RatingProfile:
-    """Immutable sparse map from item id to an integer rating in 1..5.
+    """Immutable sparse map from item id to a rating in 1..5.
 
     The constructor copies the input mapping, so later mutation of the source
     does not leak into the profile.
@@ -127,12 +163,12 @@ class RatingProfile:
 
 def profile(ratings: RatingMatrix, peer: PeerId) -> RatingProfile:
     """Peer ``peer``'s row of ``ratings`` as a profile."""
-    return RatingProfile(ratings.rows[peer])
+    return RatingProfile(row_of(ratings, peer))
 
 
 def profiles(ratings: RatingMatrix) -> list[RatingProfile]:
     """Every row of ``ratings`` as a profile, in peer order."""
-    return [RatingProfile(row) for row in ratings.rows]
+    return [RatingProfile(row) for row in rows_of(ratings)]
 
 
 def cosine_similarity(profile_v: RatingProfile, profile_w: RatingProfile) -> float:
@@ -196,8 +232,8 @@ def most_frequent_items(
     for w in neighbors:
         if w == active:
             raise ValueError("active user cannot vote for itself")
-        votes.update(ratings.rows[w].keys())
-    seen = ratings.rows[active].keys()
+        votes.update(row_of(ratings, w).keys())
+    seen = row_of(ratings, active).keys()
     ranked = sorted(
         ((item, count) for item, count in votes.items() if item not in seen),
         key=lambda pair: (-pair[1], pair[0]),

@@ -26,7 +26,7 @@ from gossipcf.pushpull import ProtocolSpec, _cut, _freshest, _retain, rank_table
 from gossipcf.recommend import build_training_arrays
 from gossipcf.synth import generate_ratings, write_ratings_file
 from conftest import ACCEPTANCE_SEED
-from oracles import columns, merge_freshest, select_top_k, sources_of
+from oracles import columns, merge_freshest, rows_of, select_top_k, sources_of
 
 RANDOM_BASELINE_CLUSTERING = 0.02121  # k/n at 20/943
 CASES = 1000
@@ -254,6 +254,7 @@ def test_criterion_8_protocol_laws(flagship, small_ratings):
     split_rng = np.random.Generator(np.random.PCG64(split_seed(ACCEPTANCE_SEED, 0)))
     split = all_but_1_split(small_ratings, split_rng)
     arrays = build_training_arrays(split.training)
+    training = rows_of(split.training)
     consumed_checked = 0
     for protocol in PROTOCOLS:
         config = SimConfig(
@@ -267,7 +268,7 @@ def test_criterion_8_protocol_laws(flagship, small_ratings):
                 assert not (ids == v).any(), (protocol, snap.cycle, v)
                 row = snap.rec_items[v]
                 for item in row[row >= 0].tolist():
-                    assert item not in split.training.rows[v]
+                    assert item not in training[v]
                     consumed_checked += 1
     strict = all(t.strict_checked for t in flagship.trials)
     report(

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,8 +26,9 @@ from gossipcf.harness import (
     run_trial,
     split_seed,
 )
-from gossipcf.recommend import RatingMatrix, build_training_arrays, top_m_mean_table
-from gossipcf.synth import write_ratings_file
+from gossipcf.recommend import MAX_ITEM_ID, RatingMatrix, build_training_arrays, top_m_mean_table
+from gossipcf.synth import generate_ratings, write_ratings_file
+from oracles import row_of, rows_of, split_rows
 
 
 # --- loading -----------------------------------------------------------------
@@ -37,7 +40,7 @@ def test_load_ratings_roundtrip(tmp_path):
     assert matrix.n_users == 2
     assert matrix.n_items == 2
     assert matrix.n_ratings == 3
-    assert matrix.rows[0] == {10: 5, 11: 3}
+    assert row_of(matrix, 0) == {10: 5, 11: 3}
 
 
 def test_load_ratings_accepts_three_fields(tmp_path):
@@ -85,13 +88,23 @@ def _line_parser(path):
         return harness._parse_lines(path, fh)
 
 
+def _refuse(path, lines):
+    raise AssertionError(f"{path} went to the line parser")
+
+
+def _parts(matrix):
+    """The matrix's user keys, then each of its arrays as a dtype and a list."""
+    arrays = (matrix.indptr, matrix.items, matrix.ratings, matrix.item_ids)
+    return matrix.user_keys, [(a.dtype.str, a.tolist()) for a in arrays]
+
+
 def _loaded(load, path):
     """What a loader makes of ``path``: the matrix's parts, or its error."""
     try:
         matrix = load(path)
     except Exception as exc:
         return type(exc), str(exc)
-    return matrix.user_keys, [list(row.items()) for row in matrix.rows], matrix.item_ids
+    return _parts(matrix)
 
 
 # Users interleaved, each user's items out of order: a reordering sort shows.
@@ -138,17 +151,32 @@ def test_load_ratings_agrees_with_the_line_parser(case, tmp_path):
 
 def test_plain_integer_files_take_numpy_parser(full_scale_ratings, tmp_path, monkeypatch):
     twin = tmp_path / "twin.data"
-    write_ratings_file(twin, dict(zip(full_scale_ratings.user_keys, full_scale_ratings.rows)))
+    rows = [{item: int(r) for item, r in row.items()} for row in rows_of(full_scale_ratings)]
+    write_ratings_file(twin, dict(zip(full_scale_ratings.user_keys, rows)))
     expected = _loaded(_line_parser, twin)
     small = tmp_path / "small.data"
     small.write_text("1\t10\t5\t0\n1\t11\t3\t0\n2\t10\t4\t99\n", encoding="utf-8")
-
-    def refuse(path, lines):
-        raise AssertionError(f"{path} went to the line parser")
-
-    monkeypatch.setattr(harness, "_parse_lines", refuse)
+    monkeypatch.setattr(harness, "_parse_lines", _refuse)
     assert _loaded(load_ratings, twin) == expected
-    assert load_ratings(small).rows == [{10: 5, 11: 3}, {10: 4}]
+    assert rows_of(load_ratings(small)) == [{10: 5, 11: 3}, {10: 4}]
+
+
+@pytest.mark.parametrize("layout", ["sorted", "shuffled", "shuffled, keys above 2**40"])
+def test_every_reader_builds_the_same_arrays(layout, tmp_path, monkeypatch):
+    # NumPy's parser, the line parser and the public constructor must agree
+    # on every array, whatever order the file lists users and items in.
+    ratings = generate_ratings(n_users=80, n_items=300, target_ratings=4000, seed=5)
+    if "2**40" in layout:
+        ratings = {2**40 + 977 * key: row for key, row in ratings.items()}
+    path = tmp_path / "r.data"
+    write_ratings_file(path, ratings)
+    if layout != "sorted":
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        random.Random(7).shuffle(lines)
+        path.write_text("".join(lines), encoding="utf-8")
+    line_parsed = _parts(_line_parser(path))
+    monkeypatch.setattr(harness, "_parse_lines", _refuse)
+    assert _parts(load_ratings(path)) == line_parsed == _parts(RatingMatrix(ratings))
 
 
 def _real_dataset():
@@ -178,10 +206,10 @@ def test_real_movielens_split_counts():
 def test_split_user_with_two_ratings_keeps_one():
     matrix = RatingMatrix({1: {10: 5, 11: 3}})
     split = all_but_1_split(matrix, np.random.default_rng(0))
-    assert len(split.training.rows[0]) == 1
+    assert split.training.n_ratings == 1
     assert len(split.hidden) == 1
     # the hidden item was rated by no one else, so it drops out of the items
-    assert split.training.item_ids == list(split.training.rows[0])
+    assert split.training.item_ids.tolist() == split.training.items.tolist()
 
 
 def test_split_hidden_size_equals_user_count(small_ratings):
@@ -191,24 +219,44 @@ def test_split_hidden_size_equals_user_count(small_ratings):
 
 
 def test_split_training_equals_a_matrix_of_the_kept_rows(small_ratings):
-    # The split copies each row once and the training matrix keeps those
-    # copies: it must equal a matrix built from the rows less their hidden
-    # items, share no row with the source matrix, and leave that untouched.
-    rows = [dict(row) for row in small_ratings.rows]
-    keys, items = list(small_ratings.user_keys), list(small_ratings.item_ids)
+    # The training matrix must equal a matrix built from the rows less their
+    # hidden items, share its user keys with the source matrix, and leave the
+    # source's arrays untouched.
+    before = _parts(small_ratings)
     split = all_but_1_split(small_ratings, np.random.default_rng(3))
-    want = RatingMatrix({
-        key: {item: r for item, r in rows[peer].items() if item != split.hidden[peer]}
-        for peer, key in enumerate(keys)
-    })
-    training = split.training
-    assert training.user_keys == want.user_keys
-    assert training.rows == want.rows
-    assert training.item_ids == want.item_ids
-    assert small_ratings.rows == rows
-    assert small_ratings.user_keys == keys and small_ratings.item_ids == items
-    assert not any(ours is theirs for ours, theirs in zip(training.rows, small_ratings.rows))
-    assert training.user_keys is not small_ratings.user_keys
+    rows = rows_of(small_ratings)
+    for row, item in zip(rows, split.hidden.tolist()):
+        del row[item]
+    want = RatingMatrix(dict(zip(small_ratings.user_keys, rows)))
+    assert _parts(split.training) == _parts(want)
+    assert _parts(small_ratings) == before
+    assert split.training.user_keys is small_ratings.user_keys
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_split_matches_the_dict_reference(seed, small_ratings, full_scale_ratings):
+    # Equal generator states after the call pin the draw order: one draw
+    # per user, in peer order, over the user's ascending item ids.
+    for ratings in (small_ratings, full_scale_ratings):
+        ours = np.random.Generator(np.random.PCG64(split_seed(seed, 0)))
+        theirs = np.random.Generator(np.random.PCG64(split_seed(seed, 0)))
+        split = all_but_1_split(ratings, ours)
+        hidden, rows = split_rows(ratings, theirs)
+        assert np.array_equal(split.hidden, hidden)
+        assert rows_of(split.training) == rows
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_split_allocates_no_per_user_copies(full_scale_ratings):
+    # The split's CSR arrays take ~1.6 MB; per-user dict copies took ~4 MB.
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        all_but_1_split(full_scale_ratings, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_500_000
 
 
 def test_split_too_sparse_user_raises():
@@ -229,8 +277,8 @@ def test_split_soundness(seed):
     )
     split = all_but_1_split(matrix, np.random.default_rng(seed))
     for peer, key in enumerate(matrix.user_keys):
-        original = matrix.rows[peer]
-        kept = split.training.rows[peer]
+        original = row_of(matrix, peer)
+        kept = row_of(split.training, peer)
         item = int(split.hidden[peer])
         assert item not in kept
         merged = dict(kept)
@@ -416,6 +464,30 @@ def test_strict_checker_catches_corruption(small_ratings):
     good.cache_sim_mean[7] = 1.5
     with pytest.raises(AssertionError):
         checker.check(good)
+
+
+def test_strict_checker_is_sized_by_the_items_present(small_ratings):
+    # Four users rate the largest item id the parser takes, so it stays a
+    # training item; the checker must not size a table by it.
+    rows = rows_of(small_ratings)
+    for row in rows[:4]:
+        row[MAX_ITEM_ID] = 3
+    config, arrays, _, snaps = _strict_setup(RatingMatrix(dict(zip(small_ratings.user_keys, rows))))
+    assert arrays.item_ids[-1] == MAX_ITEM_ID
+    top_m = top_m_mean_table(arrays.similarity, config.cache_size)
+    tracemalloc.start()
+    try:
+        checker = _StrictChecker(config, arrays, top_m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    snap = snaps[-1]
+    checker.check(snap)
+    peer = int(np.flatnonzero(arrays.binary[:, -1])[0])
+    snap.rec_items[peer, 0] = MAX_ITEM_ID
+    with pytest.raises(AssertionError, match="consumed item"):
+        checker.check(snap)
 
 
 def _with_lists(snap, lists, alive=None):

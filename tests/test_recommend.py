@@ -22,11 +22,14 @@ from gossipcf.recommend import (
 )
 from oracles import (
     DeadPeer,
+    RatingProfile,
     centralized_recommend,
     cosine_similarity,
     most_frequent_items,
     overlay_recommend,
     profiles,
+    row_of,
+    rows_of,
     significance_weighted_similarity,
 )
 
@@ -34,9 +37,10 @@ from oracles import (
 def enumeration_tally(ratings: RatingMatrix, active, neighbors) -> dict[int, int]:
     """Independent oracle: count votes by exhaustive scan."""
     votes = {}
-    for item in ratings.item_ids:
-        count = sum(1 for w in neighbors if item in ratings.rows[w])
-        if count and item not in ratings.rows[active]:
+    rows = rows_of(ratings)
+    for item in ratings.item_ids.tolist():
+        count = sum(1 for w in neighbors if item in rows[w])
+        if count and item not in rows[active]:
             votes[item] = count
     return votes
 
@@ -159,8 +163,9 @@ def test_tally_votes_matches_binary_row_sums(data):
     }
     matrix = RatingMatrix(rows)
     arrays = build_training_arrays(matrix)
-    for v, row in enumerate(matrix.rows):
-        want_cols = sorted(matrix.item_ids.index(item) for item in row)
+    item_ids = matrix.item_ids.tolist()
+    for v, row in enumerate(rows_of(matrix)):
+        want_cols = sorted(item_ids.index(item) for item in row)
         assert arrays.rated_cols[v].tolist() == want_cols
         assert np.flatnonzero(arrays.binary[v]).tolist() == want_cols
     # Neighbor lists may repeat a peer or be empty.
@@ -235,19 +240,26 @@ def test_overlay_recommend_never_contains_consumed(small_ratings):
         state = GossipState(sources)
         alive = [True] * small_ratings.n_users
         for item, _ in overlay_recommend(active, state, alive, small_ratings, 10):
-            assert item not in small_ratings.rows[active]
+            assert item not in row_of(small_ratings, active)
 
 
 # --- matrix helpers ----------------------------------------------------------
 
 def test_similarity_matrix_matches_pure_cosine(tiny_ratings):
-    arrays = build_training_arrays(tiny_ratings)
-    rows = profiles(tiny_ratings)
-    n = tiny_ratings.n_users
-    for v in range(n):
-        for w in range(n):
-            want = 1.0 if v == w else cosine_similarity(rows[v], rows[w])
-            assert arrays.similarity[v, w] == pytest.approx(want, abs=1e-12)
+    # The half-star profiles come from the mapping, not from the matrix, so
+    # a rating the matrix did not hold exactly would show.
+    half_star = {1: {10: 4.5, 11: 3}, 2: {10: 4, 12: 2.5}, 3: {11: 1.5, 12: 5, 13: 3}}
+    cases = [
+        (tiny_ratings, profiles(tiny_ratings)),
+        (RatingMatrix(half_star), [RatingProfile(half_star[key]) for key in sorted(half_star)]),
+    ]
+    for ratings, rows in cases:
+        arrays = build_training_arrays(ratings)
+        n = ratings.n_users
+        for v in range(n):
+            for w in range(n):
+                want = 1.0 if v == w else cosine_similarity(rows[v], rows[w])
+                assert arrays.similarity[v, w] == pytest.approx(want, abs=1e-12)
 
 
 def test_weighted_matrix_matches_pure_function(small_ratings):

@@ -5,6 +5,7 @@ import pytest
 
 from gossipcf.harness import load_ratings
 from gossipcf.synth import generate_ratings, write_ratings_file
+from oracles import row_of
 
 
 def test_generator_deterministic():
@@ -47,4 +48,4 @@ def test_file_round_trip(tmp_path):
     matrix = load_ratings(path)
     assert matrix.n_users == 30
     assert matrix.n_ratings == 900
-    assert matrix.rows[0] == ratings[min(ratings)]
+    assert row_of(matrix, 0) == ratings[min(ratings)]
