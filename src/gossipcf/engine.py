@@ -140,8 +140,9 @@ class CycleSnapshot:
     than v itself, in selection order.  Under every protocol it never holds
     v, even where a global-view cache keeps v's own entry.
     ``cache_sim_mean[v]`` is v's mean similarity to those sources (NaN for an
-    empty neighborhood).  Recommendation rows are padded with -1 item ids;
-    a silenced peer's row is all padding.  ``left`` flags the silenced
+    empty neighborhood).  Recommendation rows hold training columns of
+    ``item_ids`` and their votes, padded with column -1 and vote 0; a
+    silenced peer's row is all padding.  ``left`` flags the silenced
     peers under a ``"leavings"`` churn and no peer under ``"failures"`` or
     without churn.
     """
@@ -150,12 +151,18 @@ class CycleSnapshot:
     indptr: np.ndarray
     neighbors: np.ndarray
     cache_sim_mean: np.ndarray
-    rec_items: np.ndarray
+    item_ids: np.ndarray
+    rec_cols: np.ndarray
     rec_votes: np.ndarray
     alive: np.ndarray
     left: np.ndarray
     receptions: np.ndarray
     skipped: int
+
+    @property
+    def rec_items(self) -> np.ndarray:
+        """The recommended item ids, padded with -1, for readers outside the library."""
+        return np.where(self.rec_cols >= 0, self.item_ids[self.rec_cols], -1)
 
     @property
     def neighbor_ids(self) -> list[np.ndarray]:
@@ -171,9 +178,10 @@ class SimState:
     failed is ``config.churn.mode``.  The engine draws only live partners,
     so the protocol never reads liveness.
 
-    The ranking memo is ``rec_items``/``rec_votes``, each peer's latest top-N
-    row, keyed by ``ranked[v]``: the tuple ``gossip.sources[v]`` held when
-    v's row was last brought up to date, ``None`` before v is first ranked.
+    The ranking memo is ``rec_cols``/``rec_votes``, each peer's latest top-N
+    row of training columns and votes, keyed by ``ranked[v]``: the tuple
+    ``gossip.sources[v]`` held when v's row was last brought up to date,
+    ``None`` before v is first ranked.
     While v's sources stay unchanged, ``gossip.sources[v]`` is that very
     tuple object, so the check is one identity test.
     """
@@ -184,7 +192,7 @@ class SimState:
     arrays: TrainingArrays
     protocol: ProtocolSpec
     rng: np.random.Generator
-    rec_items: np.ndarray
+    rec_cols: np.ndarray
     rec_votes: np.ndarray
     ranked: list[tuple[int, ...] | None]
     cycle: int = 0
@@ -294,7 +302,7 @@ def bootstrap(
         arrays=arrays,
         protocol=protocol,
         rng=rng,
-        rec_items=np.full((n, config.top_n), -1, dtype=np.int64),
+        rec_cols=np.full((n, config.top_n), -1, dtype=np.int32),
         rec_votes=np.zeros((n, config.top_n), dtype=np.int32),
         ranked=[None] * n,
     )
@@ -327,11 +335,10 @@ def _rank(state: SimState, peer: int) -> None:
         return
     arrays = state.arrays
     votes = tally_votes(arrays, sources)
-    top = top_n_from_votes(
-        votes, arrays.rated_cols[peer], state.config.top_n, arrays.item_ids
+    # A source casts at most one vote per column.
+    state.rec_cols[peer], state.rec_votes[peer] = top_n_from_votes(
+        votes, arrays.rated_cols[peer], state.config.top_n, len(sources)
     )
-    pad = [(-1, 0)] * (state.config.top_n - len(top))
-    state.rec_items[peer], state.rec_votes[peer] = zip(*top, *pad)
 
 
 def _take_snapshot(state: SimState, receptions: np.ndarray, skipped: int) -> CycleSnapshot:
@@ -357,7 +364,8 @@ def _take_snapshot(state: SimState, receptions: np.ndarray, skipped: int) -> Cyc
         indptr=np.concatenate(([0], np.cumsum(counts))),
         neighbors=flat,
         cache_sim_mean=mean,
-        rec_items=np.where(alive[:, None], state.rec_items, -1),
+        item_ids=state.arrays.item_ids,
+        rec_cols=np.where(alive[:, None], state.rec_cols, -1),
         rec_votes=np.where(alive[:, None], state.rec_votes, 0),
         alive=alive,
         left=~alive if leavings else np.zeros(n, dtype=bool),

@@ -37,6 +37,7 @@ from .recommend import (
     _csr,
     build_training_arrays,
     centralized_neighborhoods,
+    hidden_columns,
     tally_votes,
     top_m_mean_table,
     top_n_from_votes,
@@ -202,7 +203,6 @@ class _StrictChecker:
         counts = np.diff(snap.indptr)
         if (counts > k).any():
             raise AssertionError(f"cycle {snap.cycle}: cache over capacity")
-        alive_ids = np.flatnonzero(snap.alive)
         live = np.repeat(snap.alive, counts)
         n = counts.size
         owners = np.repeat(np.arange(n), counts)[live]
@@ -218,13 +218,9 @@ class _StrictChecker:
             raise AssertionError(f"cycle {snap.cycle}: duplicate cache id at peer {first_dup}")
         if first_self is not None:
             raise AssertionError(f"cycle {snap.cycle}: self in neighborhood of {first_self}")
-        rows = snap.rec_items[alive_ids]
-        listed = rows >= 0
-        listed_by = np.repeat(alive_ids, listed.sum(axis=1))
-        # Every listed id is a training item; searching the distinct ones is 3x faster.
-        ids, inverse = np.unique(rows[listed], return_inverse=True)
-        cols = np.searchsorted(self.arrays.item_ids, ids)[inverse]
-        consumed = self.arrays.binary[listed_by, cols] != 0
+        listed = (snap.rec_cols >= 0) & snap.alive[:, None]
+        listed_by = np.nonzero(listed)[0]
+        consumed = self.arrays.binary[listed_by, snap.rec_cols[listed]] != 0
         if consumed.any():
             raise AssertionError(
                 f"cycle {snap.cycle}: peer {listed_by[consumed.argmax()]} "
@@ -247,11 +243,14 @@ def _centralized_hit_rate(
     hidden: np.ndarray,
     top_n: int,
 ) -> float:
+    """The fraction of peers whose hidden column (``hidden_columns``) makes
+    the top-N of their global neighborhood."""
     hits = 0
+    size = neighborhoods.shape[1]  # a neighbor casts at most one vote per column
     for peer, held_out in enumerate(hidden.tolist()):
         votes = tally_votes(arrays, neighborhoods[peer])
-        ranked = top_n_from_votes(votes, arrays.rated_cols[peer], top_n, arrays.item_ids)
-        hits += any(item == held_out for item, _ in ranked)
+        cols, _ = top_n_from_votes(votes, arrays.rated_cols[peer], top_n, size)
+        hits += held_out in cols
     return hits / hidden.size
 
 
@@ -265,7 +264,10 @@ def sim_seed(master_seed: int, trial: int) -> np.random.SeedSequence:
 
 @dataclass
 class _Reference:
-    """One trial's split, its training arrays and the centralized reference."""
+    """One trial's split, its training arrays and the centralized reference.
+
+    ``hidden`` holds each peer's hidden column (``hidden_columns``).
+    """
 
     hidden: np.ndarray
     arrays: TrainingArrays
@@ -282,12 +284,13 @@ def _reference(config: SimConfig, ratings: RatingMatrix, trial: int) -> _Referen
     top_m = top_m_mean_table(arrays.similarity, config.cache_size)
     weighted = weighted_similarity_matrix(arrays, config.significance_threshold)
     neighborhoods = centralized_neighborhoods(weighted, config.cache_size)
+    hidden = hidden_columns(arrays, split.hidden)
     return _Reference(
-        hidden=split.hidden,
+        hidden=hidden,
         arrays=arrays,
         top_m=top_m,
         avg_similarity=float(top_m[:, -1].mean()),
-        hit_rate=_centralized_hit_rate(arrays, neighborhoods, split.hidden, config.top_n),
+        hit_rate=_centralized_hit_rate(arrays, neighborhoods, hidden, config.top_n),
     )
 
 

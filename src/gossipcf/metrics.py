@@ -76,10 +76,14 @@ def similarity_variance(snapshot: CycleSnapshot) -> float:
 
 def hit_rates(snapshot: CycleSnapshot, hidden: np.ndarray) -> tuple[float, float]:
     """The failures and voluntary-leavings hit rates: the fraction of peers
-    whose held-out item ``hidden[v]`` (never negative, so never the -1
-    padding) made their list, over every original peer (a silenced peer
-    scores zero) and over the peers that did not leave."""
-    hits = int(((snapshot.rec_items == hidden[:, None]).any(axis=1) & snapshot.alive).sum())
+    whose held-out item made their list, over every original peer (a
+    silenced peer scores zero) and over the peers that did not leave.
+
+    ``hidden[v]`` is the training column of peer v's held-out item
+    (``recommend.hidden_columns``): never negative, so never the -1
+    padding, and past the last column for an item no training row holds.
+    """
+    hits = int(((snapshot.rec_cols == hidden[:, None]).any(axis=1) & snapshot.alive).sum())
     remaining = int((~snapshot.left).sum())
     return hits / hidden.size, hits / remaining if remaining else 0.0
 

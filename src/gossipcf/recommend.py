@@ -20,8 +20,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-# Ordered (item id, vote count) pairs, votes descending, item id ascending.
-RecommendationList = list[tuple[int, int]]
 # Ids are non-negative (-1 pads top-N rows); the bound keeps (row, item) keys in int64.
 MAX_ITEM_ID = 2**24 - 1
 
@@ -191,15 +189,35 @@ def top_n_from_votes(
     votes: np.ndarray,
     exclude_cols: np.ndarray,
     n_top: int,
-    item_ids: np.ndarray,
-) -> RecommendationList:
-    """Top-N voted items, ties to the smaller item id, zero-vote items dropped."""
-    most = int(votes.max())
+    most: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The top-N columns by votes and their votes, ties to the smaller column,
+    excluded and zero-vote columns dropped, as two rows of ``n_top`` padded
+    with column -1 and vote 0.
+
+    ``most`` bounds the votes from above (a neighborhood's size does); any
+    bound at or above ``votes.max()`` gives the same rows.
+    """
     # Ascending key = descending votes; a stable sort keeps ties in column
     # order.  Keys fit in the fewest bits that hold ``most``, and NumPy's
     # stable sort of 8- and 16-bit keys is a radix sort.
     key = np.subtract(most, votes, dtype=np.min_scalar_type(most), casting="unsafe")
     key[exclude_cols] = most
-    order = key.argsort(kind="stable")[:n_top]
-    order = order[key[order] < most]
-    return list(zip(item_ids[order].tolist(), votes[order].tolist()))
+    cols = key.argsort(kind="stable")[:n_top]
+    kept = key[cols]
+    # An excluded or zero-vote column has the key ``most``: column -1, vote 0.
+    cols[kept == most] = -1
+    top = most - kept
+    if cols.size < n_top:  # fewer columns than places
+        cols = np.pad(cols, (0, n_top - cols.size), constant_values=-1)
+        top = np.pad(top, (0, n_top - top.size))
+    return cols, top
+
+
+def hidden_columns(arrays: TrainingArrays, hidden: np.ndarray) -> np.ndarray:
+    """The training column of each hidden item id; an item no training row
+    holds gets ``arrays.item_ids.size``, a column no top-N row lists."""
+    item_ids = arrays.item_ids
+    cols = np.searchsorted(item_ids, hidden)
+    held = item_ids[np.minimum(cols, item_ids.size - 1)] == hidden
+    return np.where(held, cols, item_ids.size)

@@ -6,11 +6,12 @@ for speed: the protocol's merge and select steps over source-keyed
 from the state's source and stamp tuples), cosine and significance-weighted
 similarity over sparse rating profiles, per-user rating dicts read from a
 rating matrix's CSR arrays, an all-but-1 split that draws once per user over
-those dicts, majority-vote recommendation over them, a simulation cycle
-whose every turn draws its own partner, and a linear-time pointer-walk
-Pruefer decode.  The package's fast paths (the rank-table exchange, the
-batched split draw, the similarity matrices, the vote tally, the cycle-level
-partner draw) and its heap-of-leaves tree decode must agree with them.
+those dicts, majority-vote recommendation over them, a top-N by a full
+sort of a vote array, a simulation cycle whose every turn draws its own
+partner, and a linear-time pointer-walk Pruefer decode.  The package's fast
+paths (the rank-table exchange, the batched split draw, the similarity
+matrices, the vote tally, the radix-sorted top-N, the cycle-level partner
+draw) and its heap-of-leaves tree decode must agree with them.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ import numpy as np
 from gossipcf.engine import CycleSnapshot, SimState, _rank, _take_snapshot
 from gossipcf.harness import UserTooSparse
 from gossipcf.pushpull import Cache, DataItem, GossipState, PeerId, Sources, Stamps, run_exchange
-from gossipcf.recommend import RatingMatrix, RecommendationList
+from gossipcf.recommend import RatingMatrix
 
+# Ordered (item id, vote count) pairs, votes descending, item id ascending.
+RecommendationList = list[tuple[int, int]]
 # Utility of a single entry, evaluated from one peer's perspective.
 Utility = Callable[[DataItem], float]
 
@@ -214,6 +217,23 @@ def significance_weighted_similarity(
 
 
 # --- recommendation ----------------------------------------------------------
+
+def sorted_top_n(
+    votes: Sequence[int], exclude_cols: Iterable[int], n_top: int, item_ids: Sequence[int]
+) -> RecommendationList:
+    """Reference top-N: sort by (votes desc, column asc), drop excluded and
+    zero-vote columns, and name the kept columns by their item ids."""
+    excluded = set(int(c) for c in exclude_cols)
+    cols = sorted(range(len(votes)), key=lambda c: (-int(votes[c]), c))
+    kept = [c for c in cols if c not in excluded and votes[c] > 0]
+    return [(int(item_ids[c]), int(votes[c])) for c in kept[:n_top]]
+
+
+def ranked_pairs(cols: np.ndarray, votes: np.ndarray, item_ids: np.ndarray) -> RecommendationList:
+    """A padded top-N row of columns and votes as (item id, votes) pairs, padding dropped."""
+    listed = cols >= 0
+    return list(zip(item_ids[cols[listed]].tolist(), votes[listed].tolist()))
+
 
 class DeadPeer(Exception):
     """Recommendations were requested for a failed peer."""

@@ -1,7 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Criteria 2-5, 8 and 9 read the shared flagship experiment (943 peers, k=20,
-100 cycles, 5 trials, churn-free); criterion 6 runs the loss sweep.  The
+100 cycles, 5 trials, churn-free); criterion 6 runs the loss sweep, and 9b's
+control a short anti-entropy experiment.  The
 flagship fixture runs with strict per-snapshot checking, so cache laws and
 per-peer dominance are enforced at every cycle of every trial while it
 executes.
@@ -20,7 +21,7 @@ import gossipcf
 import test_metrics as metrics_oracles
 import test_pushpull as pushpull_oracles
 from gossipcf.engine import PROTOCOLS, SimConfig, run_simulation
-from gossipcf.harness import all_but_1_split, churn_sweep, sim_seed, split_seed
+from gossipcf.harness import all_but_1_split, churn_sweep, run_experiment, sim_seed, split_seed
 from gossipcf.metrics import avg_path_length, clustering_coefficient, live_graph
 from gossipcf.pushpull import ProtocolSpec, _cut, _freshest, _retain, rank_table
 from gossipcf.recommend import build_training_arrays
@@ -317,3 +318,29 @@ def test_criterion_9_in_degree_variance_band(flagship):
     print(f"[acceptance] criterion 9 window variance {window_mean:.3f}; "
           f"converged-state variance (logged, not asserted): {converged:.3f}")
     report("9b", ok, f"variance in [0.7, 1.3] over cycles 1-5; measured {detail}")
+
+
+def test_criterion_9_anti_entropy_variance_control(full_scale_ratings):
+    """The control for 9b: without similarity-biased caches, receptions stay
+    in the band.  Anti-entropy draws each partner uniformly from every live
+    peer, so its per-cycle reception variance over cycles 1-5 must stay in
+    [0.7, 1.3], the band 9b asserts for the similarity-driven protocol."""
+    config = SimConfig(
+        n_peers=full_scale_ratings.n_users,
+        cache_size=20,
+        cycles=5,
+        seed=ACCEPTANCE_SEED,
+        protocol="anti-entropy",
+    )
+    result = run_experiment(config, full_scale_ratings, trials=2, structural=False)
+    values = [
+        trial.metrics[cycle].in_degree_variance
+        for trial in result.trials
+        for cycle in range(1, 6)
+    ]
+    report(
+        "9b control",
+        all(0.7 <= v <= 1.3 for v in values),
+        "anti-entropy variance in [0.7, 1.3] over cycles 1-5 of 2 trials; measured "
+        + ", ".join(f"{v:.3f}" for v in values),
+    )

@@ -20,7 +20,13 @@ from gossipcf.engine import (
 )
 from gossipcf.harness import all_but_1_split, split_seed
 from gossipcf.pushpull import DataItem
-from gossipcf.recommend import build_training_arrays, tally_votes, top_n_from_votes
+from gossipcf.recommend import (
+    build_training_arrays,
+    centralized_neighborhoods,
+    tally_votes,
+    top_n_from_votes,
+    weighted_similarity_matrix,
+)
 
 
 def _arrays(matrix):
@@ -240,7 +246,7 @@ def test_no_resurrection_and_dead_never_respond(small_ratings):
         if dead is not None and snap.cycle >= 5:
             assert (~snap.alive[dead]).all()  # nobody comes back
             assert (snap.receptions[dead] == 0).all()
-            assert (snap.rec_items[dead] == -1).all()
+            assert (snap.rec_cols[dead] == -1).all()
 
 
 def test_dead_entries_linger_in_live_caches(small_ratings):
@@ -259,14 +265,13 @@ def test_dead_entries_linger_in_live_caches(small_ratings):
 
 
 def _fresh_row(config, arrays, peer, sources):
-    """The padded (items, votes) row a fresh ranking of ``sources`` gives."""
+    """The padded (columns, votes) row a fresh ranking of ``sources`` gives,
+    checked against the full-sort reference."""
     votes = tally_votes(arrays, sources)
-    ranked = top_n_from_votes(votes, arrays.rated_cols[peer], config.top_n, arrays.item_ids)
-    items = np.full(config.top_n, -1, dtype=np.int64)
-    counts = np.zeros(config.top_n, dtype=np.int32)
-    for j, (item, count) in enumerate(ranked):
-        items[j], counts[j] = item, count
-    return items, counts
+    cols, counts = top_n_from_votes(votes, arrays.rated_cols[peer], config.top_n, len(sources))
+    want = oracles.sorted_top_n(votes, arrays.rated_cols[peer], config.top_n, arrays.item_ids)
+    assert oracles.ranked_pairs(cols, counts, arrays.item_ids) == want
+    return cols, counts
 
 
 def test_memoised_rankings_equal_fresh_ones(small_ratings):
@@ -279,11 +284,11 @@ def test_memoised_rankings_equal_fresh_ones(small_ratings):
     )
     compared = 0
     for snap in run_simulation(config, arrays):
-        assert (snap.rec_items[~snap.alive] == -1).all()
+        assert (snap.rec_cols[~snap.alive] == -1).all()
         assert (snap.rec_votes[~snap.alive] == 0).all()
         for v in np.flatnonzero(snap.alive & (snap.receptions == 0)):
-            items, counts = _fresh_row(config, arrays, v, snap.neighbor_ids[v])
-            assert (snap.rec_items[v] == items).all()
+            cols, counts = _fresh_row(config, arrays, v, snap.neighbor_ids[v])
+            assert (snap.rec_cols[v] == cols).all()
             assert (snap.rec_votes[v] == counts).all()
             compared += 1
     assert compared > 500
@@ -299,7 +304,7 @@ def test_memo_is_keyed_by_the_sources_last_ranked(small_ratings, monkeypatch):
     peer = 0
     assert len(sources[peer]) > 1
     engine._rank(state, peer)
-    row = state.rec_items[peer].copy()
+    row = state.rec_cols[peer].copy()
     calls = []
 
     def counted(*args):
@@ -310,17 +315,60 @@ def test_memo_is_keyed_by_the_sources_last_ranked(small_ratings, monkeypatch):
     sources[peer] = sources[peer][::-1]
     engine._rank(state, peer)
     assert calls == []
-    assert (state.rec_items[peer] == row).all()
+    assert (state.rec_cols[peer] == row).all()
 
     held = {*sources[peer], peer}
     others = [w for w in range(state.n) if w not in held][: config.cache_size]
     sources[peer] = tuple(others)
-    items, counts = _fresh_row(config, arrays, peer, others)
-    assert not (items == row).all()
+    cols, counts = _fresh_row(config, arrays, peer, others)
+    assert not (cols == row).all()
     engine._rank(state, peer)
     assert len(calls) == 1
-    assert (state.rec_items[peer] == items).all()
+    assert (state.rec_cols[peer] == cols).all()
     assert (state.rec_votes[peer] == counts).all()
+
+
+def _assert_padded(cols, votes):
+    """Rows of listed columns with positive votes, then column -1 and vote 0."""
+    listed = cols >= 0
+    count = listed.sum(axis=-1, keepdims=True)
+    place = np.arange(cols.shape[-1])
+    assert (listed == (place < count)).all()
+    assert ((votes > 0) == listed).all()
+
+
+def test_short_rows_pad_with_column_minus_one_and_vote_zero(tiny_ratings):
+    # 7 training items against top_n=10: no row fills, in the engine's rows,
+    # the snapshots (a silenced peer's row is all padding) or the centralized
+    # path, and the ids a snapshot hands out keep the -1 padding.
+    arrays = build_training_arrays(tiny_ratings)
+    m = arrays.item_ids.size
+    assert m == 7
+    config = SimConfig(
+        n_peers=5, cache_size=4, cycles=4, seed=1, top_n=10, bootstrap_degree=2.0,
+        churn=ChurnSpec(mode="failures", pct=40.0, at_cycle=3),
+    )
+    state = bootstrap(config, arrays, np.random.default_rng(1))
+    for peer in range(state.n):
+        engine._rank(state, peer)
+    _assert_padded(state.rec_cols, state.rec_votes)
+    assert (state.rec_cols[:, m - 3 :] == -1).all()  # every peer rated 3 items
+    dead_seen = False
+    for snap in run_simulation(config, arrays):
+        assert snap.rec_cols.shape == snap.rec_votes.shape == (5, 10)
+        _assert_padded(snap.rec_cols, snap.rec_votes)
+        assert (snap.rec_cols[~snap.alive] == -1).all()
+        dead_seen |= not snap.alive.all()
+        padded_ids = np.append(arrays.item_ids, -1)
+        assert snap.rec_items.dtype == np.int64
+        assert np.array_equal(snap.rec_items, padded_ids[snap.rec_cols])
+    assert dead_seen
+    hoods = centralized_neighborhoods(weighted_similarity_matrix(arrays, 50), config.cache_size)
+    for peer in range(state.n):
+        votes = tally_votes(arrays, hoods[peer])
+        cols, top = top_n_from_votes(votes, arrays.rated_cols[peer], 10, hoods.shape[1])
+        assert cols.shape == top.shape == (10,)
+        _assert_padded(cols, top)
 
 
 def _run_counting_shortcuts(config, arrays, monkeypatch, shortcuts):

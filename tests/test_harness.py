@@ -26,9 +26,19 @@ from gossipcf.harness import (
     run_trial,
     split_seed,
 )
-from gossipcf.recommend import MAX_ITEM_ID, RatingMatrix, build_training_arrays, top_m_mean_table
+from gossipcf.metrics import hit_rates
+from gossipcf.recommend import (
+    MAX_ITEM_ID,
+    RatingMatrix,
+    build_training_arrays,
+    centralized_neighborhoods,
+    hidden_columns,
+    top_m_mean_table,
+    weighted_similarity_matrix,
+)
 from gossipcf.synth import generate_ratings, write_ratings_file
-from oracles import row_of, rows_of, split_rows
+from oracles import centralized_recommend, row_of, rows_of, split_rows
+from test_metrics import make_snapshot
 
 
 # --- loading -----------------------------------------------------------------
@@ -292,6 +302,36 @@ def test_split_deterministic_per_seed(small_ratings):
     assert np.array_equal(a.hidden, b.hidden)
 
 
+def test_a_hidden_item_no_training_row_holds_never_hits():
+    # Peer 0's hidden item 99 had no other rater, so no training column
+    # holds it: it takes the column past the last one, which is not the -1
+    # padding and which no row lists, in the overlay and centralized paths.
+    training = RatingMatrix(
+        {1: {10: 5, 11: 3}, 2: {10: 4, 12: 2, 13: 5}, 3: {11: 2, 13: 4}, 4: {10: 5, 12: 3}}
+    )
+    hidden_ids = np.array([99, 11, 12, 13])
+    arrays = build_training_arrays(training)
+    m = arrays.item_ids.size
+    hidden = hidden_columns(arrays, hidden_ids)
+    assert hidden.tolist() == [m, 1, 2, 3]
+
+    every_column = np.tile(np.arange(m), (4, 1))
+    snap = make_snapshot([[1], [0], [3], [2]], rec_cols=every_column, top_n=m)
+    assert hit_rates(snap, hidden) == (0.75, 0.75)
+    assert hit_rates(make_snapshot([[1], [0], [3], [2]], top_n=m), hidden) == (0.0, 0.0)
+
+    weighted = weighted_similarity_matrix(arrays, threshold=50)
+    hoods = centralized_neighborhoods(weighted, k=3)
+    rate = harness._centralized_hit_rate(arrays, hoods, hidden, top_n=5)
+    peers = range(training.n_users)
+    listed = [
+        [item for item, _ in centralized_recommend(v, peers, training, k=3, n_top=5)]
+        for v in peers
+    ]
+    assert [int(item in items) for item, items in zip(hidden_ids, listed)] == [0, 1, 1, 1]
+    assert rate == 0.75
+
+
 # --- trials and aggregation --------------------------------------------------
 
 def test_t_multiplier_for_five_trials():
@@ -455,8 +495,7 @@ def test_strict_checker_catches_corruption(small_ratings):
 
     # consumed item recommended
     bad2 = snaps[-3]
-    rated_col = arrays.rated_cols[5][0]
-    bad2.rec_items[5, 0] = int(arrays.item_ids[rated_col])
+    bad2.rec_cols[5, 0] = arrays.rated_cols[5][0]
     with pytest.raises(AssertionError):
         checker.check(bad2)
 
@@ -468,7 +507,8 @@ def test_strict_checker_catches_corruption(small_ratings):
 
 def test_strict_checker_is_sized_by_the_items_present(small_ratings):
     # Four users rate the largest item id the parser takes, so it stays a
-    # training item; the checker must not size a table by it.
+    # training item; the checker reads columns and must not size a table by
+    # that id.
     rows = rows_of(small_ratings)
     for row in rows[:4]:
         row[MAX_ITEM_ID] = 3
@@ -485,7 +525,7 @@ def test_strict_checker_is_sized_by_the_items_present(small_ratings):
     snap = snaps[-1]
     checker.check(snap)
     peer = int(np.flatnonzero(arrays.binary[:, -1])[0])
-    snap.rec_items[peer, 0] = MAX_ITEM_ID
+    snap.rec_cols[peer, 0] = arrays.item_ids.size - 1
     with pytest.raises(AssertionError, match="consumed item"):
         checker.check(snap)
 

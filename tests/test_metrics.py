@@ -24,7 +24,8 @@ from gossipcf.metrics import (
 def make_snapshot(
     neighbor_lists,
     sims=None,
-    rec_items=None,
+    rec_cols=None,
+    item_ids=None,
     alive=None,
     left=None,
     receptions=None,
@@ -32,17 +33,20 @@ def make_snapshot(
     cycle=1,
     top_n=3,
 ):
+    """A snapshot of ``neighbor_lists``.  Rows list columns of ``item_ids``,
+    by default the identity map, so that a column names the item of that id."""
     n = len(neighbor_lists)
     if sims is None:
         sims = [float("nan") if not ids else 0.5 for ids in neighbor_lists]
-    if rec_items is None:
-        rec_items = np.full((n, top_n), -1, dtype=np.int64)
+    if rec_cols is None:
+        rec_cols = np.full((n, top_n), -1, dtype=np.int32)
     return CycleSnapshot(
         cycle=cycle,
         indptr=np.cumsum([0, *map(len, neighbor_lists)], dtype=np.int64),
         neighbors=np.array([w for ids in neighbor_lists for w in ids], dtype=np.int64),
         cache_sim_mean=np.asarray(sims, dtype=np.float64),
-        rec_items=np.asarray(rec_items, dtype=np.int64),
+        item_ids=np.arange(100, dtype=np.int64) if item_ids is None else item_ids,
+        rec_cols=np.asarray(rec_cols, dtype=np.int32),
         rec_votes=np.zeros((n, top_n), dtype=np.int32),
         alive=np.ones(n, dtype=bool) if alive is None else np.asarray(alive, dtype=bool),
         left=np.zeros(n, dtype=bool) if left is None else np.asarray(left, dtype=bool),
@@ -82,7 +86,7 @@ def test_avg_similarity_no_eligible_raises():
 
 def test_hit_rate_all_hits_and_none():
     rec = np.array([[10, 11], [12, 13]])
-    snap = make_snapshot([[1], [0]], rec_items=rec, top_n=2)
+    snap = make_snapshot([[1], [0]], rec_cols=rec, top_n=2)
     assert hit_rates(snap, np.array([10, 12])) == (1.0, 1.0)
     assert hit_rates(snap, np.array([99, 98])) == (0.0, 0.0)
 
@@ -92,7 +96,7 @@ def test_hit_rate_failures_vs_voluntary_worked_example():
     rec = np.array([[10], [20], [99], [-1]])
     snap = make_snapshot(
         [[1], [0], [0], [0]],
-        rec_items=rec,
+        rec_cols=rec,
         alive=[True, True, True, False],
         left=[False, False, False, True],
         top_n=1,
@@ -104,7 +108,7 @@ def test_hit_rate_failures_vs_voluntary_worked_example():
 
 def test_hit_rate_dead_peer_never_hits():
     rec = np.array([[10], [20]])
-    snap = make_snapshot([[1], [0]], rec_items=rec, alive=[True, False], top_n=1)
+    snap = make_snapshot([[1], [0]], rec_cols=rec, alive=[True, False], top_n=1)
     assert hit_rates(snap, np.array([10, 20]))[0] == pytest.approx(0.5)
 
 
@@ -117,7 +121,7 @@ def test_hit_rate_voluntary_at_least_failures():
         alive = [not l for l in left]
         snap = make_snapshot(
             [[(v + 1) % n] for v in range(n)],
-            rec_items=rec,
+            rec_cols=rec,
             alive=alive,
             left=left,
             top_n=1,
@@ -390,7 +394,7 @@ def test_compute_cycle_metrics_assembles_row():
     snap = make_snapshot(
         [[1, 2], [0, 2], [0, 1]],
         sims=[0.3, 0.5, 0.4],
-        rec_items=rec,
+        rec_cols=rec,
         receptions=[1, 1, 1],
         top_n=2,
     )

@@ -28,9 +28,11 @@ from oracles import (
     most_frequent_items,
     overlay_recommend,
     profiles,
+    ranked_pairs,
     row_of,
     rows_of,
     significance_weighted_similarity,
+    sorted_top_n,
 )
 
 
@@ -108,22 +110,17 @@ def test_batch_votes_match_reference(small_ratings):
         pool = [w for w in range(small_ratings.n_users) if w != active]
         neighbors = rnd.sample(pool, rnd.randint(0, 15))
         votes = tally_votes(arrays, neighbors)
-        got = top_n_from_votes(votes, arrays.rated_cols[active], 10, arrays.item_ids)
+        cols, top = top_n_from_votes(votes, arrays.rated_cols[active], 10, len(neighbors))
         want = most_frequent_items(active, neighbors, small_ratings, 10)
-        assert got == want
-
-
-def sorted_top_n(votes, exclude_cols, n_top, item_ids):
-    """Reference top-N: sort by (votes desc, column asc), drop zero votes."""
-    excluded = set(int(c) for c in exclude_cols)
-    cols = sorted(range(len(votes)), key=lambda c: (-int(votes[c]), c))
-    kept = [c for c in cols if c not in excluded and votes[c] > 0]
-    return [(int(item_ids[c]), int(votes[c])) for c in kept[:n_top]]
+        assert ranked_pairs(cols, top, arrays.item_ids) == want
 
 
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_top_n_from_votes_matches_sorted_reference(data):
+    # Rows of columns and votes, padded with -1 and 0; named by their item
+    # ids, the listed columns are the full sort's top N.  Every bound at or
+    # above the largest vote gives the same rows.
     m = data.draw(st.integers(1, 60), label="m")
     # The largest vote sets the sort key's width: 8 bits, 16 bits or wider.
     most = data.draw(
@@ -138,16 +135,28 @@ def test_top_n_from_votes_matches_sorted_reference(data):
     votes = np.array(
         data.draw(st.lists(st.sampled_from(levels), min_size=m, max_size=m)), dtype=np.int64
     )
-    exclude = np.array(
-        sorted(data.draw(st.sets(st.integers(0, m - 1)))), dtype=np.int32
-    )
+    if data.draw(st.booleans(), label="exclude all"):
+        exclude = np.arange(m, dtype=np.int32)
+    else:
+        exclude = np.array(sorted(data.draw(st.sets(st.integers(0, m - 1)))), dtype=np.int32)
     n_top = data.draw(st.integers(1, m + 3), label="n_top")
     item_ids = np.cumsum(
         data.draw(st.lists(st.integers(1, 9), min_size=m, max_size=m)), dtype=np.int64
     )
+    slack = data.draw(
+        st.one_of(st.just(0), st.integers(1, 300), st.integers(301, 2**41)), label="slack"
+    )
     before = votes.copy()
-    got = top_n_from_votes(votes, exclude, n_top, item_ids)
-    assert got == sorted_top_n(votes, exclude, n_top, item_ids)
+    cols, top = top_n_from_votes(votes, exclude, n_top, most)
+    want = sorted_top_n(votes, exclude, n_top, item_ids)
+    assert ranked_pairs(cols, top, item_ids) == want
+    assert cols.shape == top.shape == (n_top,)
+    assert (cols[len(want):] == -1).all() and (top[len(want):] == 0).all()
+    loose_cols, loose_top = top_n_from_votes(votes, exclude, n_top, most + slack)
+    assert np.array_equal(loose_cols, cols) and np.array_equal(loose_top, top)
+    if votes.max() < most:
+        tight_cols, tight_top = top_n_from_votes(votes, exclude, n_top, int(votes.max()))
+        assert np.array_equal(tight_cols, cols) and np.array_equal(tight_top, top)
     assert np.array_equal(votes, before)
 
 
@@ -197,9 +206,9 @@ def test_centralized_batch_matches_reference(small_ratings):
     peers = set(range(small_ratings.n_users))
     for active in (0, 7, 31, 54, 79):
         votes = tally_votes(arrays, hoods[active])
-        got = top_n_from_votes(votes, arrays.rated_cols[active], 10, arrays.item_ids)
+        cols, top = top_n_from_votes(votes, arrays.rated_cols[active], 10, hoods.shape[1])
         want = centralized_recommend(active, peers, small_ratings, k=6, n_top=10)
-        assert got == want
+        assert ranked_pairs(cols, top, arrays.item_ids) == want
 
 
 def test_overlay_recommend_uses_cache_and_flags_dead(tiny_ratings):
