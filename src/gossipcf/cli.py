@@ -24,7 +24,7 @@ import os
 import platform
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence, get_args, get_type_hints
 
@@ -32,6 +32,7 @@ import numpy as np
 
 from .engine import CHURN_MODES, PROTOCOLS, ChurnSpec, InvalidConfig, SimConfig
 from .harness import (
+    CENTRALIZED_FIELDS,
     ChurnRow,
     ExperimentResult,
     ParseError,
@@ -45,7 +46,7 @@ from .harness import (
     sim_seed,
     split_seed,
 )
-from .metrics import NoEligiblePeers
+from .metrics import CycleMetrics, NoEligiblePeers
 from .recommend import RatingMatrix
 from . import __version__
 
@@ -61,24 +62,10 @@ _SIMULATING = ("run", "sweep-churn", "baseline")
 
 DEFAULT_CHURN_PERCENTAGES = (5.0, 10.0, 20.0, 40.0, 60.0, 80.0)
 
-METRICS_COLUMNS = (
-    "trial",
-    "cycle",
-    "avg_similarity",
-    "similarity_variance",
-    "hit_rate",
-    "hit_rate_voluntary",
-    "avg_path_length",
-    "path_coverage",
-    "clustering_coefficient",
-    "in_degree_mean",
-    "in_degree_variance",
-    "centralized_avg_similarity",
-    "centralized_hit_rate",
-)
-
-CHURN_COLUMNS = ("pct", "mode", "hit_rate_mean", "ci_low", "ci_high")
-BASELINE_COLUMNS = ("trial", "centralized_avg_similarity", "centralized_hit_rate")
+# A file's columns are the fields of the records that hold its rows.
+METRICS_COLUMNS = ("trial", *(f.name for f in fields(CycleMetrics)), *CENTRALIZED_FIELDS)
+CHURN_COLUMNS = tuple(f.name for f in fields(ChurnRow))
+BASELINE_COLUMNS = ("trial", *CENTRALIZED_FIELDS)
 
 
 def _setting(
@@ -306,17 +293,14 @@ def build_manifest(
 def emit_metrics_csv(result: ExperimentResult, out_dir: Path) -> Path:
     """Per-trial per-cycle rows, then mean and ci95 aggregate rows.
 
-    A trial row takes each column from the cycle's ``CycleMetrics`` field of
-    that name, else from the ``TrialResult``; an aggregate row is its label,
-    the cycle, then each column's entry in the mean or ci95 table.
+    A trial row is the trial, the cycle's ``CycleMetrics`` fields, then the
+    trial's centralized constants; an aggregate row is its label, the cycle,
+    then each column's entry in the mean or ci95 table.
     """
     rows: list[Sequence[Any]] = []
     for trial in result.trials:
-        for row in trial.metrics:
-            rows.append([
-                getattr(row, col) if hasattr(row, col) else getattr(trial, col)
-                for col in METRICS_COLUMNS
-            ])
+        constants = [getattr(trial, name) for name in CENTRALIZED_FIELDS]
+        rows.extend([trial.trial, *astuple(row), *constants] for row in trial.metrics)
     cycles = [row.cycle for row in result.trials[0].metrics]
     for label, table in (("mean", result.mean), ("ci95", result.ci_half)):
         for i, cycle in enumerate(cycles):
@@ -328,11 +312,7 @@ def emit_metrics_csv(result: ExperimentResult, out_dir: Path) -> Path:
 
 def emit_churn_csv(rows: list[ChurnRow], out_dir: Path) -> Path:
     path = out_dir / "churn.csv"
-    _write_csv(
-        path,
-        CHURN_COLUMNS,
-        [(r.pct, r.mode, r.hit_rate_mean, r.ci_low, r.ci_high) for r in rows],
-    )
+    _write_csv(path, CHURN_COLUMNS, [astuple(r) for r in rows])
     return path
 
 

@@ -137,8 +137,9 @@ class CycleSnapshot:
 
     Neighborhoods are stored in CSR layout: v's neighborhood is
     ``neighbors[indptr[v]:indptr[v + 1]]``, the sources in v's cache other
-    than v itself, in selection order.  Under every protocol it never holds
-    v, even where a global-view cache keeps v's own entry.
+    than v itself, in selection order.  Only a global-view cache may keep
+    v's own entry, and only there does the snapshot drop it; a partial-view
+    cache is taken as it is, so the strict checker sees any self entry.
     ``cache_sim_mean[v]`` is v's mean similarity to those sources (NaN for an
     empty neighborhood).  Recommendation rows hold training columns of
     ``item_ids`` and their votes, padded with column -1 and vote 0; a
@@ -181,7 +182,7 @@ class SimState:
     The ranking memo is ``rec_cols``/``rec_votes``, each peer's latest top-N
     row of training columns and votes, keyed by ``ranked[v]``: the tuple
     ``gossip.sources[v]`` held when v's row was last brought up to date,
-    ``None`` before v is first ranked.
+    ``None`` before v is first ranked.  A silenced peer's row is padding.
     While v's sources stay unchanged, ``gossip.sources[v]`` is that very
     tuple object, so the check is one identity test.
     """
@@ -312,15 +313,19 @@ def inject_churn(state: SimState) -> None:
     """Silence a uniform sample of ``churn_count`` peers, per ``config.churn``.
 
     A run injects its one churn before any peer is silenced, so the sample
-    is drawn from all n peers.  It sets liveness only and depends on the rng
-    stream alone, not on the mode, so failure and leaving runs with one seed
-    silence identical peers.
+    is drawn from all n peers.  The sample depends on the rng stream alone,
+    not on the mode, so failure and leaving runs with one seed silence
+    identical peers.  A silenced peer is never ranked again, so its memo
+    row becomes padding here, as every later snapshot shows it.
     """
     count = churn_count(state.config.churn.pct, state.n)
     if count == 0:
         return
-    for p in state.rng.choice(state.n, size=count, replace=False).tolist():
+    silenced = state.rng.choice(state.n, size=count, replace=False)
+    for p in silenced.tolist():
         state.alive[p] = False
+    state.rec_cols[silenced] = -1
+    state.rec_votes[silenced] = 0
 
 
 def _rank(state: SimState, peer: int) -> None:
@@ -347,26 +352,27 @@ def _take_snapshot(state: SimState, receptions: np.ndarray, skipped: int) -> Cyc
     counts = np.fromiter(map(len, sources), dtype=np.int64, count=n)
     owners = np.repeat(np.arange(n), counts)
     flat = np.fromiter(chain.from_iterable(sources), dtype=np.int64, count=owners.size)
-    # A neighborhood never holds its owner, even where the cache does.
-    others = flat != owners
-    owners, flat = owners[others], flat[others]
-    counts = np.bincount(owners, minlength=n)
+    if state.protocol.global_view:
+        # Only a global-view cache may keep its owner's entry, which no
+        # neighborhood holds.
+        others = flat != owners
+        owners, flat = owners[others], flat[others]
+        counts = np.bincount(owners, minlength=n)
     sums = np.bincount(owners, weights=state.arrays.similarity[owners, flat], minlength=n)
     with np.errstate(invalid="ignore"):
         mean = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     alive = np.array(state.alive, dtype=bool)
     churn = state.config.churn
     leavings = churn is not None and churn.mode == "leavings"
-    # Every peer alive at the start of the cycle was ranked, and nobody is
-    # silenced mid-cycle, so the memo holds exactly the live peers' rows.
+    # Later cycles overwrite the memo, so the snapshot takes copies.
     return CycleSnapshot(
         cycle=state.cycle,
         indptr=np.concatenate(([0], np.cumsum(counts))),
         neighbors=flat,
         cache_sim_mean=mean,
         item_ids=state.arrays.item_ids,
-        rec_cols=np.where(alive[:, None], state.rec_cols, -1),
-        rec_votes=np.where(alive[:, None], state.rec_votes, 0),
+        rec_cols=state.rec_cols.copy(),
+        rec_votes=state.rec_votes.copy(),
         alive=alive,
         left=~alive if leavings else np.zeros(n, dtype=bool),
         receptions=receptions,

@@ -190,51 +190,48 @@ class TrialResult:
     strict_checked: bool = False
 
 
-@dataclass
-class _StrictChecker:
-    """Per-snapshot protocol-law assertions, cheap enough to always run."""
+def _check_snapshot(snap: CycleSnapshot, binary: np.ndarray, top_m: np.ndarray) -> None:
+    """Per-snapshot protocol-law assertions, cheap enough to always run.
 
-    config: SimConfig
-    arrays: TrainingArrays
-    top_m_means: np.ndarray
-
-    def check(self, snap: CycleSnapshot) -> None:
-        k = self.config.cache_size
-        counts = np.diff(snap.indptr)
-        if (counts > k).any():
-            raise AssertionError(f"cycle {snap.cycle}: cache over capacity")
-        live = np.repeat(snap.alive, counts)
-        n = counts.size
-        owners = np.repeat(np.arange(n), counts)[live]
-        ids = snap.neighbors[live]
-        # One int64 key per entry sorts by owner, then id, as a lexsort would.
-        keys = np.sort(owners * n + ids)
-        duplicated = keys[1:][keys[1:] == keys[:-1]] // n
-        holds_self = owners[ids == owners]
-        # Peers are checked in id order, a peer's duplicates before its self entry.
-        first_dup = duplicated[0] if duplicated.size else None
-        first_self = holds_self[0] if holds_self.size else None
-        if first_dup is not None and (first_self is None or first_dup <= first_self):
-            raise AssertionError(f"cycle {snap.cycle}: duplicate cache id at peer {first_dup}")
-        if first_self is not None:
-            raise AssertionError(f"cycle {snap.cycle}: self in neighborhood of {first_self}")
-        listed = (snap.rec_cols >= 0) & snap.alive[:, None]
-        listed_by = np.nonzero(listed)[0]
-        consumed = self.arrays.binary[listed_by, snap.rec_cols[listed]] != 0
-        if consumed.any():
+    ``binary`` is the training matrix's rated flags and ``top_m`` the global
+    top-m mean table, one column per neighborhood size up to the cache size.
+    """
+    k = top_m.shape[1]
+    counts = np.diff(snap.indptr)
+    if (counts > k).any():
+        raise AssertionError(f"cycle {snap.cycle}: cache over capacity")
+    live = np.repeat(snap.alive, counts)
+    n = counts.size
+    owners = np.repeat(np.arange(n), counts)[live]
+    ids = snap.neighbors[live]
+    # One int64 key per entry sorts by owner, then id, as a lexsort would.
+    keys = np.sort(owners * n + ids)
+    duplicated = keys[1:][keys[1:] == keys[:-1]] // n
+    holds_self = owners[ids == owners]
+    # Peers are checked in id order, a peer's duplicates before its self entry.
+    first_dup = duplicated[0] if duplicated.size else None
+    first_self = holds_self[0] if holds_self.size else None
+    if first_dup is not None and (first_self is None or first_dup <= first_self):
+        raise AssertionError(f"cycle {snap.cycle}: duplicate cache id at peer {first_dup}")
+    if first_self is not None:
+        raise AssertionError(f"cycle {snap.cycle}: self in neighborhood of {first_self}")
+    listed = (snap.rec_cols >= 0) & snap.alive[:, None]
+    listed_by = np.nonzero(listed)[0]
+    consumed = binary[listed_by, snap.rec_cols[listed]] != 0
+    if consumed.any():
+        raise AssertionError(
+            f"cycle {snap.cycle}: peer {listed_by[consumed.argmax()]} "
+            "was recommended a consumed item"
+        )
+    eligible = snap.alive & (counts > 0)
+    if eligible.any():
+        m = np.minimum(counts[eligible], k) - 1
+        bound = top_m[np.flatnonzero(eligible), m]
+        observed = snap.cache_sim_mean[eligible]
+        if (observed > bound + DOMINANCE_EPS).any():
             raise AssertionError(
-                f"cycle {snap.cycle}: peer {listed_by[consumed.argmax()]} "
-                "was recommended a consumed item"
+                f"cycle {snap.cycle}: overlay similarity exceeded the global top-m bound"
             )
-        eligible = snap.alive & (counts > 0)
-        if eligible.any():
-            m = np.minimum(counts[eligible], self.top_m_means.shape[1]) - 1
-            bound = self.top_m_means[np.flatnonzero(eligible), m]
-            observed = snap.cache_sim_mean[eligible]
-            if (observed > bound + DOMINANCE_EPS).any():
-                raise AssertionError(
-                    f"cycle {snap.cycle}: overlay similarity exceeded the global top-m bound"
-                )
 
 
 def _centralized_hit_rate(
@@ -308,13 +305,12 @@ def run_trial(
         )
     ref = _reference(config, ratings, trial)
     arrays, hidden = ref.arrays, ref.hidden
-    checker = _StrictChecker(config, arrays, ref.top_m) if strict else None
     rows: list[CycleMetrics] = []
     first_full: int | None = None
     k = config.cache_size
     for snap in run_simulation(config, arrays, sim_seed(config.seed, trial)):
-        if checker is not None:
-            checker.check(snap)
+        if strict:
+            _check_snapshot(snap, arrays.binary, ref.top_m)
         if first_full is None:
             counts = np.diff(snap.indptr)[snap.alive]
             if counts.size and counts.min() >= k:
@@ -327,11 +323,13 @@ def run_trial(
         centralized_avg_similarity=ref.avg_similarity,
         centralized_hit_rate=ref.hit_rate,
         first_full_cycle=first_full,
-        strict_checked=checker is not None,
+        strict_checked=strict,
     )
 
 
 AGGREGATED_FIELDS = tuple(f.name for f in fields(CycleMetrics) if f.name != "cycle")
+# The per-trial constants of a ``TrialResult``, aggregated after the series.
+CENTRALIZED_FIELDS = ("centralized_avg_similarity", "centralized_hit_rate")
 
 
 @dataclass
@@ -414,7 +412,7 @@ def _aggregate(trials: list[TrialResult]) -> tuple[dict[str, np.ndarray], dict[s
         )
         mean[name] = series.mean(axis=0)
         ci[name] = ci95_half_width(series)
-    for name in ("centralized_avg_similarity", "centralized_hit_rate"):
+    for name in CENTRALIZED_FIELDS:
         values = np.array([getattr(trial, name) for trial in trials], dtype=np.float64)
         mean[name] = np.full_like(mean["hit_rate"], values.mean())
         ci[name] = np.full_like(mean["hit_rate"], ci95_half_width(values))

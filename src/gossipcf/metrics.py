@@ -39,7 +39,8 @@ class NoEligiblePeers(Exception):
 
 @dataclass(frozen=True)
 class CycleMetrics:
-    """One row of the evaluation time series.
+    """One row of the evaluation time series, its fields in ``metrics.csv``
+    column order.
 
     Structural fields are None when a run skips topology analysis (e.g.
     churn sweeps, which only consume hit rates).
@@ -50,11 +51,11 @@ class CycleMetrics:
     similarity_variance: float
     hit_rate: float
     hit_rate_voluntary: float
+    avg_path_length: float | None
+    path_coverage: float | None
+    clustering_coefficient: float | None
     in_degree_mean: float
     in_degree_variance: float
-    avg_path_length: float | None = None
-    path_coverage: float | None = None
-    clustering_coefficient: float | None = None
 
 
 def _eligible_similarities(snapshot: CycleSnapshot) -> np.ndarray:
@@ -239,9 +240,9 @@ def compute_cycle_metrics(
         similarity_variance=similarity_variance(snapshot),
         hit_rate=hit_rate,
         hit_rate_voluntary=hit_rate_voluntary,
-        in_degree_mean=in_mean,
-        in_degree_variance=in_var,
         avg_path_length=apl,
         path_coverage=coverage,
         clustering_coefficient=clustering,
+        in_degree_mean=in_mean,
+        in_degree_variance=in_var,
     )

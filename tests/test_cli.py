@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import threading
 from dataclasses import fields
 from pathlib import Path
@@ -127,6 +128,34 @@ def test_bad_config_value_named(tmp_path):
     cfg.write_text("cycles=ten\n", encoding="utf-8")
     with pytest.raises(InvalidConfig, match="cycles"):
         parse_config(["run", "--config", str(cfg)], environ={})
+
+
+def test_config_file_skips_comments_and_blank_lines(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a comment\n\n   \ncycles = 9\n", encoding="utf-8")
+    _, settings = parse_config(["run", "--config", str(cfg)], environ={})
+    assert settings.cycles == 9
+
+
+def test_config_line_without_equals_rejected(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("cycles=9\ncycles 9\n", encoding="utf-8")
+    with pytest.raises(InvalidConfig, match=re.escape(f"{cfg}:2: expected key=value")):
+        parse_config(["run", "--config", str(cfg)], environ={})
+
+
+def test_unknown_protocol_from_env_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("GOSSIPCF_PROTOCOL", "bogus")
+    assert main(["run"]) == 2
+    assert "unknown protocol" in capsys.readouterr().err
+
+
+def test_unknown_churn_mode_from_file_exits_2(tmp_path, capsys):
+    # Without churn_pct no ChurnSpec is built, so only the choices check sees it.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("churn_mode=bogus\n", encoding="utf-8")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "unknown churn mode" in capsys.readouterr().err
 
 
 def test_zero_cache_size_rejected():
@@ -261,6 +290,17 @@ def test_sweep_rejects_empty_churn_list(data_file, tmp_path, capsys, pcts):
     )
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_sweep_rejects_a_bad_churn_list(data_file, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code = main(
+        ["sweep-churn", "--data", str(data_file), "--trials", "2", "--cycles", "6",
+         "--churn-cycle", "3", "--churn-pcts", "10,x", "--out", str(out)]
+    )
+    assert code == 2
+    assert "bad churn_pcts list" in capsys.readouterr().err
     assert not out.exists()
 
 

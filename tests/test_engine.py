@@ -87,6 +87,12 @@ def test_bootstrap_topology_rejects_bad_degree():
         bootstrap_topology(943, 2.0, 3, np.random.default_rng(1))
 
 
+def test_bootstrap_rejects_training_arrays_of_another_size(small_ratings):
+    config, arrays = _small_sim(small_ratings)
+    with pytest.raises(InvalidConfig, match="expects 81 peers but training data has 80"):
+        bootstrap(replace(config, n_peers=81), arrays, np.random.default_rng(0))
+
+
 def test_config_validation():
     base = dict(n_peers=10, cache_size=5)
     SimConfig(**base).validate()
@@ -274,16 +280,19 @@ def _fresh_row(config, arrays, peer, sources):
     return cols, counts
 
 
-def test_memoised_rankings_equal_fresh_ones(small_ratings):
+@pytest.mark.parametrize("read", ["yielded", "listed"])
+def test_memoised_rankings_equal_fresh_ones(small_ratings, read):
     # A peer ranks right after its own exchange and keeps its row until its
     # cache sources differ from those it last ranked.  A peer that received
     # no exchange in a cycle still holds the cache it ranked, so its row must
-    # equal a ranking recomputed from the snapshot's cache.
+    # equal a ranking recomputed from the snapshot's cache.  Read after the
+    # run, each snapshot must still hold its own cycle's rows, not the memo's.
     config, arrays = _small_sim(
         small_ratings, cycles=30, churn=ChurnSpec(mode="failures", pct=30.0, at_cycle=12)
     )
+    snaps = run_simulation(config, arrays)
     compared = 0
-    for snap in run_simulation(config, arrays):
+    for snap in snaps if read == "yielded" else list(snaps):
         assert (snap.rec_cols[~snap.alive] == -1).all()
         assert (snap.rec_votes[~snap.alive] == 0).all()
         for v in np.flatnonzero(snap.alive & (snap.receptions == 0)):

@@ -1,6 +1,7 @@
 """Dataset loading, split soundness, trial aggregation, churn sweeps."""
 
 import dataclasses
+import functools
 import math
 import random
 import tracemalloc
@@ -17,7 +18,7 @@ from gossipcf.harness import (
     ParseError,
     RangeError,
     UserTooSparse,
-    _StrictChecker,
+    _check_snapshot,
     all_but_1_split,
     centralized_baseline,
     churn_sweep,
@@ -388,6 +389,11 @@ def test_run_trial_rejects_a_cache_of_every_peer(small_ratings):
         run_trial(SimConfig(n_peers=80, cache_size=80, cycles=2, seed=2), small_ratings, trial=0)
 
 
+def test_run_trial_rejects_a_peer_count_other_than_the_data(small_ratings):
+    with pytest.raises(InvalidConfig, match="config expects 81 peers, dataset has 80 users"):
+        run_trial(SimConfig(n_peers=81, cache_size=8, cycles=2, seed=2), small_ratings, trial=0)
+
+
 def test_experiment_requires_two_trials(small_ratings):
     config = SimConfig(n_peers=80, cache_size=8, cycles=3, seed=2)
     with pytest.raises(InvalidConfig):
@@ -466,16 +472,20 @@ def test_centralized_dominates_overlay_every_cycle(small_ratings):
         assert row.avg_similarity <= trial.centralized_avg_similarity + 1e-9
 
 
+def _checked_arrays(ratings, config):
+    """Trial 0's training arrays and global top-m table under ``config``."""
+    split_rng = np.random.Generator(np.random.PCG64(split_seed(config.seed, 0)))
+    arrays = build_training_arrays(all_but_1_split(ratings, split_rng).training)
+    return arrays, top_m_mean_table(arrays.similarity, config.cache_size)
+
+
 def _strict_setup(small_ratings):
     from gossipcf.engine import run_simulation
     from gossipcf.harness import sim_seed
 
     config = SimConfig(n_peers=80, cache_size=8, cycles=2, seed=2)
-    split_rng = np.random.Generator(np.random.PCG64(split_seed(config.seed, 0)))
-    split = all_but_1_split(small_ratings, split_rng)
-    arrays = build_training_arrays(split.training)
-    top_m = top_m_mean_table(arrays.similarity, config.cache_size)
-    checker = _StrictChecker(config, arrays, top_m)
+    arrays, top_m = _checked_arrays(small_ratings, config)
+    checker = functools.partial(_check_snapshot, binary=arrays.binary, top_m=top_m)
     snaps = list(run_simulation(config, arrays, sim_seed(config.seed, 0)))
     return config, arrays, checker, snaps
 
@@ -483,7 +493,7 @@ def _strict_setup(small_ratings):
 def test_strict_checker_catches_corruption(small_ratings):
     _, arrays, checker, snaps = _strict_setup(small_ratings)
     good = snaps[-1]
-    checker.check(good)  # sane snapshot passes
+    checker(good)  # sane snapshot passes
 
     # self in neighborhood
     bad = snaps[-2]
@@ -491,18 +501,18 @@ def test_strict_checker_catches_corruption(small_ratings):
     assert stop > start
     bad.neighbors[start] = 3
     with pytest.raises(AssertionError):
-        checker.check(bad)
+        checker(bad)
 
     # consumed item recommended
     bad2 = snaps[-3]
     bad2.rec_cols[5, 0] = arrays.rated_cols[5][0]
     with pytest.raises(AssertionError):
-        checker.check(bad2)
+        checker(bad2)
 
     # similarity above the global top-m bound
     good.cache_sim_mean[7] = 1.5
     with pytest.raises(AssertionError):
-        checker.check(good)
+        checker(good)
 
 
 def test_strict_checker_is_sized_by_the_items_present(small_ratings):
@@ -515,19 +525,39 @@ def test_strict_checker_is_sized_by_the_items_present(small_ratings):
     config, arrays, _, snaps = _strict_setup(RatingMatrix(dict(zip(small_ratings.user_keys, rows))))
     assert arrays.item_ids[-1] == MAX_ITEM_ID
     top_m = top_m_mean_table(arrays.similarity, config.cache_size)
+    snap = snaps[-1]
     tracemalloc.start()
     try:
-        checker = _StrictChecker(config, arrays, top_m)
+        _check_snapshot(snap, arrays.binary, top_m)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    snap = snaps[-1]
-    checker.check(snap)
     peer = int(np.flatnonzero(arrays.binary[:, -1])[0])
     snap.rec_cols[peer, 0] = arrays.item_ids.size - 1
     with pytest.raises(AssertionError, match="consumed item"):
-        checker.check(snap)
+        _check_snapshot(snap, arrays.binary, top_m)
+
+
+@pytest.mark.parametrize("protocol", ["swarmix", "newscast", "anti-entropy"])
+def test_only_a_global_view_snapshot_drops_the_owner(small_ratings, protocol):
+    # Only a global-view cache may keep its owner's entry, so only there does
+    # the snapshot drop it.  A partial-view cache never holds its owner, and
+    # one that does is a fault the checker must see.
+    from gossipcf.engine import _take_snapshot, bootstrap
+
+    config = SimConfig(n_peers=80, cache_size=8, cycles=2, seed=2, protocol=protocol)
+    arrays, top_m = _checked_arrays(small_ratings, config)
+    state = bootstrap(config, arrays, np.random.default_rng(4))
+    v, sources = 3, state.gossip.sources
+    sources[v] = (v,) + sources[v][1:]
+    snap = _take_snapshot(state, np.zeros(config.n_peers, dtype=np.int32), 0)
+    if protocol == "anti-entropy":
+        assert snap.neighbor_ids[v].tolist() == list(sources[v][1:])
+        _check_snapshot(snap, arrays.binary, top_m)
+    else:
+        with pytest.raises(AssertionError, match=f"cycle 0: self in neighborhood of {v}$"):
+            _check_snapshot(snap, arrays.binary, top_m)
 
 
 def _with_lists(snap, lists, alive=None):
@@ -545,7 +575,7 @@ def test_strict_checker_reports_neighborhood_faults(small_ratings):
     config, _, checker, snaps = _strict_setup(small_ratings)
     snap = snaps[-1]
     lists = [ids.tolist() for ids in snap.neighbor_ids]
-    checker.check(_with_lists(snap, lists))
+    checker(_with_lists(snap, lists))
     assert snap.alive.all()
     full = [v for v, ids in enumerate(lists) if len(ids) >= 3]
     assert len(full) >= 3
@@ -559,31 +589,31 @@ def test_strict_checker_reports_neighborhood_faults(small_ratings):
     over = [list(ids) for ids in lists]
     over[5] = [v for v in range(len(lists)) if v != 5][: config.cache_size + 1]
     with pytest.raises(AssertionError, match="cache over capacity"):
-        checker.check(_with_lists(snap, over))
+        checker(_with_lists(snap, over))
 
     a, b, c = full[:3]
     # Duplicates at two peers: the smaller id is reported.
     dups = corrupt([(b, 1, lists[b][0]), (a, 2, lists[a][1])])
     with pytest.raises(AssertionError, match=f"duplicate cache id at peer {a}$"):
-        checker.check(_with_lists(snap, dups))
+        checker(_with_lists(snap, dups))
 
     with pytest.raises(AssertionError, match=f"self in neighborhood of {b}$"):
-        checker.check(_with_lists(snap, corrupt([(b, 0, b)])))
+        checker(_with_lists(snap, corrupt([(b, 0, b)])))
 
     # A duplicate and a self entry at one peer: the duplicate is reported.
     both = corrupt([(b, 0, b), (b, 2, lists[b][1])])
     with pytest.raises(AssertionError, match=f"duplicate cache id at peer {b}$"):
-        checker.check(_with_lists(snap, both))
+        checker(_with_lists(snap, both))
 
     # A self entry at a smaller peer than a duplicate is reported first.
     self_first = corrupt([(a, 0, a), (c, 1, lists[c][0])])
     with pytest.raises(AssertionError, match=f"self in neighborhood of {a}$"):
-        checker.check(_with_lists(snap, self_first))
+        checker(_with_lists(snap, self_first))
 
     # A dead owner's duplicates are not checked.
     alive = snap.alive.copy()
     alive[b] = False
-    checker.check(_with_lists(snap, corrupt([(b, 1, lists[b][0])]), alive=alive))
+    checker(_with_lists(snap, corrupt([(b, 1, lists[b][0])]), alive=alive))
 
 
 # --- churn sweep -------------------------------------------------------------

@@ -1,11 +1,19 @@
 """Synthetic ratings generator: determinism, marginals, file round-trip."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gossipcf.harness import load_ratings
+from gossipcf.recommend import RatingMatrix
 from gossipcf.synth import generate_ratings, write_ratings_file
 from oracles import row_of
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_generator_deterministic():
@@ -49,3 +57,32 @@ def test_file_round_trip(tmp_path):
     assert matrix.n_users == 30
     assert matrix.n_ratings == 900
     assert row_of(matrix, 0) == ratings[min(ratings)]
+
+
+def _generate(*args):
+    """Run ``scripts/generate_synthetic_ratings.py`` with the library on its path."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    script = ROOT / "scripts" / "generate_synthetic_ratings.py"
+    return subprocess.run(
+        [sys.executable, str(script), *args], capture_output=True, text=True, env=env
+    )
+
+
+def test_generator_script_writes_the_library_ratings(tmp_path):
+    out = tmp_path / "synthetic.data"
+    done = _generate("--users", "30", "--items", "120", "--ratings", "900", "--seed", "7",
+                     "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert "30 users, 900 ratings" in done.stdout
+    written, expected = load_ratings(out), RatingMatrix(generate_ratings(30, 120, 900, 7))
+    assert written.user_keys == expected.user_keys
+    for name in ("indptr", "items", "ratings"):
+        assert np.array_equal(getattr(written, name), getattr(expected, name)), name
+
+
+def test_generator_script_rejects_a_target_below_the_per_user_minimum(tmp_path):
+    out = tmp_path / "synthetic.data"
+    done = _generate("--users", "30", "--items", "120", "--ratings", "100", "--out", str(out))
+    assert done.returncode == 2
+    assert "target_ratings too small" in done.stderr
+    assert not out.exists()
