@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import platform
@@ -111,20 +112,12 @@ class Settings:
     )
 
     def sim_config(self, n_peers: int) -> SimConfig:
+        """The ``SimConfig`` of these settings: each field the two share, by name."""
         churn = None
         if self.churn_pct is not None:
             churn = ChurnSpec(self.churn_mode, self.churn_pct, self.churn_cycle)
-        return SimConfig(
-            n_peers=n_peers,
-            cache_size=self.cache_size,
-            cycles=self.cycles,
-            seed=self.seed,
-            protocol=self.protocol,
-            churn=churn,
-            top_n=self.top_n,
-            significance_threshold=self.significance_threshold,
-            bootstrap_degree=self.bootstrap_degree,
-        )
+        shared = {f.name: getattr(self, f.name) for f in fields(SimConfig) if f.name in _FIELDS}
+        return SimConfig(n_peers=n_peers, churn=churn, **shared)
 
     def sweep_percentages(self) -> list[float]:
         try:
@@ -150,20 +143,24 @@ def _coerce(key: str, raw: str) -> Any:
 
 
 def read_config_file(path: str | Path) -> dict[str, Any]:
-    """Flat key=value lines; blank lines and # comments allowed."""
+    """Flat key=value lines; blank lines and # comments allowed.  The bytes are
+    decoded as UTF-8 with universal newlines, as a text-mode read gives them."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(f"{path}: byte {exc.start}: not UTF-8 ({exc.reason})") from exc
     values: dict[str, Any] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise InvalidConfig(f"{path}:{lineno}: expected key=value")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            if key not in KNOWN_KEYS:
-                raise InvalidConfig(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _coerce(key, value.strip())
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise InvalidConfig(f"{path}:{lineno}: expected key=value")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        if key not in KNOWN_KEYS:
+            raise InvalidConfig(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = _coerce(key, value.strip())
     return values
 
 

@@ -336,7 +336,6 @@ CENTRALIZED_FIELDS = ("centralized_avg_similarity", "centralized_hit_rate")
 class ExperimentResult:
     """Per-trial series plus across-trial mean and 95% CI series."""
 
-    config: SimConfig
     trials: list[TrialResult]
     mean: dict[str, np.ndarray]
     ci_half: dict[str, np.ndarray]
@@ -433,7 +432,7 @@ def run_experiment(
         for trial in range(trials)
     ]
     mean, ci_half = _aggregate(results)
-    return ExperimentResult(config=config, trials=results, mean=mean, ci_half=ci_half)
+    return ExperimentResult(trials=results, mean=mean, ci_half=ci_half)
 
 
 def centralized_baseline(

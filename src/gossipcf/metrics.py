@@ -58,21 +58,13 @@ class CycleMetrics:
     in_degree_variance: float
 
 
-def _eligible_similarities(snapshot: CycleSnapshot) -> np.ndarray:
-    mask = snapshot.alive & (np.diff(snapshot.indptr) > 0)
-    if not mask.any():
+def similarity_stats(snapshot: CycleSnapshot) -> tuple[float, float]:
+    """Mean and population variance, over live peers with a non-empty cache,
+    of each peer's mean similarity to its cache members."""
+    samples = snapshot.cache_sim_mean[snapshot.alive & (np.diff(snapshot.indptr) > 0)]
+    if samples.size == 0:
         raise NoEligiblePeers("no live peer has a non-empty neighborhood")
-    return snapshot.cache_sim_mean[mask]
-
-
-def avg_similarity(snapshot: CycleSnapshot) -> float:
-    """Mean over live peers of their mean similarity to cache members."""
-    return float(_eligible_similarities(snapshot).mean())
-
-
-def similarity_variance(snapshot: CycleSnapshot) -> float:
-    """Population variance of the per-peer mean similarities."""
-    return float(_eligible_similarities(snapshot).var())
+    return float(samples.mean()), float(samples.var())
 
 
 def hit_rates(snapshot: CycleSnapshot, hidden: np.ndarray) -> tuple[float, float]:
@@ -234,10 +226,11 @@ def compute_cycle_metrics(
         clustering = clustering_coefficient(graph)
     else:
         apl = coverage = clustering = None
+    sim_mean, sim_var = similarity_stats(snapshot)
     return CycleMetrics(
         cycle=snapshot.cycle,
-        avg_similarity=avg_similarity(snapshot),
-        similarity_variance=similarity_variance(snapshot),
+        avg_similarity=sim_mean,
+        similarity_variance=sim_var,
         hit_rate=hit_rate,
         hit_rate_voluntary=hit_rate_voluntary,
         avg_path_length=apl,

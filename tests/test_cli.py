@@ -5,6 +5,8 @@ import json
 import os
 import platform
 import re
+import subprocess
+import sys
 import threading
 from dataclasses import fields
 from pathlib import Path
@@ -26,6 +28,8 @@ from gossipcf.cli import (
 from gossipcf.engine import ChurnSpec, InvalidConfig, SimConfig
 from gossipcf.harness import centralized_baseline, churn_sweep, load_ratings, run_experiment
 from gossipcf.synth import generate_ratings, write_ratings_file
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -139,9 +143,19 @@ def test_config_file_skips_comments_and_blank_lines(tmp_path):
 
 def test_config_line_without_equals_rejected(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("cycles=9\ncycles 9\n", encoding="utf-8")
-    with pytest.raises(InvalidConfig, match=re.escape(f"{cfg}:2: expected key=value")):
-        parse_config(["run", "--config", str(cfg)], environ={})
+    for newline in ("\n", "\r\n", "\r"):
+        cfg.write_bytes(f"cycles=9{newline}cycles 9{newline}".encode())
+        with pytest.raises(InvalidConfig, match=re.escape(f"{cfg}:2: expected key=value")):
+            parse_config(["run", "--config", str(cfg)], environ={})
+
+
+def test_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"seed=\xff\n")
+    assert main(["run", "--config", str(cfg), "--data", "x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: byte 5: not UTF-8 (invalid start byte)")
+    assert "Traceback" not in err
 
 
 def test_unknown_protocol_from_env_exits_2(monkeypatch, capsys):
@@ -379,6 +393,21 @@ def test_baseline_csv_golden_bytes(small_ratings, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_BASELINE_SHA256
 
 
+def test_structural_off_rows_leave_topology_cells_empty(small_ratings, tmp_path):
+    # The churn-sweep benchmark hashes rows written in this format.
+    config = SimConfig(n_peers=80, cache_size=8, cycles=3, seed=31)
+    path = emit_metrics_csv(run_experiment(config, small_ratings, 2, structural=False), tmp_path)
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    topology = [header.index(name) for name in
+                ("avg_path_length", "path_coverage", "clustering_coefficient")]
+    assert [row[0] for row in rows] == ["0"] * 4 + ["1"] * 4 + ["mean"] * 4 + ["ci95"] * 4
+    for row in rows:
+        skipped = "nan" if row[0] in ("mean", "ci95") else ""
+        assert [row[i] for i in topology] == [skipped] * 3
+        assert all(cell not in ("", "nan", "None") for i, cell in enumerate(row)
+                   if i not in topology)
+
+
 def test_anti_entropy_run_passes_strict_checks(tmp_path):
     # Seed 102 once stopped at cycle 1: a global-view cache kept its owner's
     # entry, and the self-similarity of 1.0 broke the top-m bound.
@@ -583,6 +612,27 @@ def test_unwritable_manifest_leaves_no_csv(command, data_file, tmp_path, capsys)
 def test_empty_rows_write_header_only_csv(tmp_path):
     path = emit_churn_csv([], tmp_path)
     assert path.read_text() == ",".join(CHURN_COLUMNS) + "\n"
+
+
+def _run_module(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python -m gossipcf`` with the library on its path."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, "-m", "gossipcf", *args], capture_output=True, text=True, env=env
+    )
+
+
+def test_module_entry_point_prints_the_version():
+    done = _run_module("--version")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0.1.0"
+
+
+def test_module_entry_point_reports_a_missing_file_without_a_traceback(tmp_path):
+    done = _run_module("validate-data", "--data", str(tmp_path / "missing.data"))
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:")
+    assert "Traceback" not in done.stderr
 
 
 def test_env_prefix_documented_keys(monkeypatch):

@@ -85,6 +85,11 @@ def test_bootstrap_topology_rejects_bad_degree():
     # cache holds is rejected
     with pytest.raises(InvalidConfig, match="bootstrap tree gives peer"):
         bootstrap_topology(943, 2.0, 3, np.random.default_rng(1))
+    # a valid config whose extra edges never fit: every peer already holds a
+    # tree edge, and an extra edge needs fewer than cache_size - 1 = 1 sources
+    SimConfig(n_peers=3, cache_size=2, bootstrap_degree=1.9)
+    with pytest.raises(InvalidConfig, match="could not reach target bootstrap degree"):
+        bootstrap_topology(3, 1.9, 2, np.random.default_rng(1))
 
 
 def test_bootstrap_rejects_training_arrays_of_another_size(small_ratings):

@@ -11,13 +11,12 @@ from gossipcf.engine import CycleSnapshot
 from gossipcf.metrics import (
     NoEligiblePeers,
     avg_path_length,
-    avg_similarity,
     clustering_coefficient,
     compute_cycle_metrics,
     hit_rates,
     in_degree_stats,
     live_graph,
-    similarity_variance,
+    similarity_stats,
 )
 
 
@@ -59,27 +58,25 @@ def make_snapshot(
 
 def test_avg_similarity_degenerate_identical():
     snap = make_snapshot([[1], [0]], sims=[1.0, 1.0])
-    assert avg_similarity(snap) == 1.0
-    assert similarity_variance(snap) == 0.0
+    assert similarity_stats(snap) == (1.0, 0.0)
 
 
 def test_avg_similarity_hand_computed_variance():
     snap = make_snapshot([[1], [0]], sims=[0.2, 0.6])
-    assert avg_similarity(snap) == pytest.approx(0.4)
-    assert similarity_variance(snap) == pytest.approx(0.04)
+    assert similarity_stats(snap) == pytest.approx((0.4, 0.04))
 
 
 def test_avg_similarity_excludes_empty_and_dead():
     snap = make_snapshot(
         [[1], [], [0]], sims=[0.4, float("nan"), 0.8], alive=[True, True, False]
     )
-    assert avg_similarity(snap) == pytest.approx(0.4)
+    assert similarity_stats(snap) == pytest.approx((0.4, 0.0))
 
 
 def test_avg_similarity_no_eligible_raises():
     snap = make_snapshot([[], []])
     with pytest.raises(NoEligiblePeers):
-        avg_similarity(snap)
+        similarity_stats(snap)
 
 
 # --- hit rate ----------------------------------------------------------------
@@ -208,6 +205,9 @@ def test_path_length_path_graph():
     value, coverage = avg_path_length(live_graph(snap))
     assert value == pytest.approx(4 / 3)
     assert coverage == 1.0
+    # with every peer silenced the live graph is empty
+    silenced = make_snapshot([[1], [0, 2], [1]], alive=[False] * 3)
+    assert avg_path_length(live_graph(silenced)) == (0.0, 0.0)
 
 
 def test_clustering_complete_graph():
@@ -387,6 +387,10 @@ def test_in_degree_single_survivor_means_zero():
     )
     mean, var = in_degree_stats(snap)
     assert mean == 0.0 and var == 0.0
+    # with none left there is no reception to average
+    silenced = make_snapshot([[1], [0], [0]], alive=[False] * 3)
+    with pytest.raises(NoEligiblePeers, match="no live peers"):
+        in_degree_stats(silenced)
 
 
 def test_compute_cycle_metrics_assembles_row():

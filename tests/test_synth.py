@@ -39,6 +39,9 @@ def test_target_beyond_one_rating_per_cell_raises():
     # items too few for the per-user minimum leave no reachable target
     with pytest.raises(ValueError):
         generate_ratings(n_users=40, n_items=12, target_ratings=600, seed=3)
+    for shape in ({"n_users": 1}, {"n_items": 9}):
+        with pytest.raises(ValueError, match="at least 2 users and 10 items"):
+            generate_ratings(**shape)
 
 
 def test_full_scale_shape():
