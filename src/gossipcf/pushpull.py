@@ -18,23 +18,23 @@ leaves the owner out of what it snapshots.  Selection orders either by a
 per-owner rank table (swarmix: ``rank[owner][src]``, smaller is better) or,
 without one, freshest first.  A rank table implies a partial view.
 
-A cache is the tuple of its sources, with a version that moves whenever
-they do.  Only a freshest-first order reads when an entry was created, so
-only it keeps a parallel tuple of stamps, and its merge keeps the fresher
-stamp per source.  Under a rank table the sources an exchange retains
-depend on the two source sets alone.  Before any merge, each side of an
-exchange asks an admission test whether an offered source can enter its
-cache: into a full cache only by outranking its worst entry, into one with
-room whenever it is new.  A side that cannot change runs no merge, and
-records the bitset of every source that could enter, so that one AND
-decides the side until its sources move and :func:`_store` resets the
-record.  Both assume a state is exchanged under one protocol, so that a
-tuple with ``version > 0`` came from a merge and is in rank order; a
-version-0 tuple always merges.  Timestamp orders take neither shortcut;
-instead, one merge serves both sides of their exchange.  Both sides merge
-the same two caches, and a merge tie is two equal entries, so the two
-merged sets are one set in one freshest-first order, from which each side
-keeps its first k.
+A cache is the tuple of its sources.  Only a freshest-first order reads
+when an entry was created, so only it keeps a parallel tuple of stamps,
+and its merge keeps the fresher stamp per source.  Under a rank table the
+sources an exchange retains depend on the two source sets alone, and one
+rule decides each side: it merges, unless a recorded bitset declines.  A
+side whose merge leaves its sources as they are records the bitset of
+every source that could enter its cache: into a full one only by
+outranking its worst entry, into one with room whenever it is new.  Until
+its sources move, one AND of that bitset with the offered sources decides
+the side without a merge.  A bitset is recorded only for a tuple that
+equals its own merge, so that tuple is in rank order and the AND is exact
+on it, as long as a state is exchanged under one protocol.  A tuple out of
+rank order, as a bootstrap or hand-built state may hold, merges and is
+reordered.  Timestamp orders take no shortcut; instead, one merge serves
+both sides of their exchange.  Both sides merge the same two caches, and a
+merge tie is two equal entries, so the two merged sets are one set in one
+freshest-first order, from which each side keeps its first k.
 
 All tie-breaks are deterministic so that seeded runs reproduce exactly: a
 rank row orders every source, and freshest-first selection ties fall back
@@ -105,22 +105,21 @@ class GossipState:
       unchanged cache keeps the very same tuple object;
     - ``stamps[v]``: without a rank table only (``stamps`` is ``None`` under
       one), each entry's creation time, parallel to ``sources[v]``;
-    - ``version[v]``: bumped whenever ``sources[v]`` is replaced;
     - under a rank table only, ``admissible[v]`` and ``held[v]``: ``None``,
       or a bitset about v's current sources: :func:`_admissible`'s bits,
-      recorded when v's side declines, and bit s per source s of v.
-      :func:`_store` resets both to ``None`` where it bumps ``version[v]``.
+      recorded when a merge leaves v's sources as they are, and bit s per
+      source s of v.  Both are reset to ``None`` where ``sources[v]`` is
+      replaced.
     """
 
     sources: list[Sources]
     stamps: list[Stamps] | None = None
-    version: list[int] = field(init=False)
     admissible: list[int | None] = field(init=False)
     held: list[int | None] = field(init=False)
 
     def __post_init__(self) -> None:
         n = len(self.sources)
-        self.version, self.admissible, self.held = [0] * n, [None] * n, [None] * n
+        self.admissible, self.held = [None] * n, [None] * n
 
     @property
     def caches(self) -> Sequence[Cache]:
@@ -202,38 +201,16 @@ def _retain(owner: PeerId, own: Sources, other: Sources, protocol: ProtocolSpec)
     return tuple(sorted(union, key=protocol.rank[owner].__getitem__)[: protocol.cache_size])
 
 
-def _store(state: GossipState, peer: PeerId, srcs: Sources, stamps: Stamps | None = None) -> None:
-    """Install ``peer``'s new cache: its stamps, when it keeps them, and when
-    its ordered sources changed, the new tuple, a new version and no
-    admission memos: they described the old sources."""
-    if stamps is not None:
-        state.stamps[peer] = stamps
+def _store(state: GossipState, peer: PeerId, srcs: Sources, stamps: Stamps) -> None:
+    """Install ``peer``'s new freshest-first cache: its stamps, and its sources
+    when their order changed, so that an unchanged cache keeps its tuple."""
+    state.stamps[peer] = stamps
     if srcs != state.sources[peer]:
         state.sources[peer] = srcs
-        state.version[peer] += 1
-        state.admissible[peer] = state.held[peer] = None
-
-
-def _admits(state: GossipState, owner: PeerId, offered: Sources, protocol: ProtocolSpec) -> bool:
-    """False only when retaining ``offered`` leaves ``owner``'s sources as they are.
-
-    Needs a rank table.  A version-0 tuple may be out of rank order, so it
-    is always admitted; a later one came from ``_retain``, best first.
-    """
-    if not state.version[owner]:
-        return True
-    own = state.sources[owner]
-    row = protocol.rank[owner]
-    # a cache with room takes any new source, a full one only a better one
-    worst = len(row) if len(own) < protocol.cache_size else row[own[-1]]
-    for src in offered:
-        if row[src] < worst and src != owner and src not in own:
-            return True
-    return False
 
 
 def _held(state: GossipState, peer: PeerId) -> int:
-    """``peer``'s sources as a bitset, bit s for source s, built once per version."""
+    """``peer``'s sources as a bitset, bit s for source s, built once per tuple of sources."""
     bits = state.held[peer]
     if bits is None:
         bits = 0
@@ -245,7 +222,8 @@ def _held(state: GossipState, peer: PeerId) -> int:
 
 def _admissible(state: GossipState, owner: PeerId, protocol: ProtocolSpec) -> int:
     """Bit s per source s neither held nor ``owner`` that, in a full cache, ranks before
-    its worst entry: on rank-ordered sources, ``bits & offered`` decides as :func:`_admits`."""
+    its worst entry: on rank-ordered sources, ``bits & offered`` is nonzero exactly
+    when retaining ``offered`` changes them."""
     own = state.sources[owner]
     row = np.asarray(protocol.rank[owner], dtype=np.int32)
     better = row < row[own[-1]] if len(own) == protocol.cache_size else np.ones(len(row), bool)
@@ -253,18 +231,24 @@ def _admissible(state: GossipState, owner: PeerId, protocol: ProtocolSpec) -> in
     return bits & ~(_held(state, owner) | 1 << owner)
 
 
-def _can_change(
+def _merged(
     state: GossipState, owner: PeerId, partner: PeerId, pushes: bool, protocol: ProtocolSpec
-) -> bool:
-    """Whether ``partner``'s sources (and id, if it ``pushes`` it) can change ``owner``'s:
-    by the bitset recorded since ``owner``'s sources last moved, else by :func:`_admits`."""
+) -> Sources | None:
+    """``owner``'s sources once it retains ``partner``'s (and ``partner``, if it ``pushes``
+    its id), or None when they stay as they are.
+
+    None without a merge when the bitset recorded since ``owner``'s sources
+    last moved misses every offered source; a merge that keeps them records it.
+    """
     bits = state.admissible[owner]
-    if bits is not None:
-        return bits & (_held(state, partner) | pushes << partner) != 0
-    if _admits(state, owner, state.sources[partner] + (partner,) * pushes, protocol):
-        return True
-    state.admissible[owner] = _admissible(state, owner, protocol)
-    return False
+    if bits is not None and not bits & (_held(state, partner) | pushes << partner):
+        return None
+    own = state.sources[owner]
+    merged = _retain(owner, own, state.sources[partner] + (partner,) * pushes, protocol)
+    if merged == own:
+        state.admissible[owner] = _admissible(state, owner, protocol)
+        return None
+    return merged
 
 
 def run_exchange(
@@ -282,16 +266,14 @@ def run_exchange(
     together.  The caller draws a live responder; liveness is not checked.
 
     Under a rank table each side's retained sources are a pure function of
-    the two peers and their source sets, and no stamp is kept.  So each side
-    first asks whether the other side's sources (plus the initiator's id,
-    for the responder) can change its own, exactly as long as a state is
-    exchanged under one protocol: by one AND with the bitset recorded since
-    its sources last moved, else by :func:`_admits`, which reads only source
-    tuples and one rank row and records that bitset when it declines.  A
-    side that cannot change runs neither ``_retain`` nor ``_store``.
+    the two peers and their source sets, and no stamp is kept.  Each side
+    merges the other side's sources (plus the initiator's id, for the
+    responder) unless the bitset recorded since its own sources last moved
+    declines them; both decide before either stores, and a side whose
+    sources change gets the new tuple and no bitsets.
 
-    Freshest-first selection reads stamps and takes neither shortcut.  It
-    merges once for both sides instead: :func:`_freshest` orders the union's
+    Freshest-first selection reads stamps and takes no shortcut.  It merges
+    once for both sides instead: :func:`_freshest` orders the union's
     ``(src, stamp)`` pairs, and each side keeps its first k less its own.
     Under a global view the two sides store the same tuples.
     """
@@ -308,12 +290,11 @@ def run_exchange(
             kept = _cut(order, responder, protocol)
         _store(state, responder, *kept)
         return
-    to_initiator = _can_change(state, initiator, responder, False, protocol)
-    to_responder = _can_change(state, responder, initiator, True, protocol)
-    if to_initiator or to_responder:
-        pushed = sources[initiator] + (initiator,)
-        pulled = sources[responder]
-        if to_initiator:
-            _store(state, initiator, _retain(initiator, pushed, pulled, protocol))
-        if to_responder:
-            _store(state, responder, _retain(responder, pulled, pushed, protocol))
+    to_initiator = _merged(state, initiator, responder, False, protocol)
+    to_responder = _merged(state, responder, initiator, True, protocol)
+    if to_initiator is not None:
+        sources[initiator] = to_initiator
+        state.admissible[initiator] = state.held[initiator] = None
+    if to_responder is not None:
+        sources[responder] = to_responder
+        state.admissible[responder] = state.held[responder] = None

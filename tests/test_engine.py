@@ -386,35 +386,29 @@ def test_short_rows_pad_with_column_minus_one_and_vote_zero(tiny_ratings):
 
 
 def _run_counting_shortcuts(config, arrays, monkeypatch, shortcuts):
-    """A run's snapshots, with counts of bitset-decided and declined sides and untouched initiators.
+    """A run's snapshots, with counts of bitset-decided sides and untouched initiators.
 
-    A side decided by a recorded bitset consults no admission test; a declined
-    side runs no ``_retain``.  Without ``shortcuts`` every side is admitted,
-    so no bitset is recorded, and every exchange runs ``_retain`` on both sides.
+    A side decided by a recorded bitset runs no ``_retain``.  Without
+    ``shortcuts`` every recorded bitset is -1, which every offer intersects,
+    so every exchange runs ``_retain`` on both sides.
     """
-    exchange, admits, retain = engine.run_exchange, pushpull._admits, pushpull._retain
-    counts = dict(bitset=0, declined=0, untouched=0)
-    tests, owners = 0, []
-
-    def admitted(state, owner, offered, protocol):
-        nonlocal tests
-        tests += 1
-        ok = admits(state, owner, offered, protocol) if shortcuts else True
-        counts["declined"] += not ok
-        return ok
+    exchange, retain = engine.run_exchange, pushpull._retain
+    counts = dict(bitset=0, untouched=0)
+    owners = []
 
     def retaining(owner, *args):
         owners.append(owner)
         return retain(owner, *args)
 
     def observed(gossip, initiator, responder, protocol, now):
-        seen, retained = tests, len(owners)
+        retained = len(owners)
         exchange(gossip, initiator, responder, protocol, now)
-        counts["bitset"] += 2 - (tests - seen)
+        counts["bitset"] += 2 - (len(owners) - retained)
         counts["untouched"] += initiator not in owners[retained:]
 
     with monkeypatch.context() as patch:
-        patch.setattr(pushpull, "_admits", admitted)
+        if not shortcuts:
+            patch.setattr(pushpull, "_admissible", lambda gossip, owner, protocol: -1)
         patch.setattr(pushpull, "_retain", retaining)
         patch.setattr(engine, "run_exchange", observed)
         snaps = list(run_simulation(config, arrays))
@@ -425,15 +419,14 @@ def _run_counting_shortcuts(config, arrays, monkeypatch, shortcuts):
     "churn", [None, ChurnSpec(mode="failures", pct=40.0, at_cycle=6)], ids=["stable", "loss"]
 )
 def test_skipped_exchanges_change_no_snapshot(small_ratings, monkeypatch, churn):
-    # Under swarmix a side that no offered source can enter runs no merge,
-    # and once a side declines, a bitset recorded for its version decides it
-    # until that version moves.  Every snapshot must be what a run that
-    # performs every exchange on both sides gives.
+    # Under swarmix a side whose merge keeps its sources records a bitset
+    # that decides it, with no merge, until its sources move.  Every
+    # snapshot must be what a run that merges every side gives.
     config, arrays = _small_sim(small_ratings, cycles=16, churn=churn)
     shipped, taken = _run_counting_shortcuts(config, arrays, monkeypatch, True)
     every, reference = _run_counting_shortcuts(config, arrays, monkeypatch, False)
-    assert reference == dict(bitset=0, declined=0, untouched=0)
-    assert taken["bitset"] > 0 and taken["declined"] > 0 and taken["untouched"] > 0
+    assert reference == dict(bitset=0, untouched=0)
+    assert taken["bitset"] > 0 and taken["untouched"] > 0
     assert len(shipped) == len(every) == config.cycles + 1
     for a, b in zip(shipped, every):
         assert a.cycle == b.cycle
@@ -462,13 +455,15 @@ def test_stamps_are_kept_only_where_the_protocol_reads_them(small_ratings, proto
             stamps = (0,) * len(sources) if gossip.stamps is None else gossip.stamps[v]
             assert len(stamps) == len(sources) and all(0 <= t <= cycle for t in stamps)
             assert gossip.caches[v] == tuple(map(DataItem, sources, stamps))
-            # every recorded bitset is what a fresh build from v's sources gives
+            # every recorded bitset is what a fresh build from v's sources
+            # gives, and is recorded only for sources in rank order
             if gossip.admissible[v] is not None:
                 assert gossip.admissible[v] == pushpull._admissible(gossip, v, state.protocol)
+                assert sources == pushpull._retain(v, sources, (), state.protocol)
                 recorded += 1
             if gossip.held[v] is not None:
                 assert gossip.held[v] == sum(1 << src for src in gossip.sources[v])
-    # timestamp orders take no admission test, so they record no bitset
+    # timestamp orders merge every side, so they record no bitset
     assert (recorded > 0) == (protocol == "swarmix")
     assert (gossip.stamps is None) == (protocol == "swarmix")
     if protocol != "swarmix":

@@ -3,7 +3,11 @@
 The project runs no linter, so this stdlib-only check stands in for the
 unused-import rule: it parses each ``src/gossipcf/*.py``, ``tests/*.py`` and
 ``scripts/*.py`` file and fails on an imported name the module never uses.
-``from __future__`` imports are exempt.  Two more checks keep SciPy, whose
+``from __future__`` imports are exempt.  For the same reason a second check
+stands in for a dead-code rule: every module-level private name (``_name``,
+not a dunder) that a library module defines must be read by some library
+module, so a helper left behind by a refactor fails it.  Two more checks
+keep SciPy, whose
 import once dominated the library's set-up time and a tenth of its memory,
 out of the library: no module loads it on import, and neither does an
 experiment, a loss sweep or the CLI's baseline, which all compute
@@ -63,6 +67,49 @@ def test_library_module_uses_every_import(path):
 )
 def test_test_and_script_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``"module line N: name"`` for each module-level private name that one of
+    ``sources`` (module name to source) defines and none of them reads.  A
+    name counts as read where it is loaded, named as an attribute or
+    imported."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(module, node.lineno, name) for name in names
+                        if name[:1] == "_" and not (name[:2] == "__" == name[-2:])]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(f"{module} line {line}: {name}" for module, line, name in defined
+                  if name not in read)
+
+
+def test_unread_private_names_are_found():
+    sources = {
+        "a.py": "_used, _dead = 1, 2\n__all__ = []\ndef _helper():\n    return _used\n"
+                "class _Gone:\n    pass\n",
+        "b.py": "from .a import _helper\n_helper()\n",
+    }
+    assert unread_private_names(sources) == ["a.py line 1: _dead", "a.py line 5: _Gone"]
+
+
+def test_library_reads_every_private_name():
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    assert unread_private_names(sources) == []
 
 
 def _loads_scipy(probe: str) -> bool:

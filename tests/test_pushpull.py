@@ -13,9 +13,9 @@ from gossipcf.pushpull import (
     GossipState,
     ProtocolSpec,
     _admissible,
-    _admits,
     _cut,
     _freshest,
+    _merged,
     _retain,
     run_exchange,
 )
@@ -216,10 +216,11 @@ def test_retain_equals_public_op_composition():
 def test_admission_declines_exactly_the_sides_retain_leaves_as_they_are():
     # One side of a rank-table exchange, which is always a partial-view
     # one: ``own`` is the owner's sources, and the partner offers its own,
-    # plus its id when it is the initiator.  A tuple an
-    # exchange produced (version > 0) is in rank order, and the admission
-    # test is exact on it; a version-0 tuple, full and in any order, is
-    # always admitted.
+    # plus its id when it pushes it.  ``_merged`` gives what ``_retain``
+    # gives, or None exactly when that is ``own``, and then records the
+    # bitset that declines the same offer without a merge.  A tuple an
+    # exchange produced is in rank order; a full tuple in any order, as a
+    # hand-built state may hold, merges and is reordered.
     rnd = random.Random(606)
     seen = Counter()
     for _ in range(4000):
@@ -227,33 +228,31 @@ def test_admission_declines_exactly_the_sides_retain_leaves_as_they_are():
         k = rnd.randint(1, 6)
         tables = [{s: rnd.choice([0.1, 0.4, 0.4, 0.9]) for s in range(8)} for _ in range(8)]
         proto = ProtocolSpec(cache_size=k, rank=[rank_from_table(t) for t in tables])
-        produced = rnd.random() < 0.7
-        if produced:
+        if rnd.random() < 0.7:
             a, b = sources_of(random_cache(rnd)), sources_of(random_cache(rnd))
             own = _retain(owner, a, b, proto)
         else:
-            # a full cache in any order, as a hand-built state may hold
             own = tuple(rnd.sample([s for s in range(8) if s != owner], k))
-        offered = tuple(s for s in sources_of(random_cache(rnd)) if s != partner)
-        if rnd.random() < 0.5:
-            offered += (partner,)
+        pushes = rnd.random() < 0.5
         sources = [()] * 8
         sources[owner] = own
+        sources[partner] = tuple(s for s in sources_of(random_cache(rnd)) if s != partner)
+        offered = sources[partner] + (partner,) * pushes
         state = GossipState(sources)
-        state.version[owner] = int(produced)
-        admitted = _admits(state, owner, offered, proto)
         retained = _retain(owner, own, offered, proto)
-        unchanged = retained == state.sources[owner]
-        if produced:
-            assert admitted != unchanged
-        else:
-            assert admitted
-        if not admitted:
+        merged = _merged(state, owner, partner, pushes, proto)
+        assert state.sources[owner] is own
+        if retained == own:
+            assert merged is None
+            assert state.admissible[owner] == _admissible(state, owner, proto)
+            assert _merged(state, owner, partner, pushes, proto) is None
             seen["full" if len(own) == k else "room"] += 1
             seen["owner offered"] += owner in offered
-        elif not produced and not unchanged and set(retained) == set(state.sources[owner]):
-            seen["version 0, reordered"] += 1
-    for case in ("full", "room", "owner offered", "version 0, reordered"):
+        else:
+            assert merged == retained
+            assert state.admissible[owner] is None
+            seen["reordered"] += set(retained) == set(own)
+    for case in ("full", "room", "owner offered", "reordered"):
         assert seen[case] > 0, (case, seen)
 
 
@@ -261,8 +260,9 @@ def test_admission_declines_exactly_the_sides_retain_leaves_as_they_are():
 def partial_view_exchanges(draw, rank_tables=st.booleans()):
     """A swarmix or newscast exchange between two live peers of a small state.
 
-    Under swarmix a cache with ``version > 0`` is in rank order, as an
-    exchange leaves it; a version-0 cache is in any order.
+    Under swarmix each cache is drawn in rank order, as an exchange leaves
+    it, or in any order, as a hand-built state may hold it; ``ordered[v]``
+    says which.
     """
     n = draw(st.integers(3, 8))
     k = draw(st.integers(1, n - 1))
@@ -272,34 +272,38 @@ def partial_view_exchanges(draw, rank_tables=st.booleans()):
         utility = st.sampled_from([0.1, 0.4, 0.9])
         tables = draw(st.lists(st.lists(utility, min_size=n, max_size=n), min_size=n, max_size=n))
         rank = [rank_from_table(table, n) for table in tables]
-    caches, versions = [], []
+    caches, ordered = [], []
     for v in range(n):
         srcs = draw(st.lists(st.sampled_from([w for w in range(n) if w != v]), unique=True,
                              max_size=k))
-        version = draw(st.integers(0, 2))
-        if swarmix and version:
+        ordered.append(swarmix and draw(st.booleans()))
+        if ordered[v]:
             srcs.sort(key=rank[v].__getitem__)
         caches.append(tuple(item(src=s, t=draw(st.integers(0, 4))) for s in srcs))
-        versions.append(version)
     initiator, responder = draw(st.permutations(range(n)))[:2]
-    return ProtocolSpec(cache_size=k, rank=rank), caches, versions, initiator, responder
+    return ProtocolSpec(cache_size=k, rank=rank), caches, ordered, initiator, responder
 
 
 @given(partial_view_exchanges())
 @example((  # a full responder that nothing offered outranks declines
     ProtocolSpec(cache_size=1, rank=[[0, 1, 2], [0, 1, 2], [0, 1, 2]]),
-    [(item(src=1),), (item(src=0),), (item(src=0),)], [1, 1, 1], 1, 2,
+    [(item(src=1),), (item(src=0),), (item(src=0),)], [True] * 3, 1, 2,
 ))
-@example((  # version 0 everywhere, as the bootstrap leaves it
-    ProtocolSpec(cache_size=2), [(item(src=1),), (item(src=2), item(src=0)), ()], [0, 0, 0], 2, 1,
+@example((  # a full responder out of rank order merges and is reordered
+    ProtocolSpec(cache_size=2, rank=[[0, 1, 2], [0, 1, 2], [0, 1, 2]]),
+    [(item(src=2), item(src=1)), (item(src=0), item(src=2)), (item(src=0), item(src=1))],
+    [False, True, True], 1, 0,
+))
+@example((  # newscast, as the bootstrap leaves it
+    ProtocolSpec(cache_size=2), [(item(src=1),), (item(src=2), item(src=0)), ()],
+    [False] * 3, 2, 1,
 ))
 @settings(max_examples=300, deadline=None)
 def test_partial_view_exchange_never_shrinks_a_cache(case):
     # The engine draws a whole cycle's partners up front when every peer is
     # alive and every cache is full; that needs each cache to stay full.
-    protocol, caches, versions, initiator, responder = case
+    protocol, caches, ordered, initiator, responder = case
     state = state_of(caches, stamped=protocol.rank is None)
-    state.version[:] = versions
     before = {peer: state.sources[peer] for peer in (initiator, responder)}
     run_exchange(state, initiator, responder, protocol, now=5)
     k = protocol.cache_size
@@ -310,17 +314,18 @@ def test_partial_view_exchange_never_shrinks_a_cache(case):
             assert len(after) == k
         if after is cache:
             event("a side kept its sources")
-        if not versions[peer]:
-            event("a version-0 side")
+        elif set(after) == set(cache):
+            event("a side was reordered")
 
 
 @st.composite
 def admission_cases(draw):
-    """One owner at ``version > 0`` of a rank-table state, and an offered tuple.
+    """One owner of a rank-table state, its sources in rank order as an
+    exchange leaves them, and an offered tuple.
 
-    The owner's sources are in rank order, as an exchange leaves them, and
-    fill its cache or leave room; the offered ids may include the owner.
-    The rank rows are memoryviews, as ``rank_table`` builds them, or lists.
+    The owner's sources fill its cache or leave room; the offered ids may
+    include the owner.  The rank rows are memoryviews, as ``rank_table``
+    builds them, or lists.
     """
     n = draw(st.integers(2, 20))
     k = draw(st.integers(1, n - 1))
@@ -336,56 +341,55 @@ def admission_cases(draw):
     offered = draw(st.lists(st.integers(0, n - 1), unique=True))
     sources = [()] * n
     sources[owner] = tuple(own)
-    state = GossipState(sources)
-    state.version[owner] = draw(st.integers(1, 3))
-    return ProtocolSpec(cache_size=k, rank=[row] * n), state, owner, tuple(offered)
+    return ProtocolSpec(cache_size=k, rank=[row] * n), GossipState(sources), owner, tuple(offered)
 
 
 @given(admission_cases())
 @settings(max_examples=400, deadline=None)
-def test_admissible_bitset_decides_as_admits(case):
+def test_admissible_bitset_decides_as_retain(case):
     # A side's recorded bitset, ANDed with the offered sources' bitset,
-    # must give the admission test's answer on every rank-ordered tuple.
+    # must be nonzero exactly when retaining them changes a rank-ordered tuple.
     protocol, state, owner, offered = case
     bits = _admissible(state, owner, protocol)
-    admitted = _admits(state, owner, offered, protocol)
-    assert bool(bits & sum(1 << src for src in offered)) == admitted
-    event("full" if len(state.sources[owner]) == protocol.cache_size else "room")
+    own = state.sources[owner]
+    changed = _retain(owner, own, offered, protocol) != own
+    assert bool(bits & sum(1 << src for src in offered)) == changed
+    event("full" if len(own) == protocol.cache_size else "room")
     event("owner offered" if owner in offered else "owner not offered")
     event("memoryview rows" if isinstance(protocol.rank[owner], memoryview) else "list rows")
-    event("admitted" if admitted else "declined")
+    event("changed" if changed else "kept")
 
 
 @given(partial_view_exchanges(st.just(True)), st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_exchange_decided_by_recorded_bitsets_equals_one_decided_by_admits(case, views):
+def test_exchange_decided_by_recorded_bitsets_equals_one_that_merges_every_side(case, views):
     # The same swarmix exchange on two copies of a state: in one, every side
-    # at ``version > 0`` has its bitset recorded; in the other, none has.
-    # Both must leave the same sources and versions, and a side whose
-    # version moved must keep no memo of its old sources.
-    protocol, caches, versions, initiator, responder = case
+    # in rank order has its bitset recorded; in the other, none has, so
+    # both sides merge.  Both must leave the same sources and bitsets: a
+    # side whose sources moved keeps no memo of its old ones, and one that
+    # kept them holds the bitset of its sources.
+    protocol, caches, ordered, initiator, responder = case
     if views:
         protocol = ProtocolSpec(protocol.cache_size, memoryview_rows(protocol.rank))
     states = []
     for record in (True, False):
         state = state_of(caches, stamped=False)
-        state.version[:] = versions
         for peer in (initiator, responder):
-            if record and versions[peer]:
+            if record and ordered[peer]:
                 state.admissible[peer] = _admissible(state, peer, protocol)
                 event("a side decided by a recorded bitset")
         run_exchange(state, initiator, responder, protocol, now=5)
         states.append(state)
-    recorded, tested = states
-    assert recorded.sources == tested.sources
-    assert recorded.version == tested.version
+    recorded, merged = states
+    assert recorded.sources == merged.sources
+    assert recorded.admissible == merged.admissible
     for state in states:
         for p in (initiator, responder):
-            if state.version[p] != versions[p]:
+            if state.sources[p] != sources_of(caches[p]):
                 assert state.admissible[p] is None and state.held[p] is None
-                event("a side's version moved")
-    if any(versions[p] and recorded.version[p] == versions[p] for p in (initiator, responder)):
-        event("a recorded side kept its sources")
+                event("a side's sources moved")
+            else:
+                assert state.admissible[p] == _admissible(state, p, protocol)
 
 
 # --- exchanges ---------------------------------------------------------------
@@ -456,19 +460,20 @@ def test_timestamp_exchange_equals_two_retain_calls():
             pulled = caches[responder]
             union = {it.src for it in pushed + pulled}
             seen["k over union"] += k > len(union)
-            seen["version 0"] += state.version[initiator] == state.version[responder] == 0
             want = {
                 initiator: freshest_side(initiator, pushed, pulled, proto),
                 responder: freshest_side(responder, pulled, pushed, proto),
             }
-            versions = list(state.version)
             before = list(state.sources)
             run_exchange(state, initiator, responder, proto, now=now)
             for peer, (srcs, stamps) in want.items():
                 assert state.sources[peer] == srcs
                 assert state.stamps[peer] == stamps
-                assert state.version[peer] == versions[peer] + (srcs != before[peer])
+                # an unchanged cache keeps its very tuple
+                assert (state.sources[peer] is before[peer]) == (srcs == before[peer])
+                seen["kept sources"] += srcs == before[peer]
+            assert state.admissible == state.held == [None] * 8
             seen["anti-entropy" if global_view else "newscast"] += 1
-    for case in ("equal timestamps", "stale initiator entry", "k over union", "version 0",
+    for case in ("equal timestamps", "stale initiator entry", "k over union", "kept sources",
                  "anti-entropy", "newscast"):
         assert seen[case] > 0, (case, seen)
