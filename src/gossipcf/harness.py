@@ -279,7 +279,7 @@ def _reference(config: SimConfig, ratings: RatingMatrix, trial: int) -> _Referen
     split = all_but_1_split(ratings, split_rng)
     arrays = build_training_arrays(split.training)
     top_m = top_m_mean_table(arrays.similarity, config.cache_size)
-    weighted = weighted_similarity_matrix(arrays, config.significance_threshold)
+    weighted = weighted_similarity_matrix(arrays, config.significance_threshold)  # row blocks
     neighborhoods = centralized_neighborhoods(weighted, config.cache_size)
     hidden = hidden_columns(arrays, split.hidden)
     return _Reference(

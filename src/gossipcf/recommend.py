@@ -7,8 +7,11 @@ architectures: over a peer's current overlay neighborhood (local knowledge
 only) and over the global top-k most similar users, which serves as the
 centralized reference.
 
-Everything here is matrix-backed.  The test suite cross-checks these batch
-paths against reference implementations over sparse per-user dicts.
+Everything here is matrix-backed.  The centralized reference runs over
+blocks of 64 rows: apart from ``similarity`` it makes one n-by-n array, the
+float32 co-rated product, so no n-by-n float64 temporary is left for the
+allocator to keep.  The test suite cross-checks these batch paths against
+reference implementations over sparse per-user dicts.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -130,16 +133,28 @@ def build_training_arrays(matrix: RatingMatrix) -> TrainingArrays:
 
 
 def overlap_matrix(arrays: TrainingArrays) -> np.ndarray:
+    """Co-rated item counts for every user pair, as one float32 product.
+
+    It is exact: each entry sums 0/1 terms, at most 2**24 of them.  The
+    float32 copy of ``binary`` is freed when this returns.
+    """
     b = arrays.binary.astype(np.float32)
-    return np.rint(b @ b.T).astype(np.int32)
+    return b @ b.T
 
 
-def weighted_similarity_matrix(arrays: TrainingArrays, threshold: int) -> np.ndarray:
-    """Significance-weighted similarity for every user pair (``threshold`` >= 1)."""
+def weighted_similarity_matrix(arrays: TrainingArrays, threshold: int) -> Iterator[np.ndarray]:
+    """Significance-weighted similarity for every user pair (``threshold`` >= 1),
+    as float64 blocks of up to 64 rows, from top to bottom.
+
+    The co-rated product is the only n-by-n array made here; each block of
+    it is rounded, capped at ``threshold`` and weighted on its own.
+    """
     counts = overlap_matrix(arrays)
-    weight = np.minimum(counts, threshold) / float(threshold)
-    weight *= arrays.similarity
-    return weight
+    for start in range(0, counts.shape[0], 64):
+        rows = slice(start, start + 64)
+        weight = np.minimum(np.rint(counts[rows]).astype(np.int32), threshold) / float(threshold)
+        weight *= arrays.similarity[rows]
+        yield weight
 
 
 def top_m_mean_table(similarity: np.ndarray, k: int) -> np.ndarray:
@@ -149,34 +164,48 @@ def top_m_mean_table(similarity: np.ndarray, k: int) -> np.ndarray:
     the global top-m maximizes the mean over every m-subset of candidates,
     these values bound any overlay neighborhood of matching size.
     """
-    # One n-by-n temporary, sorted in place: -similarity ascending is
-    # similarity descending, and the +inf diagonal sorts last.
-    s = -similarity
-    np.fill_diagonal(s, np.inf)
-    s.sort(axis=1)
-    top = -s[:, :k]
-    return np.cumsum(top, axis=1) / np.arange(1, k + 1, dtype=np.float64)
-
-
-def centralized_neighborhoods(weighted: np.ndarray, k: int) -> np.ndarray:
-    """Global top-k neighbors per peer by (weighted similarity desc, id asc)."""
-    n = weighted.shape[0]
-    k = min(k, n - 1)
-    out = np.empty((n, k), dtype=np.int32)
-    # Blocks of 64 rows keep the negated keys and the candidates small.
+    n = similarity.shape[0]
+    top = np.empty((n, k))
+    # Blocks of 64 rows, sorted in place: -similarity ascending is
+    # similarity descending, and the +inf self entry sorts last.
     for start in range(0, n, 64):
-        key = -weighted[start : start + 64]
-        rows = np.arange(key.shape[0])
-        key[rows, start + rows] = np.inf
-        # Every entry at or above a row's k-th key is a candidate, ties with
-        # it included; sorting the candidates by (row, key, id) puts each
-        # row's top k first.
-        kth = np.partition(key, k - 1, axis=1)[:, k - 1 : k]
-        row, col = np.nonzero(key <= kth)
-        col = col[np.lexsort((col, key[row, col], row))]
-        first = np.searchsorted(row, rows)
-        out[start : start + 64] = col[first[:, None] + np.arange(k)]
-    return out
+        s = -similarity[start : start + 64]
+        rows = np.arange(s.shape[0])
+        s[rows, start + rows] = np.inf
+        s.sort(axis=1)
+        top[start : start + 64] = s[:, :k]
+    return np.cumsum(-top, axis=1) / np.arange(1, k + 1, dtype=np.float64)
+
+
+def centralized_neighborhoods(weighted: Iterable[np.ndarray], k: int) -> np.ndarray:
+    """Global top-k neighbors per peer by (weighted similarity desc, id asc).
+
+    ``weighted`` gives the square weighted-similarity matrix as row blocks,
+    read top to bottom (``weighted_similarity_matrix`` yields them).
+    """
+    found, start = [], 0
+    for block in weighted:
+        k = min(k, block.shape[1] - 1)
+        found.append(_top_k(block, start, k))
+        start += block.shape[0]
+    return np.concatenate(found, dtype=np.int32)
+
+
+def _top_k(block: np.ndarray, start: int, k: int) -> np.ndarray:
+    """The top k columns of each row of ``block`` (rows ``start`` on of a
+    square matrix) by (value desc, column asc), the row's own column excluded.
+    Its temporaries are freed before the next block is made."""
+    key = -block
+    rows = np.arange(key.shape[0])
+    key[rows, start + rows] = np.inf
+    # Every entry at or above a row's k-th key is a candidate, ties with it
+    # included; sorting the candidates by (row, key, id) puts each row's top
+    # k first.
+    kth = np.partition(key, k - 1, axis=1)[:, k - 1 : k]
+    row, col = np.nonzero(key <= kth)
+    col = col[np.lexsort((col, key[row, col], row))]
+    first = np.searchsorted(row, rows)
+    return col[first[:, None] + np.arange(k)]
 
 
 def tally_votes(arrays: TrainingArrays, neighbor_rows: Sequence[int]) -> np.ndarray:

@@ -60,6 +60,9 @@ def test_tracer_counts_protocol_work_and_leaves_rows_unchanged(small_ratings, pr
     assert layers["recommend.needed_ratio"] == 1.0
     assert 0.0 < layers["pushpull.effective_ratio"] <= 1.0
     assert layers["engine.cycle_s"] > 0.0 and layers["pushpull.exchange_s"] > 0.0
+    # weighted_similarity_matrix yields its blocks inside centralized_neighborhoods'
+    # span, which books them to the same layer
+    assert layers["recommend.reference_s"] > 0.0
     # run_trial computes structural metrics by default, through the names the
     # tracer swaps; a call that bypasses them would book 0 s to both layers
     assert layers["metrics.path_length_s"] > 0.0 and layers["metrics.clustering_s"] > 0.0

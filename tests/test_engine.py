@@ -563,7 +563,7 @@ def test_global_view_protocol_draws_any_peer(small_ratings):
         assert snap.receptions.sum() == int(snap.alive.sum())
 
 
-def test_similarity_utility_scores_the_item_snapshot(small_ratings):
+def test_rank_table_orders_sources_by_training_cosine(small_ratings):
     # the rank table must order sources as the reference cosine of the
     # training profiles does (ratings are fixed for the whole run):
     # similarity descending, ties to the smaller source id

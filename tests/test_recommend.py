@@ -3,6 +3,7 @@ against the reference implementations in ``oracles``."""
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from gossipcf.recommend import (
     top_n_from_votes,
     weighted_similarity_matrix,
 )
+from gossipcf.synth import generate_ratings
 from oracles import (
     DeadPeer,
     RatingProfile,
@@ -273,7 +275,9 @@ def test_similarity_matrix_matches_pure_cosine(tiny_ratings):
 
 def test_weighted_matrix_matches_pure_function(small_ratings):
     arrays = build_training_arrays(small_ratings)
-    weighted = weighted_similarity_matrix(arrays, threshold=20)
+    blocks = list(weighted_similarity_matrix(arrays, threshold=20))
+    assert [block.shape[0] for block in blocks] == [64, 16]
+    weighted = np.vstack(blocks)
     rows = profiles(small_ratings)
     rnd = random.Random(11)
     for _ in range(60):
@@ -328,7 +332,13 @@ def tie_heavy_matrices():
         yield "distinct values", rng.random((n, n))
 
 
+def row_blocks(matrix, size):
+    """``matrix`` as blocks of ``size`` rows, top to bottom."""
+    return [matrix[start : start + size] for start in range(0, matrix.shape[0], size)]
+
+
 def test_centralized_neighborhoods_matches_stable_argsort_on_ties():
+    # 64-row blocks, as weighted_similarity_matrix yields them, and 1-row blocks
     for name, weighted in tie_heavy_matrices():
         n = weighted.shape[0]
         key = -weighted
@@ -336,9 +346,43 @@ def test_centralized_neighborhoods_matches_stable_argsort_on_ties():
         order = np.argsort(key, axis=1, kind="stable")
         for k in sorted({1, 3, n // 2, n - 1, n + 4}):
             want = order[:, : min(k, n - 1)]
-            got = centralized_neighborhoods(weighted, k)
-            assert got.dtype == np.int32
-            assert np.array_equal(got, want), (name, n, k)
+            for size in (64, 1):
+                got = centralized_neighborhoods(row_blocks(weighted, size), k)
+                assert got.dtype == np.int32
+                assert np.array_equal(got, want), (name, n, k, size)
+
+
+def test_top_m_mean_table_matches_whole_row_sort_on_ties():
+    for name, similarity in tie_heavy_matrices():
+        n = similarity.shape[0]
+        key = -similarity
+        np.fill_diagonal(key, np.inf)
+        key.sort(axis=1)
+        for k in sorted({1, min(3, n - 1), n // 2, n - 1}):
+            want = np.cumsum(-key[:, :k], axis=1) / np.arange(1, k + 1, dtype=np.float64)
+            assert np.array_equal(top_m_mean_table(similarity, k), want), (name, n, k)
+
+
+def test_reference_holds_no_n_by_n_float64_temporary():
+    # The float32 co-rated product is the one n-by-n array the reference
+    # adds; the twin has fewer items than users, so the float32 copy of
+    # binary fits in the same bound.  A whole-matrix negation, rounding,
+    # cap or weighting would not.
+    ratings = RatingMatrix(
+        generate_ratings(n_users=400, n_items=150, target_ratings=12_000, seed=3)
+    )
+    arrays = build_training_arrays(ratings)
+    square = ratings.n_users**2 * 8  # one n-by-n float64
+    top_m = lambda: top_m_mean_table(arrays.similarity, 20)
+    hoods = lambda: centralized_neighborhoods(weighted_similarity_matrix(arrays, 50), 20)
+    for reference, bound in ((top_m, square), (hoods, square + square // 2)):
+        tracemalloc.start()
+        try:
+            reference()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 def test_rank_table_matches_stable_argsort_on_ties():

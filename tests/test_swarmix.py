@@ -154,7 +154,7 @@ def pushed_self_item(now):
     return next(it for it in cache_of(state, 1) if it.src == 0)
 
 
-def test_make_self_item_constructor_contract():
+def test_exchange_pushes_initiator_entry_stamped_now():
     # run_exchange builds the self-item: the entry about the initiator,
     # stamped with the exchange time
     it = pushed_self_item(7)
@@ -162,7 +162,7 @@ def test_make_self_item_constructor_contract():
     assert it == entry(0, 7)
 
 
-def test_make_self_item_timestamps_differ_only():
+def test_later_self_entry_push_replaces_earlier():
     # two pushes by the same initiator differ only in their timestamps, and a
     # later push replaces the earlier entry in the responder's cache
     a, b = pushed_self_item(7), pushed_self_item(8)
